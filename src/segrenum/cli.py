@@ -26,7 +26,6 @@ from .criteria import (
 from .equising import FunctionGerm, whitney_battery
 from .errors import PreconditionError, SegrenumError
 from .groebner import ENGINE_STATS, Ideal, clear_caches
-from .multiplicity import DEFAULT_N_MAX
 from .parser import parse_input
 from .report import (
     dump_report,
@@ -55,7 +54,6 @@ _DEFAULT_OPTIONS = {
     "seed": DEFAULT_SEED,
     "bound": 997,
     "rounds": 2,
-    "nmax": DEFAULT_N_MAX,
 }
 
 
@@ -72,7 +70,7 @@ def _load_document(path):
 def _merge_options(doc, args):
     options = dict(_DEFAULT_OPTIONS)
     options.update(doc.options)
-    for key in ("seed", "bound", "rounds", "nmax"):
+    for key in ("seed", "bound", "rounds"):
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
@@ -84,7 +82,6 @@ def _config(options):
         seed=options["seed"],
         coefficient_bound=options["bound"],
         verification_rounds=options["rounds"],
-        n_max=options["nmax"],
     )
 
 
@@ -317,7 +314,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the genericity seed")
     sub.add_argument("--bound", type=int, default=None, help="coefficient bound")
     sub.add_argument("--rounds", type=int, default=None, help="verification rounds")
-    sub.add_argument("--nmax", type=int, default=None, help="Hilbert-Samuel sample budget")
     sub.add_argument("--timing", action="store_true", help="attach wall-clock timing")
 
 

@@ -133,11 +133,11 @@ def _chain_verdict(criterion_id: str, labels, values) -> CriterionVerdict:
     return CriterionVerdict(criterion_id, True)
 
 
-def _require_m_primary(germ, I, label, cfg):
+def _require_m_primary(germ, I, label):
     merged = ideal_sum(I, germ.ambient)
     if not passes_through_origin(merged):
         raise PreconditionError(f"{label} does not vanish at the origin")
-    if multiplicity_at_origin(merged, n_max=cfg.n_max).local_dimension != 0:
+    if multiplicity_at_origin(merged).local_dimension != 0:
         raise PreconditionError(f"{label} is not m-primary on the germ")
 
 
@@ -145,8 +145,8 @@ def teissier_criterion(germ: GermContext, I1: Ideal, I2: Ideal,
                        cfg: GenericityConfig) -> ComparisonReport:
     """The full mixed-multiplicity chain e(I1), e_{n-1,1}, ..., e(I2);
     the ideals have the same integral closure iff the chain is constant."""
-    _require_m_primary(germ, I1, "first ideal", cfg)
-    _require_m_primary(germ, I2, "second ideal", cfg)
+    _require_m_primary(germ, I1, "first ideal")
+    _require_m_primary(germ, I2, "second ideal")
     n = germ.n
     labels = [f"e_({i},{n - i})" for i in range(n, -1, -1)]
     chain = [mixed_multiplicity_primary(germ, I1, I2, i, cfg) for i in range(n, -1, -1)]
@@ -371,8 +371,8 @@ def mixed_inequality_check(germ: GermContext, I1: Ideal, I2: Ideal,
     n = germ.n
     primary = True
     try:
-        _require_m_primary(germ, I1, "first ideal", cfg)
-        _require_m_primary(germ, I2, "second ideal", cfg)
+        _require_m_primary(germ, I1, "first ideal")
+        _require_m_primary(germ, I2, "second ideal")
     except PreconditionError:
         primary = False
     if primary:

@@ -25,10 +25,6 @@ class ResourceLimitError(SegrenumError):
         self.stats = dict(stats or {})
 
 
-class NonStabilizationError(SegrenumError):
-    """Hilbert-Samuel sampling did not stabilize within the N budget."""
-
-
 class GenericityError(SegrenumError):
     """Random linear combinations failed certification across seeds."""
 

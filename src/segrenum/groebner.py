@@ -1,5 +1,6 @@
 """Groebner bases and the ideal toolbox: normal forms, elimination,
-saturation, quotients, colength, dimension, radical membership.
+saturation, quotients, radical membership, and the Hilbert series of a
+monomial ideal, which colength and dimension read.
 
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy.  All
@@ -118,7 +119,7 @@ class Ideal:
         return groebner_fingerprint(self) == groebner_fingerprint(other)
 
     def __hash__(self):
-        return hash((self.ring, self.generators))
+        return hash((self.ring, groebner_fingerprint(self)))
 
     def __repr__(self):
         inner = ", ".join(format_polynomial(g) for g in self.generators) or "0"
@@ -255,7 +256,7 @@ def _strip_content(d, key):
     return d
 
 
-def _reduce_raw(p, basis, lts, key, truncate_deg=None, track_multiplier=False):
+def _reduce_raw(p, basis, lts, key, track_multiplier=False):
     """Full pseudo-normal-form of p against an integer raw basis.
 
     The result is the exact normal form times a positive integer; with
@@ -304,8 +305,6 @@ def _reduce_raw(p, basis, lts, key, truncate_deg=None, track_multiplier=False):
             if eg == lt_hit:
                 continue
             ee = tuple(map(_add, eg, shift))
-            if truncate_deg is not None and sum(ee) >= truncate_deg:
-                continue
             s = get(ee)
             if s is None:
                 work[ee] = -c * cg
@@ -321,7 +320,7 @@ def _reduce_raw(p, basis, lts, key, truncate_deg=None, track_multiplier=False):
     return _strip_content(remainder, key) if remainder else remainder
 
 
-def _spoly_raw(f, lt_f, g, lt_g, key, truncate_deg=None):
+def _spoly_raw(f, lt_f, g, lt_g, key):
     lcm = mono_lcm(lt_f, lt_g)
     sf = mono_div(lcm, lt_f)
     sg = mono_div(lcm, lt_g)
@@ -329,14 +328,9 @@ def _spoly_raw(f, lt_f, g, lt_g, key, truncate_deg=None):
     a_g = g[lt_g]
     out = {}
     for e, c in f.items():
-        ee = mono_mul(e, sf)
-        if truncate_deg is not None and mono_degree(ee) >= truncate_deg:
-            continue
-        out[ee] = c * a_g
+        out[mono_mul(e, sf)] = c * a_g
     for e, c in g.items():
         ee = mono_mul(e, sg)
-        if truncate_deg is not None and mono_degree(ee) >= truncate_deg:
-            continue
         s = out.get(ee)
         if s is None:
             out[ee] = -c * a_f
@@ -393,7 +387,7 @@ def _budget_check(G, lt, config):
         )
 
 
-def _buchberger_raw(raw_gens, key, config, truncate_deg=None):
+def _buchberger_raw(raw_gens, key, config):
     """Completion over primitive integer vectors; returns the unique
     reduced basis as monic Fraction dicts."""
     stats = ENGINE_STATS
@@ -415,7 +409,7 @@ def _buchberger_raw(raw_gens, key, config, truncate_deg=None):
         d = _primitive_int(d, key)
         if not d:
             continue
-        r = _reduce_raw(d, G, lts, key, truncate_deg) if G else d
+        r = _reduce_raw(d, G, lts, key) if G else d
         if r:
             pairs = insert(r)
 
@@ -423,9 +417,9 @@ def _buchberger_raw(raw_gens, key, config, truncate_deg=None):
         pair = min(pairs, key=lambda ij: (key(mono_lcm(lts[ij[0]], lts[ij[1]])), ij))
         pairs.discard(pair)
         i, j = pair
-        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key, truncate_deg)
+        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key)
         stats.spairs_reduced += 1
-        r = _reduce_raw(s, G, lts, key, truncate_deg)
+        r = _reduce_raw(s, G, lts, key)
         if r:
             pairs = insert(r)
 
@@ -450,7 +444,7 @@ def _buchberger_raw(raw_gens, key, config, truncate_deg=None):
     for i in range(len(G_min)):
         others = G_min[:i] + G_min[i + 1:]
         olts = lts_min[:i] + lts_min[i + 1:]
-        r = _reduce_raw(G_min[i], others, olts, key, truncate_deg)
+        r = _reduce_raw(G_min[i], others, olts, key)
         lead = r[max(r, key=key)]
         reduced.append({e: Fraction(c, lead) for e, c in r.items()})
     reduced.sort(key=lambda d: key(max(d, key=key)), reverse=True)
@@ -471,9 +465,10 @@ def clear_caches():
     _KEY_MEMO.clear()
 
 
-def _cache_key(I: Ideal, order: MonomialOrder):
+def _cache_key(I: Ideal, order: MonomialOrder, config: EngineConfig):
     gens = tuple(sorted(format_polynomial(g, GREVLEX) for g in I.generators))
-    return (I.ring.variable_names, order.kind, order.block_split, gens)
+    return (I.ring.variable_names, order.kind, order.block_split,
+            config.max_basis, config.max_degree, gens)
 
 
 def buchberger(I: Ideal, order: MonomialOrder | None = None,
@@ -485,7 +480,7 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
     """
     order = order or I.ring.order
     config = config or DEFAULT_ENGINE_CONFIG
-    ck = _cache_key(I, order)
+    ck = _cache_key(I, order, config)
     with _GB_LOCK:
         hit = _GB_CACHE.get(ck)
     if hit is not None:
@@ -710,58 +705,74 @@ def radical_membership(p: Polynomial, I: Ideal) -> bool:
     return buchberger(Ideal(ext, gens), ext.order).is_unit
 
 
-def _pure_power_bounds(lead_exps, nvars):
-    """Minimal pure-power degree per variable, or None where absent."""
-    bounds = [None] * nvars
-    for e in lead_exps:
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    return bounds
+def _numerator(gens):
+    """Numerator Q of the Hilbert series Q(z) / (1 - z)^n of k[x] modulo
+    the monomial ideal with the given exponents, as a coefficient list.
+
+    Bigatti's pivot recursion: for a variable x shared by several
+    generators and e its least positive exponent among them,
+    Q(L) = Q(L + (x^e)) + z^e Q(L : x^e).
+    """
+    gens = sorted(set(gens), key=sum)
+    minimal = []
+    for g in gens:
+        if not any(mono_divides(h, g) for h in minimal):
+            minimal.append(g)
+    counts = [sum(1 for g in minimal if g[i]) for i in range(len(minimal[0]))]
+    if all(c <= 1 for c in counts):
+        out = [1]  # pairwise coprime: a product of (1 - z^deg g)
+        for g in minimal:
+            d = mono_degree(g)
+            shifted = [0] * d + [-c for c in out]
+            out = [a + b for a, b in zip(out + [0] * d, shifted)]
+        return out
+    i = counts.index(max(counts))
+    e = min(g[i] for g in minimal if g[i])
+    pivot = tuple(e if j == i else 0 for j in range(len(counts)))
+    plus = _numerator([g for g in minimal if not g[i]] + [pivot])
+    colon = _numerator([tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in minimal])
+    out = plus + [0] * max(0, e + len(colon) - len(plus))
+    for k, c in enumerate(colon):
+        out[e + k] += c
+    return out
+
+
+def hilbert_series(lead_exps, nvars):
+    """(P, d) with Hilbert series P(z) / (1 - z)^d of k[x_1..x_nvars]
+    modulo the monomial ideal of `lead_exps`, and P(1) != 0.
+
+    d is the Krull dimension of the quotient and P(1) its degree
+    (Bayer-Stillman); the unit ideal gives ([], -1).
+    """
+    P = _numerator(list(lead_exps)) if lead_exps else [1]
+    while P and not P[-1]:
+        P.pop()
+    if not P:
+        return [], -1
+    d = nvars
+    while sum(P) == 0:
+        # divide by (1 - z): the quotient's coefficients are prefix sums
+        acc, quotient = 0, []
+        for c in P[:-1]:
+            acc += c
+            quotient.append(acc)
+        P, d = quotient, d - 1
+    return P, d
+
+
+def _global_series(I: Ideal, config: EngineConfig | None):
+    if I.is_zero:
+        return [1], I.ring.nvars
+    lead = buchberger(I, GREVLEX, config).leading_exponents()
+    return hilbert_series(lead, I.ring.nvars)
 
 
 def colength(I: Ideal, config: EngineConfig | None = None):
     """Number of standard monomials, or INFINITE."""
-    if I.is_zero:
-        return INFINITE
-    gb = buchberger(I, GREVLEX, config)
-    if gb.is_unit:
-        return 0
-    lead = gb.leading_exponents()
-    nv = I.ring.nvars
-    bounds = _pure_power_bounds(lead, nv)
-    if any(b is None for b in bounds):
-        return INFINITE
-    count = 0
-    stack = [(0, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if i == nv:
-            if not any(mono_divides(e, prefix) for e in lead):
-                count += 1
-            continue
-        for x in range(bounds[i]):
-            stack.append((i + 1, prefix + (x,)))
-    return count
+    P, d = _global_series(I, config)
+    return sum(P) if d <= 0 else INFINITE
 
 
 def dimension(I: Ideal, config: EngineConfig | None = None) -> int:
     """Krull dimension of V(I) in affine space; -1 for the unit ideal."""
-    if I.is_zero:
-        return I.ring.nvars
-    gb = buchberger(I, GREVLEX, config)
-    if gb.is_unit:
-        return -1
-    lead = gb.leading_exponents()
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in lead]
-    nv = I.ring.nvars
-    best = 0
-    for mask in range(1 << nv):
-        S = frozenset(i for i in range(nv) if mask >> i & 1)
-        if len(S) <= best:
-            continue
-        if all(not s <= S for s in supports):
-            best = len(S)
-    return best
+    return _global_series(I, config)[1]

@@ -1,11 +1,15 @@
 """Local invariants at the origin: the Hilbert-Samuel function
 N -> colength(I + m^N) and the multiplicity it determines.
 
-The multiplicity at 0 of a scheme ideal is read off the Hilbert-Samuel
-samples by exact finite differences: once the d-th differences are
-constant over a window, d is the local dimension and the constant is
-d! times the leading coefficient, i.e. the multiplicity.  For a scheme
-that is zero-dimensional at the origin this is the local colength.
+Both are read off one Hilbert series.  A standard basis of I for a local
+degree order (Lazard: homogenize with t, take a Groebner basis for the
+tangent-cone order on k[t, x], set t = 1) has as leading monomials the
+initial ideal L of the tangent cone, and the associated graded ring of
+the local ring at 0 has the Hilbert function of k[x]/L.  Its series
+P(z) / (1 - z)^d gives the local dimension d and the multiplicity P(1)
+exactly (Bayer-Stillman; Greuel-Pfister, sections 1.7 and 5.5).  For a
+scheme that is zero-dimensional at the origin the multiplicity is the
+local colength.
 
 Assumption (classical, used throughout): the multiplicity of a cycle at
 0 equals the Hilbert-Samuel multiplicity of the corresponding scheme
@@ -16,44 +20,12 @@ ideal, additively over top-dimensional components with their lengths
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .errors import ConsistencyError, DimensionAnomalyError, NonStabilizationError
-from .groebner import (
-    DEFAULT_ENGINE_CONFIG,
-    Ideal,
-    _buchberger_raw,
-    _memo_key,
-    buchberger,
-    dimension,
-    saturate,
-)
-from .rings import GREVLEX, mono_divides
+from .groebner import Ideal, buchberger, hilbert_series
+from .rings import GREVLEX, TANGENT_CONE, Polynomial, PolynomialRing, mono_degree
 
-DEFAULT_N_MAX = 40
-DEFAULT_WINDOW = 3
-
-_MONOMIAL_CACHE: dict = {}
-
-
-def monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree (cached)."""
-    key = (nvars, degree)
-    cached = _MONOMIAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for x in range(remaining + 1):
-            rec(prefix + (x,), remaining - x, slots - 1)
-
-    rec((), degree, nvars)
-    result = tuple(out)
-    _MONOMIAL_CACHE[key] = result
-    return result
+_HOMOGENIZER = "@h"
 
 
 def passes_through_origin(I: Ideal) -> bool:
@@ -65,69 +37,48 @@ def passes_through_origin(I: Ideal) -> bool:
     return all(g.constant_term == 0 for g in I.generators)
 
 
-def _count_standard_of_degree(lead_exps, nvars, degree):
-    return sum(
-        1
-        for mono in monomials_of_degree(nvars, degree)
-        if not any(mono_divides(e, mono) for e in lead_exps)
-    )
+def _homogenize(I: Ideal) -> Ideal:
+    """The generators of I homogenized with a new first variable t."""
+    ring = PolynomialRing((_HOMOGENIZER,) + I.ring.variable_names, TANGENT_CONE)
+    gens = []
+    for g in I.generators:
+        top = g.total_degree
+        gens.append(Polynomial(ring, {(top - mono_degree(e),) + e: c
+                                      for e, c in g.coeffs.items()}))
+    return Ideal(ring, gens)
 
 
-def _truncated_lead_exponents(I: Ideal, N: int, config):
-    """Leading exponents of a basis of I + m^N, truncated below degree N."""
-    key = _memo_key(GREVLEX, I.ring.nvars)
-    raw = [dict(g.coeffs) for g in I.generators]
-    for mono in monomials_of_degree(I.ring.nvars, N):
-        raw.append({mono: 1})
-    basis = _buchberger_raw(raw, key, config, truncate_deg=N + 1)
-    return [max(d, key=key) for d in basis]
+def _local_series(I: Ideal, config):
+    """(P, d): the Hilbert series P(z) / (1 - z)^d of the tangent cone of
+    I at the origin; ([], -1) when I misses the origin.
 
-
-class _HilbertSampler:
-    """Produces colength(I + m^N) exactly, for increasing N.
-
-    For an ideal generated by homogeneous polynomials, the graded pieces
-    of I + m^N and I agree below degree N, so every sample is a staircase
-    count against one fixed basis of I.  Otherwise each N is a genuine
-    basis computation of I + m^N (terms of degree >= N are dropped during
-    reduction, which is itself reduction against the m^N generators).
+    When every generator is homogeneous, homogenizing changes nothing and
+    the tangent-cone order restricts to grevlex, so the basis is the
+    grevlex basis of I itself (shared with colength and dimension).
     """
+    if not passes_through_origin(I):
+        return [], -1
+    if I.is_zero:
+        return [1], I.ring.nvars
+    if all(g.is_homogeneous for g in I.generators):
+        H, order, drop = I, GREVLEX, 0
+    else:
+        H, order, drop = _homogenize(I), TANGENT_CONE, 1
+    lead = [e[drop:] for e in buchberger(H, order, config).leading_exponents()]
+    return hilbert_series(lead, I.ring.nvars)
 
-    def __init__(self, I: Ideal, config=None):
-        self.ideal = I
-        self.config = config or DEFAULT_ENGINE_CONFIG
-        self.nvars = I.ring.nvars
-        self.homogeneous = all(g.is_homogeneous for g in I.generators)
-        self._lead = None
-        self._by_degree = []
 
-    def _homogeneous_lead(self):
-        if self._lead is None:
-            if self.ideal.is_zero:
-                self._lead = []
-            else:
-                gb = buchberger(self.ideal, GREVLEX, self.config)
-                self._lead = gb.leading_exponents()
-        return self._lead
-
-    def sample(self, N: int) -> int:
-        if self.homogeneous:
-            lead = self._homogeneous_lead()
-            while len(self._by_degree) < N:
-                d = len(self._by_degree)
-                self._by_degree.append(_count_standard_of_degree(lead, self.nvars, d))
-            return sum(self._by_degree[:N])
-        lead = _truncated_lead_exponents(self.ideal, N, self.config)
-        return sum(
-            _count_standard_of_degree(lead, self.nvars, d) for d in range(N)
-        )
+def _samuel_value(P, d, N):
+    """Coefficient of z^(N-1) in P(z) / (1 - z)^(d+1)."""
+    return sum(c * comb(N - 1 - j + d, d) for j, c in enumerate(P[:N]))
 
 
 def hilbert_samuel(I: Ideal, N: int, config=None) -> int:
-    """colength(I + m^N); always finite."""
+    """colength(I + m^N) at the origin; always finite, 0 when I is not in m."""
     if N < 1:
         raise ValueError("hilbert_samuel needs N >= 1")
-    return _HilbertSampler(I, config).sample(N)
+    P, d = _local_series(I, config)
+    return _samuel_value(P, d, N)
 
 
 @dataclass(frozen=True)
@@ -141,113 +92,24 @@ class LocalMultiplicityResult:
     multiplicity: int
     local_dimension: int
     samples: tuple[HilbertSamuelSample, ...]
-    stabilized: bool
 
     @property
     def misses_origin(self):
         return self.local_dimension < 0
 
 
-def _detect_degree(values, window):
-    """Smallest d whose d-th differences are constant (> 0) over the window.
-
-    Returns (d, constant) or None if nothing stabilized yet.
-    """
-    table = [list(values)]
-    while len(table[-1]) > 1:
-        prev = table[-1]
-        table.append([b - a for a, b in zip(prev, prev[1:])])
-    for d, column in enumerate(table):
-        if len(column) < window:
-            break
-        tail = column[-window:]
-        if all(x == tail[0] for x in tail) and tail[0] > 0:
-            return d, tail[0]
-    return None
-
-
-def _origin_cross_check(I: Ideal, config):
-    """Saturate away the origin-primary part and report whether the
-    residual still passes through 0, plus its global dimension.  A
-    positive-dimensional component through the origin exists iff the
-    residual passes through 0; its dimension is at most the residual's
-    global dimension."""
-    ring = I.ring
-    residual = saturate(I, Ideal(ring, ring.variables()))
-    through = passes_through_origin(residual)
-    dim = dimension(residual, config) if through else -1
-    return through, dim
-
-
-def multiplicity_at_origin(
-    I: Ideal,
-    config=None,
-    n_max: int = DEFAULT_N_MAX,
-    window: int = DEFAULT_WINDOW,
-    expected_dimension: int | None = None,
-) -> LocalMultiplicityResult:
+def multiplicity_at_origin(I: Ideal, config=None) -> LocalMultiplicityResult:
     """Multiplicity and local dimension of the scheme of I at the origin.
 
     A scheme missing the origin reports multiplicity 0 with local
-    dimension -1.  For local dimension 0 the multiplicity is the local
-    colength at the origin (the stabilized Hilbert-Samuel value).
-
-    A constant window at degree 0 is provably final (the associated
-    graded algebra is standard graded, so its Hilbert function has no
-    gaps).  A candidate of positive degree can be a transient ramp of a
-    zero-dimensional scheme, so it is cross-checked against the
-    saturation at the origin and sampling continues if the check says
-    the scheme is finite there.  Chain callers that know the expected
-    dimension (components through 0 can never be smaller-dimensional
-    than the cut bound) pass `expected_dimension`: smaller candidates
-    are then skipped as transients and larger ones raise the dimension
-    anomaly that triggers a seed retry.
+    dimension -1 and no samples.  Otherwise `samples` holds the exact
+    Hilbert-Samuel values for N = 1 .. deg P + d + 2, which reach past
+    the point where the function becomes a polynomial in N.
     """
-    if not passes_through_origin(I):
-        return LocalMultiplicityResult(0, -1, (), True)
-
-    sampler = _HilbertSampler(I, config)
-    max_gen_degree = max((g.total_degree for g in I.generators), default=1)
-    start = max(2, max_gen_degree + 1)
-    values = []
-    samples = []
-    positive_dim = None  # lazily computed cross-check
-    N = start
-    while N <= n_max:
-        v = sampler.sample(N)
-        if values and v < values[-1]:
-            raise ConsistencyError("Hilbert-Samuel function decreased")
-        values.append(v)
-        samples.append(HilbertSamuelSample(N, v))
-        hit = _detect_degree(values, window)
-        if hit is not None:
-            d, e = hit
-            if d > I.ring.nvars:
-                raise ConsistencyError("fitted degree exceeds the ambient dimension")
-            accept = False
-            if expected_dimension is None:
-                if d == 0:
-                    accept = True
-                else:
-                    if positive_dim is None:
-                        positive_dim = _origin_cross_check(I, config)
-                    through, sat_dim = positive_dim
-                    accept = through and d <= sat_dim
-            elif d == expected_dimension:
-                accept = True
-            elif d > expected_dimension:
-                if positive_dim is None:
-                    positive_dim = _origin_cross_check(I, config)
-                through, sat_dim = positive_dim
-                if through and sat_dim >= d:
-                    raise DimensionAnomalyError(
-                        f"fitted degree {d} exceeds expected {expected_dimension}"
-                    )
-                # a ramp past the window on a smaller scheme: keep sampling
-            # d below the expectation is always a transient: keep sampling
-            if accept:
-                return LocalMultiplicityResult(e, d, tuple(samples), True)
-        N += 1
-    raise NonStabilizationError(
-        f"Hilbert-Samuel samples did not stabilize for N <= {n_max}"
+    P, d = _local_series(I, config)
+    if d < 0:
+        return LocalMultiplicityResult(0, -1, ())
+    samples = tuple(
+        HilbertSamuelSample(N, _samuel_value(P, d, N)) for N in range(1, len(P) + d + 2)
     )
+    return LocalMultiplicityResult(sum(P), d, samples)

@@ -18,7 +18,6 @@ ambient block, an optional [surface] block and an [options] block.
     seed = 20260808
     bound = 997
     rounds = 2
-    nmax = 40
 
 Comments run from '#' to end of line.  Polynomials use +, -, *, ^ and
 rational literals like 1/2; syntax errors carry line and column.
@@ -203,7 +202,7 @@ class _PolyParser:
 # -- document parser -----------------------------------------------------------
 
 _KEYWORDS = {"ring", "ambient", "ideal"}
-_OPTION_KEYS = {"seed", "bound", "rounds", "nmax"}
+_OPTION_KEYS = {"seed", "bound", "rounds"}
 
 
 def _parse_rational(text: str, line_no: int) -> Fraction:

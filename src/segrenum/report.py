@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def jnum(x):

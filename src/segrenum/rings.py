@@ -21,6 +21,7 @@ class OrderKind(Enum):
     GREVLEX = "grevlex"
     LEX = "lex"
     BLOCK = "block"
+    TANGENT_CONE = "tangent-cone"
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class MonomialOrder:
             return lambda e: e
         if self.kind is OrderKind.GREVLEX:
             return _grevlex_key
+        if self.kind is OrderKind.TANGENT_CONE:
+            return _tangent_cone_key
         split = self.block_split
         if split >= nvars:
             raise ValueError("block_split must be smaller than the variable count")
@@ -65,7 +68,19 @@ def _grevlex_key(e):
     return (total, tuple(-x for x in reversed(e)))
 
 
+def _tangent_cone_key(e):
+    """Order on k[t, x] with t first: total degree, then the exponent of
+    t, then grevlex on x.  On homogenized polynomials the leading term is
+    the lowest-degree form's grevlex leader, so setting t = 1 in a basis
+    gives a standard basis for the local degree order (Lazard)."""
+    total = 0
+    for x in e:
+        total += x
+    return (total, e[0], tuple(-x for x in reversed(e[1:])))
+
+
 GREVLEX = MonomialOrder(OrderKind.GREVLEX)
+TANGENT_CONE = MonomialOrder(OrderKind.TANGENT_CONE)
 LEX = MonomialOrder(OrderKind.LEX)
 
 

@@ -45,7 +45,6 @@ from .groebner import (
 )
 from .linalg import rank
 from .multiplicity import (
-    DEFAULT_N_MAX,
     LocalMultiplicityResult,
     multiplicity_at_origin,
     passes_through_origin,
@@ -104,14 +103,12 @@ def derive_seed(base: int, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class GenericityConfig:
-    """Seeded genericity: bound for the random integer coefficients,
-    number of independent verification rounds, and the Hilbert-Samuel
-    sampling budget."""
+    """Seeded genericity: the base seed, the bound for the random integer
+    coefficients, and the number of independent verification rounds."""
 
     seed: int = DEFAULT_SEED
     coefficient_bound: int = 997
     verification_rounds: int = 2
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         if self.coefficient_bound < 1:
@@ -131,12 +128,12 @@ class GermContext:
 
 def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
               expected_dim: int | None = None) -> GermContext:
-    """Build a germ context; n is fitted from the ambient ideal and
-    cross-checked against `expected_dim` when given.
+    """Build a germ context; n is the local dimension of the ambient
+    ideal at the origin, checked against `expected_dim` when given.
 
     Equidimensionality of the ambient is a documented user obligation;
-    the check performed is that the fitted Hilbert-Samuel degree matches
-    the declared dimension.
+    the check performed is that the local dimension matches the
+    declared dimension.
     """
     if ambient is None or ambient.is_zero:
         ambient = Ideal(ring, ())
@@ -147,7 +144,7 @@ def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
         n = multiplicity_at_origin(ambient).local_dimension
     if expected_dim is not None and expected_dim != n:
         raise PreconditionError(
-            f"declared dimension {expected_dim} but fitted dimension {n}"
+            f"declared dimension {expected_dim} but local dimension {n}"
         )
     if n < 1:
         raise PreconditionError("germ must have positive dimension")
@@ -268,32 +265,26 @@ def _contribution(res: LocalMultiplicityResult, expected_dim: int, what: str) ->
     return res.multiplicity
 
 
-def _ambient_multiplicity(germ: GermContext, cfg: GenericityConfig) -> int:
+def _ambient_multiplicity(germ: GermContext) -> int:
     if germ.ambient.is_zero:
         return 1
-    return multiplicity_at_origin(germ.ambient, n_max=cfg.n_max).multiplicity
+    return multiplicity_at_origin(germ.ambient).multiplicity
 
 
-def _run_stages(germ: GermContext, cuts, sat_ideal: Ideal,
-                cfg: GenericityConfig):
+def _run_stages(germ: GermContext, cuts, sat_ideal: Ideal):
     """The saturation-and-subtract recursion along the given cuts.
 
     Components through the origin of each cut scheme have dimension at
-    least n - k, so the expected stage dimension is passed down: a
-    smaller fitted degree is a sampling transient and a larger one is a
-    genericity failure that triggers a seed retry."""
+    least n - k, so a stage of any other local dimension is a genericity
+    failure that triggers a seed retry."""
     ring = germ.ring
-    stages = [StageRecord(0, None, germ.ambient, _ambient_multiplicity(germ, cfg), None)]
+    stages = [StageRecord(0, None, germ.ambient, _ambient_multiplicity(germ), None)]
     Q = germ.ambient
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
-        res_j = multiplicity_at_origin(J, n_max=cfg.n_max,
-                                       expected_dimension=germ.n - k)
-        m_j = _contribution(res_j, germ.n - k, f"stage {k} cut")
+        m_j = _contribution(multiplicity_at_origin(J), germ.n - k, f"stage {k} cut")
         Qk = saturate(J, sat_ideal)
-        res_q = multiplicity_at_origin(Qk, n_max=cfg.n_max,
-                                       expected_dimension=germ.n - k)
-        m_q = _contribution(res_q, germ.n - k, f"stage {k} polar")
+        m_q = _contribution(multiplicity_at_origin(Qk), germ.n - k, f"stage {k} polar")
         e = m_j - m_q
         if e < 0:
             raise DimensionAnomalyError(f"negative Segre contribution at stage {k}")
@@ -362,7 +353,7 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
 
     def run_once(seed, cfg_b, round_idx):
         tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, I, cfg_b)
+        stages = _run_stages(germ, tup.combinations, I)
         numbers = tuple((s.m, s.e) for s in stages)
         return numbers, (tup, stages)
 
@@ -425,7 +416,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
         pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        stages = _run_stages(germ, tup_h.combinations, sat, cfg_b)
+        stages = _run_stages(germ, tup_h.combinations, sat)
         return (stages[k].e,), (tup_h, stages)
 
     results, seeds, certified = _certified(cfg, run_once)
@@ -447,7 +438,7 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
         merged = ideal_sum(I, germ.ambient)
         if not passes_through_origin(merged):
             raise PreconditionError(f"{label} ideal does not vanish at the origin")
-        res = multiplicity_at_origin(merged, n_max=cfg.n_max)
+        res = multiplicity_at_origin(merged)
         if res.local_dimension != 0:
             raise PreconditionError(f"{label} ideal is not m-primary on the germ")
 
@@ -460,7 +451,7 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
         if n - ia:
             gens += list(generic_tuple(B, n - ia, cfg_b, seed=derive_seed(seed, 2)).combinations)
         total = ideal_sum(germ.ambient, Ideal(germ.ring, gens))
-        res = multiplicity_at_origin(total, n_max=cfg_b.n_max, expected_dimension=0)
+        res = multiplicity_at_origin(total)
         if res.misses_origin or res.local_dimension != 0:
             raise DimensionAnomalyError("generic combinations are not a system of parameters")
         return (res.multiplicity,), None
@@ -481,7 +472,7 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
 
     def run_once(seed, cfg_b, round_idx):
         tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, I, cfg_b)
+        stages = _run_stages(germ, tup.combinations, I)
         supports = [saturate(s.cut_ideal, s.polar_ideal) for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]
         first = next((idx for idx, t in enumerate(through) if t), None)
@@ -517,8 +508,8 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
         truncated = Ideal(germ.ring, tup.combinations)
-        full_stages = _run_stages(germ, cuts, I, cfg_b)
-        trunc_stages = _run_stages(germ, cuts, truncated, cfg_b)
+        full_stages = _run_stages(germ, cuts, I)
+        trunc_stages = _run_stages(germ, cuts, truncated)
         same_ideal = groebner_fingerprint(full_stages[k].polar_ideal) == \
             groebner_fingerprint(trunc_stages[k].polar_ideal)
         same_e = full_stages[k].e == trunc_stages[k].e

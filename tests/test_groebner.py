@@ -185,3 +185,17 @@ def test_degree_budget_is_reported(R2):
     tight = EngineConfig(max_basis=5000, max_degree=3)
     with pytest.raises(ResourceLimitError):
         buchberger(ideal(R2, x ** 4 - y, y ** 4 - x * y), GREVLEX, tight)
+
+
+def test_cached_basis_respects_a_tighter_budget(R2):
+    x, y = R2.variables()
+    I = ideal(R2, x ** 3 - y ** 2, x * y ** 2)
+    buchberger(I)
+    with pytest.raises(ResourceLimitError):
+        buchberger(I, config=EngineConfig(max_degree=2))
+
+
+def test_equal_ideals_hash_equal(R2):
+    x, y = R2.variables()
+    assert ideal(R2, x, y) == ideal(R2, y, x)
+    assert hash(ideal(R2, x, y)) == hash(ideal(R2, y, x))

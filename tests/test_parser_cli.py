@@ -10,6 +10,7 @@ import segrenum
 from segrenum import cli
 from segrenum.errors import InputSyntaxError
 from segrenum.parser import parse_input, serialize_document
+from segrenum.report import SCHEMA_VERSION
 
 CORPUS = Path(segrenum.__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
@@ -78,8 +79,19 @@ def test_round_trip_documents():
 
 
 def test_options_block_parsing():
-    doc = parse_input("ring x; ideal I = x;\n[options]\nseed = 7, rounds = 3\nnmax = 12\n")
-    assert doc.options == {"seed": 7, "rounds": 3, "nmax": 12}
+    doc = parse_input("ring x; ideal I = x;\n[options]\nseed = 7, rounds = 3\nbound = 12\n")
+    assert doc.options == {"seed": 7, "rounds": 3, "bound": 12}
+    with pytest.raises(InputSyntaxError, match="unknown option"):
+        parse_input("ring x; ideal I = x;\n[options]\nnmax = 12\n")
+
+
+def test_goldens_carry_the_current_schema():
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name == "manifest.json":
+            continue
+        assert json.loads(path.read_text(encoding="utf-8"))["schema"] == SCHEMA_VERSION, path.name
+    for path in sorted(GOLDEN.glob("*.json")) + sorted(CORPUS.glob("*.ideal")):
+        assert "nmax" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_golden_corpus():
