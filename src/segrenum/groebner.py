@@ -546,28 +546,17 @@ def groebner_fingerprint(I: Ideal):
     return tuple(format_polynomial(g, GREVLEX) for g in gb.basis)
 
 
-# -- ring extension helpers --------------------------------------------------
+# -- one auxiliary variable t, eliminated first -----------------------------
 
 _AUX = "@t"
 
 
-def _extended_ring(ring: PolynomialRing, count: int = 1) -> PolynomialRing:
-    aux = tuple(f"{_AUX}{i}" for i in range(count))
-    return PolynomialRing(aux + ring.variable_names, block_order(count))
+def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
+    return PolynomialRing((_AUX,) + ring.variable_names, block_order(1))
 
 
-def _lift(p: Polynomial, ext: PolynomialRing, count: int) -> Polynomial:
-    pad = (0,) * count
-    return Polynomial(ext, {pad + e: c for e, c in p.coeffs.items()})
-
-
-def _project(p: Polynomial, ring: PolynomialRing, count: int) -> Polynomial:
-    out = {}
-    for e, c in p.coeffs.items():
-        if any(e[:count]):
-            raise ConsistencyError("projection hit an auxiliary variable")
-        out[e[count:]] = c
-    return Polynomial(ring, out)
+def _lift(p: Polynomial, ext: PolynomialRing) -> Polynomial:
+    return Polynomial(ext, {(0,) + e: c for e, c in p.coeffs.items()})
 
 
 def eliminate(I: Ideal, keep_last: int) -> Ideal:
@@ -589,13 +578,11 @@ def eliminate(I: Ideal, keep_last: int) -> Ideal:
     return Ideal(sub, kept)
 
 
-def _eliminate_first_aux(gens, ext: PolynomialRing, ring: PolynomialRing, count: int):
+def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing) -> Ideal:
+    """The ideal of `gens` in ext = ring[t], intersected with ring."""
     gb = buchberger(Ideal(ext, gens), ext.order)
-    kept = []
-    for g in gb.basis:
-        if all(not any(e[:count]) for e in g.coeffs):
-            kept.append(_project(g, ring, count))
-    return Ideal(ring, kept)
+    return Ideal(ring, [Polynomial(ring, {e[1:]: c for e, c in g.coeffs.items()})
+                        for g in gb.basis if not any(e[0] for e in g.coeffs)])
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -604,47 +591,35 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         raise RingMismatchError("intersection needs a shared ring")
     if I.is_zero or J.is_zero:
         return Ideal(I.ring, ())
-    ring = I.ring
-    ext = _extended_ring(ring, 1)
+    ext = _extended_ring(I.ring)
     t = ext.variable(0)
-    one = ext.one()
-    gens = [t * _lift(f, ext, 1) for f in I.generators]
-    gens += [(one - t) * _lift(g, ext, 1) for g in J.generators]
-    return _eliminate_first_aux(gens, ext, ring, 1)
-
-
-def _saturate_one(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g^infinity) via the Rabinowitsch variable."""
-    ring = I.ring
-    if g.total_degree == 0:
-        return I  # unit saturator changes nothing
-    ext = _extended_ring(ring, 1)
-    t = ext.variable(0)
-    gens = [_lift(f, ext, 1) for f in I.generators]
-    gens.append(t * _lift(g, ext, 1) - ext.one())
-    return _eliminate_first_aux(gens, ext, ring, 1)
+    gens = [t * _lift(f, ext) for f in I.generators]
+    gens += [(ext.one() - t) * _lift(g, ext) for g in J.generators]
+    return _eliminate_aux(gens, ext, I.ring)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^infinity): removes the components of V(I) inside V(J).
+    """(I : g^infinity) for a principal J = (g): removes the components
+    of V(I) inside V(g), by one Rabinowitsch elimination of
+    I + (t g - 1).
 
-    Computed per generator of J and intersected, which agrees with the
-    saturation by J itself.
+    To saturate by a non-principal ideal, pass the principal ideal of one
+    generic element of it (see `segre`): the two saturations agree unless
+    that element lies in one of finitely many proper subspaces.
     """
     if I.ring != J.ring:
         raise RingMismatchError("saturation needs a shared ring")
+    if len(J.generators) > 1:
+        raise PreconditionError("saturation needs a principal ideal")
     if J.is_zero:
         return Ideal(I.ring, (I.ring.one(),))
-    if I.is_zero:
-        return I
-    parts = [_saturate_one(I, g) for g in J.generators]
-    nontrivial = [p for p in parts if not is_unit_ideal(p)]
-    if not nontrivial:
-        return Ideal(I.ring, (I.ring.one(),))
-    result = nontrivial[0]
-    for part in nontrivial[1:]:
-        result = intersect(result, part)
-    return result
+    (g,) = J.generators
+    if I.is_zero or g.total_degree == 0:
+        return I  # a unit saturator changes nothing
+    ext = _extended_ring(I.ring)
+    gens = [_lift(f, ext) for f in I.generators]
+    gens.append(ext.variable(0) * _lift(g, ext) - ext.one())
+    return _eliminate_aux(gens, ext, I.ring)
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
@@ -693,16 +668,12 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
 
 
 def radical_membership(p: Polynomial, I: Ideal) -> bool:
-    """True iff p vanishes on V(I) (Rabinowitsch trick)."""
+    """True iff p vanishes on V(I): I : p^infinity is the unit ideal."""
     if p.ring != I.ring:
         raise RingMismatchError("radical membership needs a shared ring")
     if p.is_zero:
         return True
-    ext = _extended_ring(p.ring, 1)
-    t = ext.variable(0)
-    gens = [_lift(f, ext, 1) for f in I.generators]
-    gens.append(t * _lift(p, ext, 1) - ext.one())
-    return buchberger(Ideal(ext, gens), ext.order).is_unit
+    return is_unit_ideal(saturate(I, Ideal(I.ring, (p,))))
 
 
 def _numerator(gens):

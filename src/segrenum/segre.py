@@ -16,6 +16,14 @@ decomposition is ever needed.  Polar stages are saturated scheme
 ideals, not reduced varieties; for generic combinations the numbers
 agree.
 
+Saturation with respect to a source ideal S is saturation by one
+generic element g of S, drawn like the cuts from the round seed: one
+Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
+of finitely many proper subspaces.  A bad g only removes more
+components, those where g vanishes; when one of them passes through the
+origin the round's multiplicities drop, and the independent round, with
+its own g, disagrees.
+
 Genericity over the rationals is probabilistic: coefficients are drawn
 from a seeded generator, every certified number is recomputed under
 independent seeds and must agree exactly, and the coefficient bound is
@@ -40,6 +48,7 @@ from .groebner import (
     Ideal,
     dimension,
     groebner_fingerprint,
+    ideal_quotient,
     ideal_sum,
     saturate,
 )
@@ -53,6 +62,7 @@ from .rings import Polynomial, PolynomialRing
 
 DEFAULT_SEED = 20260808
 _MAX_ATTEMPTS = 3
+_SATURATOR = 8  # derive_seed index of saturator draws; the cut draws use 0-7
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +281,16 @@ def _ambient_multiplicity(germ: GermContext) -> int:
     return multiplicity_at_origin(germ.ambient).multiplicity
 
 
-def _run_stages(germ: GermContext, cuts, sat_ideal: Ideal):
-    """The saturation-and-subtract recursion along the given cuts.
+def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal:
+    """(g) for one generic element g of S, drawn from the round seed; the
+    indices `where` tell apart the draws of one round."""
+    tup = generic_tuple(S, 1, cfg, seed=derive_seed(seed, _SATURATOR, *where))
+    return Ideal(S.ring, tup.combinations)
+
+
+def _run_stages(germ: GermContext, cuts, saturator: Ideal):
+    """The saturation-and-subtract recursion along the given cuts, each
+    cut saturated by the principal `saturator`.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
@@ -283,7 +301,7 @@ def _run_stages(germ: GermContext, cuts, sat_ideal: Ideal):
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J), germ.n - k, f"stage {k} cut")
-        Qk = saturate(J, sat_ideal)
+        Qk = saturate(J, saturator)
         m_q = _contribution(multiplicity_at_origin(Qk), germ.n - k, f"stage {k} polar")
         e = m_j - m_q
         if e < 0:
@@ -353,7 +371,7 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
 
     def run_once(seed, cfg_b, round_idx):
         tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, I)
+        stages = _run_stages(germ, tup.combinations, _saturator(I, cfg_b, seed))
         numbers = tuple((s.m, s.e) for s in stages)
         return numbers, (tup, stages)
 
@@ -371,13 +389,12 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
                       cfg: GenericityConfig) -> SegreProfile:
     """Segre numbers of the ideal induced by I on the subgerm cut out by P.
 
-    Precondition: no component of P lies inside V(I), checked as the
-    saturation fixpoint saturate(P, I) == P.
+    Precondition: no associated component of P lies inside V(I), checked
+    exactly as P : I == P (which gives P : I^k == P for every k).
     """
     if P.is_zero:
         return segre_profile(germ, I, cfg)
-    sat = saturate(P, I)
-    if groebner_fingerprint(sat) != groebner_fingerprint(P):
+    if ideal_quotient(P, I) != P:
         raise PreconditionError("a component of the subscheme lies inside V(I)")
     if not passes_through_origin(P):
         raise PreconditionError("subscheme misses the origin")
@@ -416,7 +433,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
         pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        stages = _run_stages(germ, tup_h.combinations, sat)
+        stages = _run_stages(germ, tup_h.combinations, _saturator(sat, cfg_b, seed))
         return (stages[k].e,), (tup_h, stages)
 
     results, seeds, certified = _certified(cfg, run_once)
@@ -472,15 +489,17 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
 
     def run_once(seed, cfg_b, round_idx):
         tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, I)
-        supports = [saturate(s.cut_ideal, s.polar_ideal) for s in stages[1:]]
+        stages = _run_stages(germ, tup.combinations, _saturator(I, cfg_b, seed))
+        supports = [saturate(s.cut_ideal, _saturator(s.polar_ideal, cfg_b, seed, 1, s.k))
+                    for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]
         first = next((idx for idx, t in enumerate(through) if t), None)
         holds = True
         witness = None
         if first is not None:
             for idx in range(first, len(supports) - 1):
-                excess = saturate(supports[idx + 1], supports[idx])
+                excess = saturate(supports[idx + 1],
+                                  _saturator(supports[idx], cfg_b, seed, 2, idx))
                 if passes_through_origin(excess):
                     holds = False
                     witness = idx + 2  # 1-based level that escapes its predecessor
@@ -508,8 +527,8 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
         truncated = Ideal(germ.ring, tup.combinations)
-        full_stages = _run_stages(germ, cuts, I)
-        trunc_stages = _run_stages(germ, cuts, truncated)
+        full_stages = _run_stages(germ, cuts, _saturator(I, cfg_b, seed))
+        trunc_stages = _run_stages(germ, cuts, _saturator(truncated, cfg_b, seed, 1))
         same_ideal = groebner_fingerprint(full_stages[k].polar_ideal) == \
             groebner_fingerprint(trunc_stages[k].polar_ideal)
         same_e = full_stages[k].e == trunc_stages[k].e

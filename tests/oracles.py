@@ -3,11 +3,15 @@
 These reimplement the quantities under test from first principles
 (dense linear algebra on monomials, planar convex hulls, direct lattice
 counting) so that the main engine is checked against arithmetic that
-shares none of its code paths.
+shares none of its code paths.  The one exception is
+`saturation_by_generators`, the exact saturation by a whole ideal, which
+is built from the engine's principal saturation and intersection.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from segrenum import Ideal, intersect, saturate
 
 
 def _monomials_up_to(nvars, degree):
@@ -106,6 +110,16 @@ def macaulay_colength_stable(ideal_, start=2, limit=10):
             return value
         prev = value
     raise AssertionError(f"Macaulay oracle did not stabilize below degree {limit}")
+
+
+def saturation_by_generators(I, J):
+    """I : J^inf exactly, as the intersection over the generators g of J
+    of the principal saturations I : g^inf; the reference for saturation
+    by one generic element of J."""
+    result = Ideal(I.ring, (I.ring.one(),))
+    for g in J.generators:
+        result = intersect(result, saturate(I, Ideal(I.ring, (g,))))
+    return result
 
 
 def newton_covolume_2d(points):

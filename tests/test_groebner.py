@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from segrenum import (
@@ -8,6 +10,7 @@ from segrenum import (
     colength,
     dimension,
     eliminate,
+    generic_tuple,
     ideal,
     ideal_quotient,
     intersect,
@@ -15,11 +18,11 @@ from segrenum import (
     radical_membership,
     saturate,
 )
-from segrenum.errors import ResourceLimitError
+from segrenum.errors import PreconditionError, ResourceLimitError
 from segrenum.groebner import groebner_fingerprint, verify_basis
 from segrenum.rings import PolynomialRing
 
-from oracles import macaulay_colength_stable
+from oracles import macaulay_colength_stable, saturation_by_generators
 
 
 def lead_exponents(gb):
@@ -94,20 +97,52 @@ def test_saturate_examples(R3):
     assert buchberger(S).is_unit
 
 
-def test_saturate_idempotent_and_monotone(R3, divisor_pair):
+def test_saturate_idempotent_and_monotone(R3, divisor_pair, cfg):
     x, y, z = R3.variables()
     I1, I2 = divisor_pair
-    for I, J in [
+    for I, by in [
         (ideal(R3, x * z, y * z), ideal(R3, z)),
         (I2, I1),
         (ideal(R3, z * (x + y)), I2),
+        (ideal(R3, x ** 2, x * y), ideal(R3, x, y)),
     ]:
+        J = ideal(R3, generic_tuple(by, 1, cfg).combinations[0])
         S = saturate(I, J)
+        assert groebner_fingerprint(S) == groebner_fingerprint(saturation_by_generators(I, by))
         gbS = buchberger(S)
         for g in I.generators:
             assert normal_form(g, gbS).is_zero  # S contains I
         assert groebner_fingerprint(saturate(S, J)) == groebner_fingerprint(S)
         assert dimension(S) <= dimension(I)
+
+
+def test_generic_element_saturation_matches_the_reference(R2, R3, cfg):
+    rng = random.Random(3)
+    for case in range(40):
+        R = (R2, R3)[case % 2]
+        xs = R.variables()
+
+        def form(terms):
+            p = R.zero()
+            for _ in range(terms):
+                m = R.one()
+                for _ in range(rng.randint(1, 2)):
+                    m = m * rng.choice(xs)
+                p = p + m * rng.choice((-2, -1, 1, 2, 3))
+            return p
+
+        common = form(1)
+        I = ideal(R, *(common * form(rng.randint(1, 2)) for _ in range(rng.randint(1, 3))))
+        J = ideal(R, *(form(rng.randint(1, 2)) for _ in range(rng.randint(2, 3))))
+        g = generic_tuple(J, 1, cfg).combinations[0]
+        expected = saturation_by_generators(I, J)
+        assert groebner_fingerprint(saturate(I, ideal(R, g))) == groebner_fingerprint(expected)
+
+
+def test_saturate_rejects_a_non_principal_ideal(R2):
+    x, y = R2.variables()
+    with pytest.raises(PreconditionError):
+        saturate(ideal(R2, x ** 2, x * y), ideal(R2, x, y))
 
 
 def test_intersection(R2):

@@ -106,6 +106,9 @@ def test_subspace_component_check(germ3, R3, cfg):
     with pytest.raises(PreconditionError):
         # the subscheme V(z) lies inside V(z)
         segre_on_subspace(germ3, ideal(R3, z), ideal(R3, z), cfg)
+    with pytest.raises(PreconditionError):
+        # (x^2, xy) = (x) cap (x^2, y) has an embedded component inside V(x, y)
+        segre_on_subspace(germ3, ideal(R3, x, y), ideal(R3, x ** 2, x * y), cfg)
 
 
 def test_squaring_law(corpus_ideals, cfg):
