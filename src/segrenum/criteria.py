@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, PreconditionError
 from .groebner import Ideal, buchberger, ideal_power, ideal_product, ideal_sum, normal_form
-from .multiplicity import multiplicity_at_origin, passes_through_origin
 from .segre import (
     GenericityConfig,
     GermContext,
@@ -23,6 +22,7 @@ from .segre import (
     SegreProfile,
     mixed_multiplicity_primary,
     mixed_segre,
+    require_m_primary,
     segre_profile,
 )
 
@@ -91,6 +91,7 @@ class MixedNumberCache:
         self.cfg = cfg
         self._profiles = {}
         self._mixed = {}
+        self._table = {}
 
     def profile(self, which: int) -> SegreProfile:
         if which not in self._profiles:
@@ -102,24 +103,28 @@ class MixedNumberCache:
         return self.profile(which).e[k - 1]
 
     def mixed(self, k: int, i: int, j: int, swap: bool = False) -> int:
-        """e_k^{i,j} of (I1, I2), or of (I2, I1) when swapped."""
-        key = (k, i, j, swap)
-        if key not in self._mixed:
-            if j == 0:
-                value = self.e(2 if swap else 1, k)
-            elif i == 0:
-                value = self.e(1 if swap else 2, k)
+        """e_k^{i,j} of (I1, I2), or of (I2, I1) when swapped.
+
+        The definition is symmetric (i elements of I1, j of I2, saturated
+        by I1 + I2), so e_k^{i,j}(I2, I1) is e_k^{j,i}(I1, I2); only the
+        unswapped requests enter `table()`.
+        """
+        key = (k, j, i) if swap else (k, i, j)
+        value = self._mixed.get(key)
+        if value is None:
+            if key[2] == 0:
+                value = self.e(1, k)
+            elif key[1] == 0:
+                value = self.e(2, k)
             else:
-                a, b = (self.I2, self.I1) if swap else (self.I1, self.I2)
-                value = mixed_segre(self.germ, a, b, k, i, j, self.cfg)
+                value = mixed_segre(self.germ, self.I1, self.I2, *key, self.cfg)
             self._mixed[key] = value
-        return self._mixed[key]
+        if not swap:
+            self._table[key] = value
+        return value
 
     def table(self) -> MixedSegreTable:
-        entries = {
-            (k, i, j): v for (k, i, j, swap), v in self._mixed.items() if not swap
-        }
-        return MixedSegreTable(self.germ.n, entries)
+        return MixedSegreTable(self.germ.n, dict(self._table))
 
 
 def _chain_verdict(criterion_id: str, labels, values) -> CriterionVerdict:
@@ -133,20 +138,12 @@ def _chain_verdict(criterion_id: str, labels, values) -> CriterionVerdict:
     return CriterionVerdict(criterion_id, True)
 
 
-def _require_m_primary(germ, I, label):
-    merged = ideal_sum(I, germ.ambient)
-    if not passes_through_origin(merged):
-        raise PreconditionError(f"{label} does not vanish at the origin")
-    if multiplicity_at_origin(merged).local_dimension != 0:
-        raise PreconditionError(f"{label} is not m-primary on the germ")
-
-
 def teissier_criterion(germ: GermContext, I1: Ideal, I2: Ideal,
                        cfg: GenericityConfig) -> ComparisonReport:
     """The full mixed-multiplicity chain e(I1), e_{n-1,1}, ..., e(I2);
-    the ideals have the same integral closure iff the chain is constant."""
-    _require_m_primary(germ, I1, "first ideal")
-    _require_m_primary(germ, I2, "second ideal")
+    the ideals have the same integral closure iff the chain is constant.
+    The first call to `mixed_multiplicity_primary` checks that both
+    ideals are m-primary."""
     n = germ.n
     labels = [f"e_({i},{n - i})" for i in range(n, -1, -1)]
     chain = [mixed_multiplicity_primary(germ, I1, I2, i, cfg) for i in range(n, -1, -1)]
@@ -371,8 +368,8 @@ def mixed_inequality_check(germ: GermContext, I1: Ideal, I2: Ideal,
     n = germ.n
     primary = True
     try:
-        _require_m_primary(germ, I1, "first ideal")
-        _require_m_primary(germ, I2, "second ideal")
+        require_m_primary(germ, I1, "first")
+        require_m_primary(germ, I2, "second")
     except PreconditionError:
         primary = False
     if primary:

@@ -4,7 +4,12 @@ monomial ideal, which colength and dimension read.
 
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy.  All
-arithmetic is exact over the rationals.  Resource budgets (basis size,
+arithmetic is exact over the rationals, and fraction-free: the raw layer
+takes primitive integer vectors ({exponent tuple: int}, content 1,
+positive leading coefficient) and returns the reduced basis as such
+vectors with their leading exponents.  A `GroebnerBasis` keeps those
+rows, and every reduction against it uses them; its monic `Fraction`
+polynomials are built once, for callers.  Resource budgets (basis size,
 total degree) turn runaway computations into reported failures.
 """
 
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -164,18 +169,22 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced basis, in descending order of leading terms: `basis[i]`
+    is `rows[i]`, a primitive integer vector, divided by its positive
+    leading coefficient at `leads[i]`."""
+
     ring: PolynomialRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
-    reduced: bool = True
+    rows: tuple[dict, ...] = field(compare=False, repr=False)
+    leads: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def is_unit(self):
         return len(self.basis) == 1 and self.basis[0].total_degree == 0
 
     def leading_exponents(self):
-        key = self.ring.monomial_key(self.order)
-        return [max(g.coeffs, key=key) for g in self.basis]
+        return self.leads
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +231,21 @@ def _memo_negkey(order: MonomialOrder, nvars: int):
     return negkey
 
 
+def _clear_denominators(d):
+    """(integer vector, positive integer) whose quotient is d."""
+    denom = 1
+    for c in d.values():
+        denom = lcm(denom, c.denominator)
+    return {e: int(c * denom) for e, c in d.items()}, denom
+
+
 def _primitive_int(d, key):
     """Integer coefficient vector, content 1, positive leading entry.
 
     The completion loop works fraction-free: every intermediate result
-    equals the exact one up to a positive rational scalar, which the
-    final monic normalization removes.
+    equals the exact one up to a positive rational scalar.
     """
-    if not d:
-        return {}
-    denom = 1
-    for c in d.values():
-        denom = lcm(denom, Fraction(c).denominator)
-    ints = {e: int(c * denom) for e, c in ((e, Fraction(c)) for e, c in d.items())}
-    content = 0
-    for c in ints.values():
-        content = gcd(content, c)
-    if ints[max(ints, key=key)] < 0:
-        content = -content
-    return {e: c // content for e, c in ints.items()}
+    return _strip_content(_clear_denominators(d)[0], key)
 
 
 def _strip_content(d, key):
@@ -387,9 +392,10 @@ def _budget_check(G, lt, config):
         )
 
 
-def _buchberger_raw(raw_gens, key, config):
-    """Completion over primitive integer vectors; returns the unique
-    reduced basis as monic Fraction dicts."""
+def _buchberger_raw(gens, key, config):
+    """Completion of primitive integer vectors: returns (rows, leads),
+    the unique reduced basis as primitive integer vectors and their
+    leading exponents, in descending order of leading terms."""
     stats = ENGINE_STATS
     stats.buchberger_runs += 1
     G = []
@@ -405,10 +411,7 @@ def _buchberger_raw(raw_gens, key, config):
         mono_flags.append(len(r) == 1)
         return _update_pairs(G, lts, mono_flags, pairs, len(G) - 1, key)
 
-    for d in raw_gens:
-        d = _primitive_int(d, key)
-        if not d:
-            continue
+    for d in gens:
         r = _reduce_raw(d, G, lts, key) if G else d
         if r:
             pairs = insert(r)
@@ -439,16 +442,12 @@ def _buchberger_raw(raw_gens, key, config):
     G_min = [G[i] for i in keep]
     lts_min = [lts[i] for i in keep]
 
-    # interreduce and normalize: the unique reduced basis is monic
-    reduced = []
-    for i in range(len(G_min)):
-        others = G_min[:i] + G_min[i + 1:]
-        olts = lts_min[:i] + lts_min[i + 1:]
-        r = _reduce_raw(G_min[i], others, olts, key)
-        lead = r[max(r, key=key)]
-        reduced.append({e: Fraction(c, lead) for e, c in r.items()})
-    reduced.sort(key=lambda d: key(max(d, key=key)), reverse=True)
-    return reduced
+    # interreduce: no other lead divides lts_min[i], so it stays the lead
+    rows = [_reduce_raw(G_min[i], G_min[:i] + G_min[i + 1:],
+                        lts_min[:i] + lts_min[i + 1:], key)
+            for i in range(len(G_min))]
+    desc = sorted(range(len(rows)), key=lambda i: key(lts_min[i]), reverse=True)
+    return tuple(rows[i] for i in desc), tuple(lts_min[i] for i in desc)
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +486,14 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
         return hit
 
     key = _memo_key(order, I.ring.nvars)
-    raw = _buchberger_raw([dict(g.coeffs) for g in I.generators], key, config)
-    basis = tuple(Polynomial(I.ring, d) for d in raw)
-    gb = GroebnerBasis(I.ring, order, basis, reduced=True)
-
-    ints = [_primitive_int(d, key) for d in raw]
-    lts = [max(d, key=key) for d in ints]
-    for g in I.generators:
-        if _reduce_raw(_primitive_int(g.coeffs, key), ints, lts, key):
+    gens = [_primitive_int(g.coeffs, key) for g in I.generators]
+    rows, leads = _buchberger_raw(gens, key, config)
+    for d in gens:
+        if _reduce_raw(d, rows, leads, key):
             raise ConsistencyError("input generator fails membership in its own basis")
+    basis = tuple(Polynomial(I.ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
+                  for r, lt in zip(rows, leads))
+    gb = GroebnerBasis(I.ring, order, basis, rows, leads)
 
     with _GB_LOCK:
         _GB_CACHE[ck] = gb
@@ -509,13 +507,8 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     if p.is_zero or not G.basis:
         return p
     key = _memo_key(G.order, G.ring.nvars)
-    ints = [_primitive_int(g.coeffs, key) for g in G.basis]
-    lts = [max(d, key=key) for d in ints]
-    denom = 1
-    for c in p.coeffs.values():
-        denom = lcm(denom, c.denominator)
-    scaled = {e: int(c * denom) for e, c in p.coeffs.items()}
-    remainder, multiplier = _reduce_raw(scaled, ints, lts, key, track_multiplier=True)
+    scaled, denom = _clear_denominators(p.coeffs)
+    remainder, multiplier = _reduce_raw(scaled, G.rows, G.leads, key, track_multiplier=True)
     scale = multiplier * denom
     return Polynomial(p.ring, {e: Fraction(c, scale) for e, c in remainder.items()})
 
@@ -531,12 +524,11 @@ def is_unit_ideal(I: Ideal) -> bool:
 def verify_basis(G: GroebnerBasis) -> bool:
     """Post-hoc Buchberger closure: all S-polynomials reduce to zero."""
     key = _memo_key(G.order, G.ring.nvars)
-    raw = [_primitive_int(g.coeffs, key) for g in G.basis]
-    lts = [max(d, key=key) for d in raw]
-    for i in range(len(raw)):
-        for j in range(i + 1, len(raw)):
-            s = _spoly_raw(raw[i], lts[i], raw[j], lts[j], key)
-            if _reduce_raw(s, raw, lts, key):
+    rows, lts = G.rows, G.leads
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key)
+            if _reduce_raw(s, rows, lts, key):
                 return False
     return True
 

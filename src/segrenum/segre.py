@@ -440,6 +440,15 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     return results[0][0][0]
 
 
+def require_m_primary(germ: GermContext, I: Ideal, label: str):
+    """Raise PreconditionError unless I is m-primary on the germ."""
+    merged = ideal_sum(I, germ.ambient)
+    if not passes_through_origin(merged):
+        raise PreconditionError(f"{label} ideal does not vanish at the origin")
+    if multiplicity_at_origin(merged).local_dimension != 0:
+        raise PreconditionError(f"{label} ideal is not m-primary on the germ")
+
+
 def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
                                cfg: GenericityConfig) -> int:
     """Teissier mixed multiplicity for m-primary ideals: the local
@@ -451,13 +460,8 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")
-    for label, I in (("first", I1), ("second", I2)):
-        merged = ideal_sum(I, germ.ambient)
-        if not passes_through_origin(merged):
-            raise PreconditionError(f"{label} ideal does not vanish at the origin")
-        res = multiplicity_at_origin(merged)
-        if res.local_dimension != 0:
-            raise PreconditionError(f"{label} ideal is not m-primary on the germ")
+    require_m_primary(germ, I1, "first")
+    require_m_primary(germ, I2, "second")
 
     def run_once(seed, cfg_b, round_idx):
         swap = bool(round_idx & 1)

@@ -25,16 +25,19 @@ def _check_symmetric(matrix):
                 raise PreconditionError("intersection matrix must be symmetric")
 
 
-def negdef_check(matrix) -> bool:
-    """True iff -M is positive definite (exact principal-minor signs)."""
-    _check_symmetric(matrix)
-    neg = [[-x for x in row] for row in matrix]
-    return all(d > 0 for d in leading_principal_minors(neg))
+def _negated(matrix):
+    return [[-x for x in row] for row in matrix]
 
 
 def posdef_check(matrix) -> bool:
+    """True iff M is positive definite (exact principal-minor signs)."""
     _check_symmetric(matrix)
     return all(d > 0 for d in leading_principal_minors(matrix))
+
+
+def negdef_check(matrix) -> bool:
+    """True iff -M is positive definite."""
+    return posdef_check(_negated(matrix))
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class SurfaceResolutionData:
         return len(self.intersection_matrix)
 
 
-def pairing(matrix, x, y) -> Fraction:
-    """<x, y> = -x^T M y, exactly."""
-    n = len(matrix)
+def _form(gram, x, y) -> Fraction:
+    """x^T G y, exactly."""
+    n = len(gram)
     if len(x) != n or len(y) != n:
         raise PreconditionError("vector/matrix dimensions differ")
     total = Fraction(0)
@@ -73,9 +76,14 @@ def pairing(matrix, x, y) -> Fraction:
         if xi == 0:
             continue
         for j in range(n):
-            if y[j] != 0 and matrix[i][j] != 0:
-                total += xi * Fraction(y[j]) * matrix[i][j]
-    return -total
+            if y[j] != 0 and gram[i][j] != 0:
+                total += xi * Fraction(y[j]) * gram[i][j]
+    return total
+
+
+def pairing(matrix, x, y) -> Fraction:
+    """<x, y> = -x^T M y, exactly."""
+    return -_form(matrix, x, y)
 
 
 def total_transform(matrix, c):
@@ -92,8 +100,7 @@ def total_transform(matrix, c):
         raise PreconditionError("intersection numbers must be nonnegative")
     if all(Fraction(x) == 0 for x in c):
         raise PreconditionError("the zero vector is rejected")
-    neg = [[-x for x in row] for row in matrix]
-    a = solve(neg, [Fraction(x) for x in c])
+    a = solve(_negated(matrix), [Fraction(x) for x in c])
     if any(x <= 0 for x in a):
         raise PreconditionError("solution is not entrywise positive: invalid input data")
     return a
@@ -143,24 +150,13 @@ def lemma32_verify(gram, u, v, w) -> Lemma32Verdict:
     """
     if not posdef_check(gram):
         raise PreconditionError("form is not positive definite")
-
-    def form(x, y):
-        total = Fraction(0)
-        for i in range(len(gram)):
-            if x[i] == 0:
-                continue
-            for j in range(len(gram)):
-                if y[j] != 0 and gram[i][j] != 0:
-                    total += Fraction(x[i]) * Fraction(y[j]) * gram[i][j]
-        return total
-
-    uw = form(u, w)
-    vw = form(v, w)
+    uw = _form(gram, u, w)
+    vw = _form(gram, v, w)
     hypothesis = uw >= vw >= 0
     up = [Fraction(a) + Fraction(b) for a, b in zip(u, w)]
     vp = [Fraction(a) + Fraction(b) for a, b in zip(v, w)]
-    lhs = form(up, v) ** 2
-    rhs = form(up, u) * form(vp, v)
+    lhs = _form(gram, up, v) ** 2
+    rhs = _form(gram, up, u) * _form(gram, vp, v)
     conclusion = lhs <= rhs
     if hypothesis and not conclusion:
         raise ConsistencyError(

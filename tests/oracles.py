@@ -1,7 +1,7 @@
 """Independent oracles for expected values.
 
 These reimplement the quantities under test from first principles
-(dense linear algebra on monomials, planar convex hulls, direct lattice
+(linear algebra on monomials, planar convex hulls, direct lattice
 counting) so that the main engine is checked against arithmetic that
 shares none of its code paths.  The one exception is
 `saturation_by_generators`, the exact saturation by a whole ideal, which
@@ -23,33 +23,6 @@ def _monomials_up_to(nvars, degree):
     return out
 
 
-def _row_rank(rows):
-    """Gaussian elimination over Fraction, written independently."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def macaulay_colength(ideal_, low_degree, high_degree):
     """Quotient dimension in degrees <= low_degree, modulo the span of
     all generator multiples of degree <= high_degree.
@@ -59,45 +32,37 @@ def macaulay_colength(ideal_, low_degree, high_degree):
     space with the low-degree polynomials; dimensions sitting near the
     degree cap (where membership certificates get truncated) never
     pollute the count.
+
+    Row echelon form on sparse Fraction rows: each row is reduced only at
+    its leading column, by the pivot row there, until it is zero or
+    becomes a new pivot.  The pivot columns are the leading columns of
+    the row space, so they are those of the reduced echelon form.
     """
     nvars = ideal_.ring.nvars
     basis = _monomials_up_to(nvars, high_degree)
     basis.sort(key=lambda m: (-sum(m), m))
     index = {m: i for i, m in enumerate(basis)}
-    low = [m for m in basis if sum(m) <= low_degree]
-    rows = []
+    pivots = {}
     for g in ideal_.generators:
-        gdeg = g.total_degree
-        for mu in _monomials_up_to(nvars, high_degree - gdeg):
-            row = [Fraction(0)] * len(basis)
-            for exps, coeff in g.coeffs.items():
-                shifted = tuple(a + b for a, b in zip(exps, mu))
-                row[index[shifted]] = coeff
-            rows.append(row)
-    rank = 0
-    low_rank = 0
-    ncols = len(basis)
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        if sum(basis[col]) <= low_degree:
-            low_rank += 1
-        rank += 1
-        if rank == len(rows):
-            break
-    return len(low) - low_rank
+        for mu in _monomials_up_to(nvars, high_degree - g.total_degree):
+            row = {index[tuple(a + b for a, b in zip(exps, mu))]: Fraction(coeff)
+                   for exps, coeff in g.coeffs.items()}
+            while row:
+                col = min(row)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    pv = row[col]
+                    pivots[col] = {c: x / pv for c, x in row.items()}
+                    break
+                f = row[col]
+                for c, x in pivot.items():
+                    s = row.get(c, 0) - f * x
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+    low = sum(1 for m in basis if sum(m) <= low_degree)
+    return low - sum(1 for col in pivots if sum(basis[col]) <= low_degree)
 
 
 def macaulay_colength_stable(ideal_, start=2, limit=10):

@@ -5,6 +5,7 @@ import pytest
 from segrenum import (
     TupleTriple,
     closure_battery,
+    criteria,
     ideal,
     ideal_product,
     integer_kth_root,
@@ -18,6 +19,7 @@ from segrenum import (
     teissier_criterion,
     tuple_lemma,
 )
+from segrenum.criteria import MixedNumberCache
 from segrenum.errors import PreconditionError
 
 from oracles import newton_covolume_2d
@@ -145,6 +147,28 @@ def test_battery_table_boundaries(germ3, divisor_pair, cfg):
             assert entries[(k, k, 0)] == rep.left_profile.e[k - 1]
         if (k, 0, k) in entries:
             assert entries[(k, 0, k)] == rep.right_profile.e[k - 1]
+
+
+def test_swapped_mixed_request_reads_the_mirrored_entry(germ3, divisor_pair, cfg,
+                                                        monkeypatch):
+    """e_k^{i,j}(I2, I1) = e_k^{j,i}(I1, I2): a swapped request computes
+    no mixed Segre number of its own and stays out of the table."""
+    calls = []
+
+    def fake_mixed_segre(germ, I1, I2, k, i, j, cfg_):
+        calls.append((I1, I2, k, i, j))
+        return 7
+
+    monkeypatch.setattr(criteria, "mixed_segre", fake_mixed_segre)
+    A, B = divisor_pair
+    cache = MixedNumberCache(germ3, A, B, cfg)
+    assert cache.mixed(3, 1, 2, swap=True) == 7
+    assert calls == [(A, B, 3, 2, 1)]
+    assert cache.mixed(3, 2, 1) == 7
+    assert cache.mixed(3, 1, 2, swap=True) == 7
+    assert len(calls) == 1
+    assert cache.mixed(2, 0, 2, swap=True) == cache.e(1, 2)
+    assert cache.table().entries == {(3, 2, 1): 7}
 
 
 # -- Rees test -------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,8 @@ from segrenum import (
 )
 from segrenum.errors import PreconditionError, ResourceLimitError
 from segrenum.groebner import groebner_fingerprint, verify_basis
-from segrenum.rings import PolynomialRing
+from segrenum.multiplicity import _homogenize
+from segrenum.rings import TANGENT_CONE, Polynomial, PolynomialRing, block_order
 
 from oracles import macaulay_colength_stable, saturation_by_generators
 
@@ -55,6 +58,32 @@ def test_basis_is_a_groebner_basis(R2, R3, divisor_pair):
         assert verify_basis(gb)
         for g in I.generators:
             assert normal_form(g, gb).is_zero
+
+
+def test_basis_rows_are_primitive_integer_vectors(R3):
+    """Each row is a primitive integer vector with a positive coefficient
+    at its lead, and the basis element is the row divided by it; for
+    grevlex, block and tangent-cone bases."""
+    x, y, z = R3.variables()
+    f = Fraction(2, 3) * x ** 2 - Fraction(5, 7) * y * z + 3 * z ** 3
+    g = x * y - Fraction(1, 2) * z ** 2 + y
+    block = R3.with_order(block_order(1))
+    bases = [
+        buchberger(ideal(R3, f, g)),
+        buchberger(ideal(block, *(Polynomial(block, dict(h.coeffs)) for h in (f, g))),
+                   block.order),
+        buchberger(_homogenize(ideal(R3, f, g)), TANGENT_CONE),
+    ]
+    for gb in bases:
+        key = gb.ring.monomial_key(gb.order)
+        assert gb.leading_exponents() == gb.leads
+        assert list(gb.leads) == sorted(gb.leads, key=key, reverse=True)
+        assert len(gb.rows) == len(gb.leads) == len(gb.basis) > 1
+        for row, lead, poly in zip(gb.rows, gb.leads, gb.basis):
+            assert all(type(c) is int for c in row.values())
+            assert math.gcd(*row.values()) == 1
+            assert max(row, key=key) == lead and row[lead] > 0
+            assert poly.coeffs == {e: Fraction(c, row[lead]) for e, c in row.items()}
 
 
 def test_normal_form_examples(R2):

@@ -58,7 +58,8 @@ def test_fast_path_matches_plain_colength(R2, R3):
     ungraded = [
         (ideal(R2, x ** 2 - y ** 3), (2, 4, 6)),
         (ideal(R2, x ** 2 * (x - 1), y), (2, 5, 8)),  # plus a point off the origin
-        (ideal(R3, x3 * y3 - z3 ** 2, x3 ** 2 + y3 * z3 + z3), (3,)),
+        (ideal(R3, x3 * y3 - z3 ** 2, x3 ** 2 + y3 * z3 + z3), (3, 4)),
+        (ideal(R3, x3 * z3 - y3 ** 3, y3 ** 2 + z3 ** 3 - x3 * z3 ** 2), (3, 4, 5)),
     ]
     for I, Ns in ungraded:
         for N in Ns:
