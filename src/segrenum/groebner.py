@@ -11,15 +11,26 @@ vectors with their leading exponents.  A `GroebnerBasis` keeps those
 rows, and every reduction against it uses them; its monic `Fraction`
 polynomials are built once, for callers.  Resource budgets (basis size,
 total degree) turn runaway computations into reported failures.
+
+Within one completion the basis only grows by appending, so all its
+reductions share a memo of the first divisor found for each exponent,
+and the pending pairs wait in a heap ordered by their lcm.  Bases are
+cached by ring, order, budget and the multiset of generators.  An
+elimination hands the basis elements free of the eliminated variables
+to that cache as the reduced grevlex basis of its result, so the
+multiplicity, dimension or colength of a saturation starts no second
+completion.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add as _add, le as _le
 
 from .errors import (
     PreconditionError,
@@ -194,20 +205,32 @@ class GroebnerBasis:
 _KEY_MEMO: dict = {}
 
 
-def _memo_key(order: MonomialOrder, nvars: int):
-    """Monomial key function with a per-order memo of computed keys."""
-    base = order.key_function(nvars)
-    memo = _KEY_MEMO.setdefault((order.kind, order.block_split, nvars), {})
+class _KeyMemo(dict):
+    """The monomial keys of one order, each computed once.  Its bound
+    `__getitem__` is the key function, so a hit runs no Python frame."""
 
-    def key(e):
-        k = memo.get(e)
-        if k is None:
-            k = base(e)
-            memo[e] = k
+    __slots__ = ("_base", "negkey")
+
+    def __init__(self, base):
+        super().__init__()
+        self._base = base
+
+    def __missing__(self, e):
+        k = self[e] = self._base(e)
         return k
 
-    key.negkey = _memo_negkey(order, nvars)
-    return key
+
+def _memo_key(order: MonomialOrder, nvars: int):
+    """Memoized monomial key function of an order.  `key.__self__.negkey`
+    is the negated key, for min-heaps acting as max-heaps."""
+    ck = (order.kind, order.block_split, nvars)
+    memo = _KEY_MEMO.get(ck)
+    if memo is None:
+        base = order.key_function(nvars)
+        memo = _KeyMemo(base)
+        memo.negkey = _KeyMemo(lambda e: _negate_key(base(e))).__getitem__
+        memo = _KEY_MEMO.setdefault(ck, memo)
+    return memo.__getitem__
 
 
 def _negate_key(k):
@@ -216,27 +239,12 @@ def _negate_key(k):
     return -k
 
 
-def _memo_negkey(order: MonomialOrder, nvars: int):
-    """Negated order key (for min-heaps acting as max-heaps)."""
-    base = order.key_function(nvars)
-    memo = _KEY_MEMO.setdefault(("neg", order.kind, order.block_split, nvars), {})
-
-    def negkey(e):
-        k = memo.get(e)
-        if k is None:
-            k = _negate_key(base(e))
-            memo[e] = k
-        return k
-
-    return negkey
-
-
 def _clear_denominators(d):
     """(integer vector, positive integer) whose quotient is d."""
     denom = 1
     for c in d.values():
         denom = lcm(denom, c.denominator)
-    return {e: int(c * denom) for e, c in d.items()}, denom
+    return {e: c.numerator * (denom // c.denominator) for e, c in d.items()}, denom
 
 
 def _primitive_int(d, key):
@@ -261,19 +269,28 @@ def _strip_content(d, key):
     return d
 
 
-def _reduce_raw(p, basis, lts, key, track_multiplier=False):
+_UNSCANNED = (-1, 0)
+
+
+def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None):
     """Full pseudo-normal-form of p against an integer raw basis.
 
     The result is the exact normal form times a positive integer; with
     `track_multiplier` the scalar is returned so callers can undo it.
-    """
-    from operator import add as _add, le as _le
 
+    Each term is reduced by the first basis element whose lead divides
+    it.  `divisors` memoizes that search, {exponent: (first divisor index
+    or -1, leads scanned)}; calls may share it while `basis` and `lts`
+    only grow by appending, because a first divisor then stays first and
+    a miss needs only the leads appended since.
+    """
     work = dict(p)
     remainder = {}
     multiplier = 1
     nb = len(basis)
-    negkey = key.negkey
+    if divisors is None:
+        divisors = {}
+    negkey = key.__self__.negkey
     heap = [(negkey(e), e) for e in work]
     heapq.heapify(heap)
     while work:
@@ -281,19 +298,22 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False):
         if e not in work:
             continue  # lazily dropped entry
         c = work.pop(e)
-        hit = -1
-        for i in range(nb):
-            if all(map(_le, lts[i], e)):
-                hit = i
-                break
+        hit, scanned = divisors.get(e, _UNSCANNED)
         if hit < 0:
-            remainder[e] = c
-            continue
+            for i in range(scanned, nb):
+                if all(map(_le, lts[i], e)):
+                    hit = i
+                    break
+            divisors[e] = (hit, nb)
+            if hit < 0:
+                remainder[e] = c
+                continue
         g = basis[hit]
         if len(g) == 1:
             continue  # monomial divisor cancels the term exactly
-        shift = mono_div(e, lts[hit])
-        a = g[lts[hit]]
+        lt_hit = lts[hit]
+        shift = mono_div(e, lt_hit)
+        a = g[lt_hit]
         if a != 1:
             common = gcd(a, c)
             scale = a // common
@@ -304,7 +324,6 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False):
                     remainder[er] *= scale
                 for ew in work:
                     work[ew] *= scale
-        lt_hit = lts[hit]
         get = work.get
         for eg, cg in g.items():
             if eg == lt_hit:
@@ -348,34 +367,35 @@ def _spoly_raw(f, lt_f, g, lt_g, key):
     return _strip_content(out, key) if out else out
 
 
-def _update_pairs(G, lts, mono_flags, pairs, t, key):
-    """Gebauer-Moeller update when generator index t joins the basis."""
+def _update_pairs(lts, mono_flags, pairs, t, key):
+    """Gebauer-Moeller update when generator index t joins the basis.
+
+    `pairs` maps each pending pair (i, j) to the lcm of its leads; the
+    pairs the new lead makes redundant are deleted from it, and the new
+    pairs (i, t) are returned with their lcms.
+    """
     lt_t = lts[t]
-    kept = set()
-    for (i, j) in pairs:
-        lij = mono_lcm(lts[i], lts[j])
-        if (
-            not mono_divides(lt_t, lij)
-            or lij == mono_lcm(lts[i], lt_t)
-            or lij == mono_lcm(lts[j], lt_t)
-        ):
-            kept.add((i, j))
+    lcm_t = [mono_lcm(lt_i, lt_t) for lt_i in lts[:t]]
+    for (i, j), lij in list(pairs.items()):
+        if mono_divides(lt_t, lij) and lij != lcm_t[i] and lij != lcm_t[j]:
+            del pairs[i, j]
     buckets: dict = {}
-    for i in range(t):
-        buckets.setdefault(mono_lcm(lts[i], lt_t), []).append(i)
+    for i, L in enumerate(lcm_t):
+        buckets.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(buckets, key=key):
         if not any(mono_divides(M, L) for M in minimal):
             minimal.append(L)
+    new = []
     for L in minimal:
         bucket = buckets[L]
         if any(L == mono_mul(lts[i], lt_t) for i in bucket):
             continue  # coprime leading terms: S-poly reduces to zero
-        i = min(bucket)
+        i = bucket[0]  # the smallest index: buckets fill in index order
         if mono_flags[i] and mono_flags[t]:
             continue  # S-poly of two monomials is literally zero
-        kept.add((i, t))
-    return kept
+        new.append(((i, t), L))
+    return new
 
 
 def _budget_check(G, lt, config):
@@ -395,13 +415,21 @@ def _budget_check(G, lt, config):
 def _buchberger_raw(gens, key, config):
     """Completion of primitive integer vectors: returns (rows, leads),
     the unique reduced basis as primitive integer vectors and their
-    leading exponents, in descending order of leading terms."""
+    leading exponents, in descending order of leading terms.
+
+    Pairs are taken in increasing order of (key(lcm), (i, j)) from a
+    heap; a pair the update deletes leaves its heap entry behind, which
+    is skipped when it comes up.  G and lts only grow by appending, so
+    every reduction of the run shares one divisor memo.
+    """
     stats = ENGINE_STATS
     stats.buchberger_runs += 1
     G = []
     lts = []
     mono_flags = []
-    pairs = set()
+    pairs = {}
+    queue = []
+    divisors = {}
 
     def insert(r):
         lt = max(r, key=key)
@@ -409,22 +437,25 @@ def _buchberger_raw(gens, key, config):
         G.append(r)
         lts.append(lt)
         mono_flags.append(len(r) == 1)
-        return _update_pairs(G, lts, mono_flags, pairs, len(G) - 1, key)
+        for pair, L in _update_pairs(lts, mono_flags, pairs, len(G) - 1, key):
+            pairs[pair] = L
+            heapq.heappush(queue, (key(L), pair))
 
     for d in gens:
-        r = _reduce_raw(d, G, lts, key) if G else d
+        r = _reduce_raw(d, G, lts, key, divisors=divisors) if G else d
         if r:
-            pairs = insert(r)
+            insert(r)
 
-    while pairs:
-        pair = min(pairs, key=lambda ij: (key(mono_lcm(lts[ij[0]], lts[ij[1]])), ij))
-        pairs.discard(pair)
+    while queue:
+        _, pair = heapq.heappop(queue)
+        if pairs.pop(pair, None) is None:
+            continue  # deleted by a later update
         i, j = pair
         s = _spoly_raw(G[i], lts[i], G[j], lts[j], key)
         stats.spairs_reduced += 1
-        r = _reduce_raw(s, G, lts, key)
+        r = _reduce_raw(s, G, lts, key, divisors=divisors)
         if r:
-            pairs = insert(r)
+            insert(r)
 
     if len(G) > stats.max_basis_size:
         stats.max_basis_size = len(G)
@@ -465,9 +496,9 @@ def clear_caches():
 
 
 def _cache_key(I: Ideal, order: MonomialOrder, config: EngineConfig):
-    gens = tuple(sorted(format_polynomial(g, GREVLEX) for g in I.generators))
-    return (I.ring.variable_names, order.kind, order.block_split,
-            config.max_basis, config.max_degree, gens)
+    """The ring, order, budget and multiset of generators of a request."""
+    return (I.ring, order, config.max_basis, config.max_degree,
+            frozenset(Counter(I.generators).items()))
 
 
 def buchberger(I: Ideal, order: MonomialOrder | None = None,
@@ -488,8 +519,9 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
     key = _memo_key(order, I.ring.nvars)
     gens = [_primitive_int(g.coeffs, key) for g in I.generators]
     rows, leads = _buchberger_raw(gens, key, config)
+    divisors = {}
     for d in gens:
-        if _reduce_raw(d, rows, leads, key):
+        if _reduce_raw(d, rows, leads, key, divisors=divisors):
             raise ConsistencyError("input generator fails membership in its own basis")
     basis = tuple(Polynomial(I.ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
                   for r, lt in zip(rows, leads))
@@ -562,19 +594,33 @@ def eliminate(I: Ideal, keep_last: int) -> Ideal:
         return Ideal(sub, ())
     work_ring = I.ring.with_order(block_order(split))
     work = Ideal(work_ring, [Polynomial(work_ring, dict(g.coeffs)) for g in I.generators])
-    gb = buchberger(work, work_ring.order)
-    kept = []
-    for g in gb.basis:
-        if all(not any(e[:split]) for e in g.coeffs):
-            kept.append(Polynomial(sub, {e[split:]: c for e, c in g.coeffs.items()}))
-    return Ideal(sub, kept)
+    return _eliminated(buchberger(work, work_ring.order), split, sub)
+
+
+def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
+    """The elements of a basis for `block_order(split)` free of the first
+    `split` variables, as an ideal of `ring` (the remaining variables).
+
+    They are the reduced grevlex basis of that ideal, because the block
+    order restricted to their monomials is grevlex.  That basis goes into
+    the cache under the default budget, which both eliminations use, so
+    `buchberger(result, GREVLEX)` runs nothing.
+    """
+    free = [i for i, lt in enumerate(gb.leads) if not any(lt[:split])]
+    basis = tuple(Polynomial(ring, {e[split:]: c for e, c in gb.basis[i].coeffs.items()})
+                  for i in free)
+    rows = tuple({e[split:]: c for e, c in gb.rows[i].items()} for i in free)
+    leads = tuple(gb.leads[i][split:] for i in free)
+    result = Ideal(ring, basis)
+    ck = _cache_key(result, GREVLEX, DEFAULT_ENGINE_CONFIG)
+    with _GB_LOCK:
+        _GB_CACHE[ck] = GroebnerBasis(ring, GREVLEX, basis, rows, leads)
+    return result
 
 
 def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing) -> Ideal:
     """The ideal of `gens` in ext = ring[t], intersected with ring."""
-    gb = buchberger(Ideal(ext, gens), ext.order)
-    return Ideal(ring, [Polynomial(ring, {e[1:]: c for e, c in g.coeffs.items()})
-                        for g in gb.basis if not any(e[0] for e in g.coeffs)])
+    return _eliminated(buchberger(Ideal(ext, gens), ext.order), 1, ring)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -21,9 +21,18 @@ from segrenum import (
     saturate,
 )
 from segrenum.errors import PreconditionError, ResourceLimitError
-from segrenum.groebner import groebner_fingerprint, verify_basis
+from segrenum.groebner import (
+    DEFAULT_ENGINE_CONFIG,
+    ENGINE_STATS,
+    _cache_key,
+    _memo_key,
+    _reduce_raw,
+    clear_caches,
+    groebner_fingerprint,
+    verify_basis,
+)
 from segrenum.multiplicity import _homogenize
-from segrenum.rings import TANGENT_CONE, Polynomial, PolynomialRing, block_order
+from segrenum.rings import LEX, TANGENT_CONE, Polynomial, PolynomialRing, block_order
 
 from oracles import macaulay_colength_stable, saturation_by_generators
 
@@ -263,3 +272,115 @@ def test_equal_ideals_hash_equal(R2):
     x, y = R2.variables()
     assert ideal(R2, x, y) == ideal(R2, y, x)
     assert hash(ideal(R2, x, y)) == hash(ideal(R2, y, x))
+
+
+def test_divisor_memo_matches_memo_free_reduction():
+    """Reductions sharing one divisor memo while the basis grows by
+    appending give the remainder and multiplier of memo-free ones."""
+    rng = random.Random(5)
+    key = _memo_key(GREVLEX, 3)
+
+    def vector(terms, deg):
+        v = {}
+        for _ in range(terms):
+            e = tuple(rng.randint(0, deg) for _ in range(3))
+            v[e] = v.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 5))
+        return {e: c for e, c in v.items() if c}
+
+    for _ in range(20):
+        basis, lts, divisors = [], [], {}
+        for _ in range(6):
+            g = vector(rng.randint(1, 3), 2)
+            if not g:
+                continue
+            basis.append(g)
+            lts.append(max(g, key=key))
+            for _ in range(5):
+                p = vector(rng.randint(2, 8), 4)
+                shared = _reduce_raw(p, basis, lts, key, track_multiplier=True,
+                                     divisors=divisors)
+                assert shared == _reduce_raw(p, basis, lts, key, track_multiplier=True)
+        assert divisors
+
+
+def test_engine_counters_of_fixed_ideals(R3):
+    """S-pairs reduced, basis size and lead degree of fixed completions
+    under the grevlex, block and tangent-cone orders; they change when
+    the pair selection order or the pair criteria change."""
+    x, y, z = R3.variables()
+    block = R3.with_order(block_order(1))
+
+    def in_block(*polys):
+        return ideal(block, *(Polynomial(block, dict(p.coeffs)) for p in polys))
+
+    cases = [
+        (ideal(R3, x ** 3 - y * z, y ** 3 - x * z ** 2 + x, z ** 3 - x ** 2 * y),
+         GREVLEX, (8, 6, 6)),
+        (ideal(R3, x ** 2 + y * z - 2 * z ** 2, x * y ** 2 - z ** 3 + y, y ** 3 - x * z),
+         GREVLEX, (9, 7, 6)),
+        (in_block(x * y - z ** 2 + 1, x * z - y ** 3, x ** 2 - y * z + 2 * z),
+         block.order, (16, 9, 5)),
+        (in_block(x * (y + z) - 1, y ** 2 * z - z ** 3, y ** 3 - x * z ** 2),
+         block.order, (29, 16, 5)),
+        (_homogenize(ideal(R3, x ** 2 - y ** 3 + z ** 4, x * y - z ** 3,
+                           y ** 2 * z + x ** 3)),
+         TANGENT_CONE, (22, 12, 8)),
+        (_homogenize(ideal(R3, x * z - y ** 3 - x ** 4, y ** 2 + z ** 3 - x * z ** 2)),
+         TANGENT_CONE, (4, 4, 8)),
+    ]
+    for I, order, expected in cases:
+        clear_caches()
+        ENGINE_STATS.reset()
+        buchberger(I, order)
+        stats = ENGINE_STATS
+        assert (stats.spairs_reduced, stats.max_basis_size, stats.max_lt_degree) == expected
+
+
+def test_elimination_hands_its_grevlex_basis_to_the_cache(R3):
+    """The grevlex basis of a saturation or elimination comes from the
+    block-order basis that produced it, and equals a fresh computation."""
+    x, y, z = R3.variables()
+    makers = [
+        lambda: saturate(ideal(R3, x * y - z ** 2, (x + y) * (x ** 2 - y * z), z ** 3 - x * y * z),
+                         ideal(R3, x + 2 * y - z)),
+        lambda: eliminate(ideal(R3, x - y * z, y ** 2 - z ** 3 + x, x * z - y), 2),
+    ]
+    for make in makers:
+        clear_caches()
+        I = make()
+        runs = ENGINE_STATS.buchberger_runs
+        handed = buchberger(I, GREVLEX)
+        assert ENGINE_STATS.buchberger_runs == runs
+        clear_caches()
+        fresh = buchberger(I, GREVLEX)
+        assert ENGINE_STATS.buchberger_runs == runs + 1
+        assert len(fresh.basis) > 2
+        assert handed == fresh
+        assert (handed.rows, handed.leads) == (fresh.rows, fresh.leads)
+
+
+def test_cache_key_is_the_multiset_of_generators(R2):
+    x, y = R2.variables()
+    clear_caches()
+    buchberger(ideal(R2, x ** 2 + y, x * y - 1))
+    runs = ENGINE_STATS.buchberger_runs
+    buchberger(ideal(R2, x * y - 1, x ** 2 + y))
+    assert ENGINE_STATS.buchberger_runs == runs
+    buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
+    assert ENGINE_STATS.buchberger_runs == runs + 1
+    cfg = DEFAULT_ENGINE_CONFIG
+    assert _cache_key(ideal(R2, x, x), GREVLEX, cfg) != _cache_key(ideal(R2, x), GREVLEX, cfg)
+
+
+def test_cached_basis_keeps_the_ring_of_the_request():
+    """Two rings with the same variables but different orders do not
+    share a cached basis, so the result does not depend on what ran
+    earlier."""
+    grevlex = PolynomialRing(["x", "y"])
+    lex = grevlex.with_order(LEX)
+    clear_caches()
+    for ring in (grevlex, lex):
+        x, y = ring.variables()
+        gb = buchberger(ideal(ring, x ** 2 + y, y ** 2), GREVLEX)
+        assert gb.ring == ring
+        assert normal_form(x ** 3, gb) == -x * y
