@@ -374,8 +374,12 @@ def build_arg_parser():
     return parser
 
 
+# Built once: argparse parsers keep no state between parse_args calls.
+_PARSER = build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     clear_caches()
     ENGINE_STATS.reset()

@@ -3,14 +3,19 @@ saturation, quotients, radical membership, and the Hilbert series of a
 monomial ideal, which colength and dimension read.
 
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
-standard discarding criteria) and the normal selection strategy.  All
-arithmetic is exact over the rationals, and fraction-free: the raw layer
-takes primitive integer vectors ({exponent tuple: int}, content 1,
-positive leading coefficient) and returns the reduced basis as such
-vectors with their leading exponents.  A `GroebnerBasis` keeps those
-rows, and every reduction against it uses them; its monic `Fraction`
-polynomials are built once, for callers.  Resource budgets (basis size,
-total degree) turn runaway computations into reported failures.
+standard discarding criteria) and the normal selection strategy, over
+the coefficient field of the ring (`PolynomialRing.modulus`).  All
+arithmetic is exact.  The raw layer works on coefficient vectors
+({exponent tuple: int}) and returns the reduced basis as such vectors
+with their leading exponents.  Over QQ it runs fraction-free on
+primitive integer vectors (content 1, positive leading coefficient);
+over GF(p) on monic vectors of residues, reducing each coefficient mod p
+when it is next used, so no number grows past a few machine words.  One
+kernel serves both: only the normalisation of a vector and of a popped
+coefficient depends on the field.  A `GroebnerBasis` keeps those rows,
+and every reduction against it uses them; its monic polynomials are
+built once, for callers.  Resource budgets (basis size, total degree)
+turn runaway computations into reported failures.
 
 Within one completion the basis only grows by appending, so all its
 reductions share a memo of the first divisor found for each exponent,
@@ -141,6 +146,14 @@ class Ideal:
         inner = ", ".join(format_polynomial(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
 
+    def over(self, modulus: int) -> "Ideal":
+        """The image of this ideal of a QQ ring in GF(modulus) (itself for
+        its own field)."""
+        ring = self.ring.over(modulus)
+        if ring is self.ring:
+            return self
+        return Ideal(ring, [ring.image(g) for g in self.generators])
+
 
 def ideal(ring, *polys) -> Ideal:
     return Ideal(ring, polys)
@@ -181,8 +194,9 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """The reduced basis, in descending order of leading terms: `basis[i]`
-    is `rows[i]`, a primitive integer vector, divided by its positive
-    leading coefficient at `leads[i]`."""
+    is `rows[i]` divided by its leading coefficient at `leads[i]`.  Over
+    QQ a row is a primitive integer vector with positive leading
+    coefficient; over GF(p) it is monic, and `basis[i]` holds it as is."""
 
     ring: PolynomialRing
     order: MonomialOrder
@@ -199,7 +213,7 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# raw machinery: polynomials as {exponent tuple: Fraction}
+# raw machinery: polynomials as {exponent tuple: int}
 # ---------------------------------------------------------------------------
 
 _KEY_MEMO: dict = {}
@@ -247,16 +261,24 @@ def _clear_denominators(d):
     return {e: c.numerator * (denom // c.denominator) for e, c in d.items()}, denom
 
 
-def _primitive_int(d, key):
-    """Integer coefficient vector, content 1, positive leading entry.
+def _primitive_int(d, key, modulus=0):
+    """Over QQ: integer coefficient vector, content 1, positive leading
+    entry.  Over GF(p): the monic vector of residues.
 
     The completion loop works fraction-free: every intermediate result
-    equals the exact one up to a positive rational scalar.
+    equals the exact one up to a nonzero scalar.
     """
+    if modulus:
+        return _strip_content(d, key, modulus)
     return _strip_content(_clear_denominators(d)[0], key)
 
 
-def _strip_content(d, key):
+def _strip_content(d, key, modulus=0):
+    """d scaled to a primitive vector with positive leading entry, or over
+    GF(p) (entries nonzero mod p) to a monic vector of residues."""
+    if modulus:
+        inv = pow(d[max(d, key=key)], -1, modulus)
+        return {e: c * inv % modulus for e, c in d.items()}
     content = 0
     for c in d.values():
         content = gcd(content, c)
@@ -272,11 +294,15 @@ def _strip_content(d, key):
 _UNSCANNED = (-1, 0)
 
 
-def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None):
+def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modulus=0):
     """Full pseudo-normal-form of p against an integer raw basis.
 
     The result is the exact normal form times a positive integer; with
     `track_multiplier` the scalar is returned so callers can undo it.
+    Over GF(p) the basis is monic, the multiplier stays 1, and a
+    coefficient is reduced mod p when it is popped: updates in between
+    add products of two residues, and a term whose sum is a nonzero
+    multiple of p is dropped then.
 
     Each term is reduced by the first basis element whose lead divides
     it.  `divisors` memoizes that search, {exponent: (first divisor index
@@ -298,6 +324,10 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None):
         if e not in work:
             continue  # lazily dropped entry
         c = work.pop(e)
+        if modulus:
+            c %= modulus
+            if not c:
+                continue
         hit, scanned = divisors.get(e, _UNSCANNED)
         if hit < 0:
             for i in range(scanned, nb):
@@ -341,10 +371,10 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None):
                     del work[ee]
     if track_multiplier:
         return remainder, multiplier
-    return _strip_content(remainder, key) if remainder else remainder
+    return _strip_content(remainder, key, modulus) if remainder else remainder
 
 
-def _spoly_raw(f, lt_f, g, lt_g, key):
+def _spoly_raw(f, lt_f, g, lt_g, key, modulus=0):
     lcm = mono_lcm(lt_f, lt_g)
     sf = mono_div(lcm, lt_f)
     sg = mono_div(lcm, lt_g)
@@ -364,7 +394,7 @@ def _spoly_raw(f, lt_f, g, lt_g, key):
                 out[ee] = s
             else:
                 del out[ee]
-    return _strip_content(out, key) if out else out
+    return _strip_content(out, key, modulus) if out else out
 
 
 def _update_pairs(lts, mono_flags, pairs, t, key):
@@ -412,10 +442,11 @@ def _budget_check(G, lt, config):
         )
 
 
-def _buchberger_raw(gens, key, config):
-    """Completion of primitive integer vectors: returns (rows, leads),
-    the unique reduced basis as primitive integer vectors and their
-    leading exponents, in descending order of leading terms.
+def _buchberger_raw(gens, key, config, *, modulus=0):
+    """Completion of primitive integer vectors, or over GF(`modulus`) of
+    monic residue vectors: returns (rows, leads), the unique reduced
+    basis as such vectors and their leading exponents, in descending
+    order of leading terms.
 
     Pairs are taken in increasing order of (key(lcm), (i, j)) from a
     heap; a pair the update deletes leaves its heap entry behind, which
@@ -442,7 +473,7 @@ def _buchberger_raw(gens, key, config):
             heapq.heappush(queue, (key(L), pair))
 
     for d in gens:
-        r = _reduce_raw(d, G, lts, key, divisors=divisors) if G else d
+        r = _reduce_raw(d, G, lts, key, divisors=divisors, modulus=modulus) if G else d
         if r:
             insert(r)
 
@@ -451,9 +482,9 @@ def _buchberger_raw(gens, key, config):
         if pairs.pop(pair, None) is None:
             continue  # deleted by a later update
         i, j = pair
-        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key)
+        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key, modulus)
         stats.spairs_reduced += 1
-        r = _reduce_raw(s, G, lts, key, divisors=divisors)
+        r = _reduce_raw(s, G, lts, key, divisors=divisors, modulus=modulus)
         if r:
             insert(r)
 
@@ -475,7 +506,7 @@ def _buchberger_raw(gens, key, config):
 
     # interreduce: no other lead divides lts_min[i], so it stays the lead
     rows = [_reduce_raw(G_min[i], G_min[:i] + G_min[i + 1:],
-                        lts_min[:i] + lts_min[i + 1:], key)
+                        lts_min[:i] + lts_min[i + 1:], key, modulus=modulus)
             for i in range(len(G_min))]
     desc = sorted(range(len(rows)), key=lambda i: key(lts_min[i]), reverse=True)
     return tuple(rows[i] for i in desc), tuple(lts_min[i] for i in desc)
@@ -517,14 +548,18 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
         return hit
 
     key = _memo_key(order, I.ring.nvars)
-    gens = [_primitive_int(g.coeffs, key) for g in I.generators]
-    rows, leads = _buchberger_raw(gens, key, config)
+    m = I.ring.modulus
+    gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
+    rows, leads = _buchberger_raw(gens, key, config, modulus=m)
     divisors = {}
     for d in gens:
-        if _reduce_raw(d, rows, leads, key, divisors=divisors):
+        if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
             raise ConsistencyError("input generator fails membership in its own basis")
-    basis = tuple(Polynomial(I.ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
-                  for r, lt in zip(rows, leads))
+    if m:
+        basis = tuple(Polynomial(I.ring, r) for r in rows)
+    else:
+        basis = tuple(Polynomial(I.ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
+                      for r, lt in zip(rows, leads))
     gb = GroebnerBasis(I.ring, order, basis, rows, leads)
 
     with _GB_LOCK:
@@ -539,6 +574,10 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     if p.is_zero or not G.basis:
         return p
     key = _memo_key(G.order, G.ring.nvars)
+    m = G.ring.modulus
+    if m:
+        return Polynomial(p.ring, _reduce_raw(p.coeffs, G.rows, G.leads, key,
+                                              track_multiplier=True, modulus=m)[0])
     scaled, denom = _clear_denominators(p.coeffs)
     remainder, multiplier = _reduce_raw(scaled, G.rows, G.leads, key, track_multiplier=True)
     scale = multiplier * denom
@@ -556,11 +595,12 @@ def is_unit_ideal(I: Ideal) -> bool:
 def verify_basis(G: GroebnerBasis) -> bool:
     """Post-hoc Buchberger closure: all S-polynomials reduce to zero."""
     key = _memo_key(G.order, G.ring.nvars)
+    m = G.ring.modulus
     rows, lts = G.rows, G.leads
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key)
-            if _reduce_raw(s, rows, lts, key):
+            s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key, m)
+            if _reduce_raw(s, rows, lts, key, modulus=m):
                 return False
     return True
 
@@ -576,7 +616,7 @@ _AUX = "@t"
 
 
 def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
-    return PolynomialRing((_AUX,) + ring.variable_names, block_order(1))
+    return PolynomialRing((_AUX,) + ring.variable_names, block_order(1), ring.modulus)
 
 
 def _lift(p: Polynomial, ext: PolynomialRing) -> Polynomial:
@@ -589,7 +629,7 @@ def eliminate(I: Ideal, keep_last: int) -> Ideal:
     if not 1 <= keep_last < n:
         raise PreconditionError(f"keep_last must be in [1, {n - 1}]")
     split = n - keep_last
-    sub = PolynomialRing(I.ring.variable_names[split:], GREVLEX)
+    sub = PolynomialRing(I.ring.variable_names[split:], GREVLEX, I.ring.modulus)
     if I.is_zero:
         return Ideal(sub, ())
     work_ring = I.ring.with_order(block_order(split))
@@ -665,7 +705,9 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     key = _memo_key(p.ring.order, p.ring.nvars)
+    m = p.ring.modulus
     lt_g, c_g = g.leading_item()
+    inv = pow(c_g, -1, m) if m else None
     work = dict(p.coeffs)
     quot = {}
     while work:
@@ -674,13 +716,15 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
         if not mono_divides(lt_g, e):
             raise PreconditionError("polynomial is not exactly divisible")
         shift = mono_div(e, lt_g)
-        factor = c / c_g
+        factor = c * inv % m if m else c / c_g
         quot[shift] = factor
         for eg, cg in g.coeffs.items():
             if eg == lt_g:
                 continue
             ee = mono_mul(eg, shift)
-            s = work.get(ee, Fraction(0)) - factor * cg
+            s = work.get(ee, 0) - factor * cg
+            if m:
+                s %= m
             if s:
                 work[ee] = s
             else:

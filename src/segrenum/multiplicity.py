@@ -39,7 +39,8 @@ def passes_through_origin(I: Ideal) -> bool:
 
 def _homogenize(I: Ideal) -> Ideal:
     """The generators of I homogenized with a new first variable t."""
-    ring = PolynomialRing((_HOMOGENIZER,) + I.ring.variable_names, TANGENT_CONE)
+    ring = PolynomialRing((_HOMOGENIZER,) + I.ring.variable_names, TANGENT_CONE,
+                          I.ring.modulus)
     gens = []
     for g in I.generators:
         top = g.total_degree

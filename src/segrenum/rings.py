@@ -1,10 +1,12 @@
-"""Exact sparse multivariate polynomials over arbitrary-precision rationals.
+"""Exact sparse multivariate polynomials over the rationals or a prime field.
 
-Coefficients are `fractions.Fraction` values (always reduced, positive
-denominator).  A polynomial is stored as a mapping from exponent tuples to
-nonzero coefficients; the ring context fixes the variable names and the
-active monomial order, which determines leading terms and the canonical
-text form.
+A ring's `modulus` names its coefficient field: 0 for QQ, where
+coefficients are `fractions.Fraction` values (always reduced, positive
+denominator), or a prime p for GF(p), where they are integer residues in
+[0, p).  A polynomial is stored as a mapping from exponent tuples to
+nonzero coefficients; the ring context fixes the field, the variable
+names and the active monomial order, which determines leading terms and
+the canonical text form.
 """
 
 from __future__ import annotations
@@ -127,18 +129,24 @@ def mono_degree(a):
 
 
 class PolynomialRing:
-    """Ring context: variable names plus the active monomial order."""
+    """Ring context: coefficient field, variable names and the active
+    monomial order.  `modulus` is 0 for QQ or a prime p for GF(p); that it
+    is prime is the caller's obligation."""
 
-    __slots__ = ("variable_names", "order", "_key", "_vars_index")
+    __slots__ = ("variable_names", "order", "modulus", "_key", "_vars_index")
 
-    def __init__(self, variable_names: Iterable[str], order: MonomialOrder = GREVLEX):
+    def __init__(self, variable_names: Iterable[str], order: MonomialOrder = GREVLEX,
+                 modulus: int = 0):
         names = tuple(variable_names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         if not names:
             raise ValueError("a ring needs at least one variable")
+        if modulus < 0 or modulus == 1:
+            raise ValueError("modulus must be 0 (the rationals) or a prime")
         self.variable_names = names
         self.order = order
+        self.modulus = modulus
         self._key = order.key_function(len(names))
         self._vars_index = {n: i for i, n in enumerate(names)}
 
@@ -152,20 +160,52 @@ class PolynomialRing:
         return order.key_function(self.nvars)
 
     def with_order(self, order):
-        return PolynomialRing(self.variable_names, order)
+        return PolynomialRing(self.variable_names, order, self.modulus)
+
+    def over(self, modulus):
+        """This ring with its coefficients in GF(modulus), or QQ for 0."""
+        if modulus == self.modulus:
+            return self
+        return PolynomialRing(self.variable_names, self.order, modulus)
+
+    def coerce(self, c):
+        """c as a coefficient of this ring: a Fraction over QQ, its residue
+        over GF(p) (ValueError when p divides its denominator)."""
+        c = Fraction(c)
+        m = self.modulus
+        if not m:
+            return c
+        return c.numerator * pow(c.denominator, -1, m) % m
+
+    def image(self, p: "Polynomial") -> "Polynomial":
+        """The image in this ring of a polynomial over QQ in the same
+        variables: each coefficient reduced into this ring's field."""
+        if p.ring == self:
+            return p
+        if p.ring.modulus or p.ring.variable_names != self.variable_names:
+            raise RingMismatchError(f"no map from {p.ring!r} to {self!r}")
+        coerce = self.coerce
+        out = {}
+        for e, c in p.coeffs.items():
+            c = coerce(c)
+            if c:
+                out[e] = c
+        return Polynomial(self, out)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolynomialRing)
             and self.variable_names == other.variable_names
             and self.order == other.order
+            and self.modulus == other.modulus
         )
 
     def __hash__(self):
-        return hash((self.variable_names, self.order))
+        return hash((self.variable_names, self.order, self.modulus))
 
     def __repr__(self):
-        return f"QQ[{', '.join(self.variable_names)}; {self.order.kind.value}]"
+        field = f"GF({self.modulus})" if self.modulus else "QQ"
+        return f"{field}[{', '.join(self.variable_names)}; {self.order.kind.value}]"
 
     # -- construction -------------------------------------------------------
 
@@ -179,6 +219,8 @@ class PolynomialRing:
             if len(exps) != self.nvars or any(x < 0 for x in exps):
                 raise ValueError(f"bad exponent vector {exps} for {self!r}")
             clean[exps] = clean.get(exps, Fraction(0)) + c
+        if self.modulus:
+            clean = {e: self.coerce(c) for e, c in clean.items()}
         return Polynomial(self, {e: c for e, c in clean.items() if c != 0})
 
     def zero(self):
@@ -188,7 +230,7 @@ class PolynomialRing:
         return self.constant(1)
 
     def constant(self, c):
-        c = Fraction(c)
+        c = self.coerce(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -202,7 +244,7 @@ class PolynomialRing:
             i = name_or_index
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): self.coerce(1)})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -287,6 +329,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check(other)
+        m = self.ring.modulus
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e)
@@ -294,6 +337,8 @@ class Polynomial:
                 out[e] = c
             else:
                 s = s + c
+                if m:
+                    s %= m
                 if s:
                     out[e] = s
                 else:
@@ -301,7 +346,8 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.coeffs.items()})
+        m = self.ring.modulus
+        return Polynomial(self.ring, {e: m - c if m else -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -309,10 +355,13 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        m = self.ring.modulus
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = self.ring.coerce(other)
             if c == 0:
                 return self.ring.zero()
+            if m:
+                return Polynomial(self.ring, {e: k * c % m for e, k in self.coeffs.items()})
             return Polynomial(self.ring, {e: k * c for e, k in self.coeffs.items()})
         self._check(other)
         out = {}
@@ -328,6 +377,8 @@ class Polynomial:
                         out[e] = s
                     else:
                         del out[e]
+        if m:
+            out = {e: c % m for e, c in out.items() if c % m}
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -349,14 +400,16 @@ class Polynomial:
         return result
 
     def derivative(self, var_index):
+        m = self.ring.modulus
         out = {}
         for e, c in self.coeffs.items():
             k = e[var_index]
-            if k == 0:
+            c = c * k % m if m else c * k
+            if not c:
                 continue
             e2 = list(e)
             e2[var_index] = k - 1
-            out[tuple(e2)] = c * k
+            out[tuple(e2)] = c
         return Polynomial(self.ring, out)
 
     # -- equality / hashing / printing ----------------------------------------

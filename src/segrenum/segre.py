@@ -29,6 +29,17 @@ from a seeded generator, every certified number is recomputed under
 independent seeds and must agree exactly, and the coefficient bound is
 escalated once on disagreement.
 
+Each certification round runs over its own prime field GF(p), p a prime
+just below 2^31 drawn from the round seed.  The numbers are read off
+leading ideals, which agree with those over QQ for all but finitely many
+p; a bad prime, like a bad cut, makes its round disagree and goes down
+the same retry and escalation path.  Work outside the rounds stays over
+QQ: the germ, the co-support and m-primary checks, and the subspace
+precondition.  `polar_chain` returns rational stage ideals: it reruns
+round 0's seed once over QQ, and that exact run must give the certified
+numbers.  With a single verification round a number rests on one seed
+and one prime.
+
 The one-codimensional "plane section off 0" evaluation of e_1 is
 documented background only; it needs multiplicities at points away
 from the origin and has no operation here.
@@ -36,7 +47,8 @@ from the origin and has no operation here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from math import lcm
 
 from .errors import (
     ConsistencyError,
@@ -46,6 +58,7 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
+    _clear_denominators,
     dimension,
     groebner_fingerprint,
     ideal_quotient,
@@ -63,6 +76,7 @@ from .rings import Polynomial, PolynomialRing
 DEFAULT_SEED = 20260808
 _MAX_ATTEMPTS = 3
 _SATURATOR = 8  # derive_seed index of saturator draws; the cut draws use 0-7
+_PRIME = 9      # derive_seed index of a round's prime
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +122,49 @@ def derive_seed(base: int, *indices: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# prime fields: one prime per round seed
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _round_prime(seed: int, den: int = 1) -> int:
+    """The prime of the round with this seed: the largest prime at most
+    2^31 - 1 - (a 20-bit number drawn from the seed) that does not divide
+    `den`, the lcm of the input's denominators."""
+    n = (1 << 31) - 1 - derive_seed(seed, _PRIME) % (1 << 20)
+    while not (_is_prime(n) and den % n):
+        n -= 1
+    return n
+
+
+def _denominator(*ideals) -> int:
+    """The lcm of the denominators of the ideals' coefficients."""
+    return lcm(1, *(_clear_denominators(g.coeffs)[1]
+                    for I in ideals for g in I.generators))
+
+
+# ---------------------------------------------------------------------------
 # configuration and domain types
 # ---------------------------------------------------------------------------
 
@@ -129,11 +186,23 @@ class GenericityConfig:
 
 @dataclass(frozen=True)
 class GermContext:
-    """Ambient germ (X, 0): defining ideal, ring, and its dimension n at 0."""
+    """Ambient germ (X, 0): defining ideal, ring, and its dimension n at 0.
+    `make_germ` also records the germ's multiplicity at 0; None means it
+    is computed when a polar chain needs it."""
 
     ring: PolynomialRing
     ambient: Ideal
     n: int
+    multiplicity: int | None = field(default=None, compare=False)
+
+    def over(self, modulus: int) -> "GermContext":
+        """The germ with its ideal mapped into GF(modulus); n and the
+        multiplicity are those over QQ."""
+        ring = self.ring.over(modulus)
+        if ring is self.ring:
+            return self
+        return replace(self, ring=ring, ambient=self.ambient.over(modulus),
+                       multiplicity=_ambient_multiplicity(self))
 
 
 def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
@@ -147,18 +216,19 @@ def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
     """
     if ambient is None or ambient.is_zero:
         ambient = Ideal(ring, ())
-        n = ring.nvars
+        n, mult = ring.nvars, 1
     else:
         if not passes_through_origin(ambient):
             raise PreconditionError("ambient ideal does not pass through the origin")
-        n = multiplicity_at_origin(ambient).local_dimension
+        res = multiplicity_at_origin(ambient)
+        n, mult = res.local_dimension, res.multiplicity
     if expected_dim is not None and expected_dim != n:
         raise PreconditionError(
             f"declared dimension {expected_dim} but local dimension {n}"
         )
     if n < 1:
         raise PreconditionError("germ must have positive dimension")
-    return GermContext(ring, ambient, n)
+    return GermContext(ring, ambient, n, mult)
 
 
 @dataclass(frozen=True)
@@ -276,6 +346,8 @@ def _contribution(res: LocalMultiplicityResult, expected_dim: int, what: str) ->
 
 
 def _ambient_multiplicity(germ: GermContext) -> int:
+    if germ.multiplicity is not None:
+        return germ.multiplicity
     if germ.ambient.is_zero:
         return 1
     return multiplicity_at_origin(germ.ambient).multiplicity
@@ -311,11 +383,14 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal):
     return stages
 
 
-def _certified(cfg: GenericityConfig, run_once):
-    """Run `run_once(seed, cfg, round)` under verification_rounds
+def _certified(cfg: GenericityConfig, run_once, *inputs: Ideal):
+    """Run `run_once(seed, cfg, round, modulus)` under verification_rounds
     independent seeds (with bounded retries on dimension anomalies),
     compare the numeric outputs exactly, and escalate the coefficient
-    bound once on disagreement."""
+    bound once on disagreement.  Each round runs over GF(p) for the prime
+    p drawn from its seed that divides no denominator of the `inputs`,
+    which `run_once` maps into that field."""
+    den = _denominator(*inputs)
     for bound_step in range(2):
         cfg_b = cfg if bound_step == 0 else replace(
             cfg, coefficient_bound=cfg.coefficient_bound * 8
@@ -328,7 +403,7 @@ def _certified(cfg: GenericityConfig, run_once):
                 for attempt in range(_MAX_ATTEMPTS):
                     seed = derive_seed(cfg_b.seed, bound_step, r, attempt)
                     try:
-                        results.append(run_once(seed, cfg_b, r))
+                        results.append(run_once(seed, cfg_b, r, _round_prime(seed, den)))
                         seeds.append(seed)
                         last = None
                         break
@@ -364,25 +439,42 @@ def _check_cosupport(germ: GermContext, I: Ideal):
         )
 
 
-def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChain:
-    """Certified polar chain of I on the germ: stages 0..n with polar
-    multiplicities m_k and Segre numbers e_k."""
+def _chain_rounds(germ: GermContext, I: Ideal, cfg: GenericityConfig):
+    """The certified rounds of the polar chain of I, and `run_once`."""
     _check_cosupport(germ, I)
 
-    def run_once(seed, cfg_b, round_idx):
-        tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, _saturator(I, cfg_b, seed))
+    def run_once(seed, cfg_b, round_idx, modulus):
+        Ip = I.over(modulus)
+        tup = generic_tuple(Ip, germ.n, cfg_b, seed=seed)
+        stages = _run_stages(germ.over(modulus), tup.combinations,
+                             _saturator(Ip, cfg_b, seed))
         numbers = tuple((s.m, s.e) for s in stages)
-        return numbers, (tup, stages)
+        return numbers, (tup, stages, cfg_b)
 
-    results, seeds, certified = _certified(cfg, run_once)
-    tup, stages = results[0][1]
+    return _certified(cfg, run_once, germ.ambient, I), run_once
+
+
+def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChain:
+    """Certified polar chain of I on the germ: stages 0..n with polar
+    multiplicities m_k and Segre numbers e_k, and round 0's cut and polar
+    ideals over QQ (from one rerun of its seed over QQ when round 0 ran
+    over GF(p))."""
+    (results, seeds, certified), run_once = _chain_rounds(germ, I, cfg)
+    numbers, (tup, stages, cfg_b) = results[0]
+    if tup.source.ring.modulus:
+        exact, (tup, stages, _) = run_once(seeds[0], cfg_b, 0, 0)
+        if exact != numbers:
+            raise GenericityError(
+                f"round 0's seed gives {exact} over QQ but {numbers} over GF(p)")
     return PolarChain(germ, I, tup, tuple(stages), tuple(seeds), certified)
 
 
 def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegreProfile:
-    chain = polar_chain(germ, I, cfg)
-    return SegreProfile(chain.e, chain.m)
+    """The certified Segre numbers and polar multiplicities of I; unlike
+    `polar_chain`, it makes no rerun over QQ."""
+    (results, _, _), _ = _chain_rounds(germ, I, cfg)
+    numbers = results[0][0]
+    return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
 
 def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
@@ -390,11 +482,15 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
     """Segre numbers of the ideal induced by I on the subgerm cut out by P.
 
     Precondition: no associated component of P lies inside V(I), checked
-    exactly as P : I == P (which gives P : I^k == P for every k).
+    exactly as P : I == P (which gives P : I^k == P for every k).  For
+    one generic g in I drawn from the seed, P <= P : I <= P : g, so
+    P : g == P, one principal quotient, proves it; only otherwise is the
+    quotient by all of I computed, to tell a bad g from a real failure.
     """
     if P.is_zero:
         return segre_profile(germ, I, cfg)
-    if ideal_quotient(P, I) != P:
+    if (ideal_quotient(P, _saturator(I, cfg, cfg.seed)) != P
+            and ideal_quotient(P, I) != P):
         raise PreconditionError("a component of the subscheme lies inside V(I)")
     if not passes_through_origin(P):
         raise PreconditionError("subscheme misses the origin")
@@ -426,17 +522,18 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         raise PreconditionError("need i + j >= k combinations to cut k times")
     _check_cosupport(germ, I1)
     _check_cosupport(germ, I2)
-    sat = ideal_sum(I1, I2)
 
-    def run_once(seed, cfg_b, round_idx):
-        tup_f = generic_tuple(I1, i, cfg_b, seed=derive_seed(seed, 1))
-        tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
-        pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
+    def run_once(seed, cfg_b, round_idx, modulus):
+        g, A, B = germ.over(modulus), I1.over(modulus), I2.over(modulus)
+        tup_f = generic_tuple(A, i, cfg_b, seed=derive_seed(seed, 1))
+        tup_g = generic_tuple(B, j, cfg_b, seed=derive_seed(seed, 2))
+        pool = Ideal(g.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        stages = _run_stages(germ, tup_h.combinations, _saturator(sat, cfg_b, seed))
+        stages = _run_stages(g, tup_h.combinations,
+                             _saturator(ideal_sum(A, B), cfg_b, seed))
         return (stages[k].e,), (tup_h, stages)
 
-    results, seeds, certified = _certified(cfg, run_once)
+    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I1, I2)
     return results[0][0][0]
 
 
@@ -463,21 +560,22 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
 
-    def run_once(seed, cfg_b, round_idx):
+    def run_once(seed, cfg_b, round_idx, modulus):
         swap = bool(round_idx & 1)
         A, B, ia = (I2, I1, n - i) if swap else (I1, I2, i)
+        A, B, g = A.over(modulus), B.over(modulus), germ.over(modulus)
         gens = []
         if ia:
             gens += list(generic_tuple(A, ia, cfg_b, seed=derive_seed(seed, 1)).combinations)
         if n - ia:
             gens += list(generic_tuple(B, n - ia, cfg_b, seed=derive_seed(seed, 2)).combinations)
-        total = ideal_sum(germ.ambient, Ideal(germ.ring, gens))
+        total = ideal_sum(g.ambient, Ideal(g.ring, gens))
         res = multiplicity_at_origin(total)
         if res.misses_origin or res.local_dimension != 0:
             raise DimensionAnomalyError("generic combinations are not a system of parameters")
         return (res.multiplicity,), None
 
-    results, seeds, certified = _certified(cfg, run_once)
+    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I1, I2)
     return results[0][0][0]
 
 
@@ -491,9 +589,10 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
     """
     _check_cosupport(germ, I)
 
-    def run_once(seed, cfg_b, round_idx):
-        tup = generic_tuple(I, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ, tup.combinations, _saturator(I, cfg_b, seed))
+    def run_once(seed, cfg_b, round_idx, modulus):
+        Ip = I.over(modulus)
+        tup = generic_tuple(Ip, germ.n, cfg_b, seed=seed)
+        stages = _run_stages(germ.over(modulus), tup.combinations, _saturator(Ip, cfg_b, seed))
         supports = [saturate(s.cut_ideal, _saturator(s.polar_ideal, cfg_b, seed, 1, s.k))
                     for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]
@@ -510,7 +609,7 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
                     break
         return (holds, first, witness), None
 
-    results, seeds, certified = _certified(cfg, run_once)
+    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I)
     holds, first, witness = results[0][0]
     return holds
 
@@ -527,16 +626,17 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         raise PreconditionError(f"k must be between 1 and {germ.n}")
     _check_cosupport(germ, I)
 
-    def run_once(seed, cfg_b, round_idx):
-        tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
+    def run_once(seed, cfg_b, round_idx, modulus):
+        g, Ip = germ.over(modulus), I.over(modulus)
+        tup = generic_tuple(Ip, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
-        truncated = Ideal(germ.ring, tup.combinations)
-        full_stages = _run_stages(germ, cuts, _saturator(I, cfg_b, seed))
-        trunc_stages = _run_stages(germ, cuts, _saturator(truncated, cfg_b, seed, 1))
+        truncated = Ideal(g.ring, tup.combinations)
+        full_stages = _run_stages(g, cuts, _saturator(Ip, cfg_b, seed))
+        trunc_stages = _run_stages(g, cuts, _saturator(truncated, cfg_b, seed, 1))
         same_ideal = groebner_fingerprint(full_stages[k].polar_ideal) == \
             groebner_fingerprint(trunc_stages[k].polar_ideal)
         same_e = full_stages[k].e == trunc_stages[k].e
         return (same_ideal and same_e,), None
 
-    results, seeds, certified = _certified(cfg, run_once)
+    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I)
     return results[0][0][0]

@@ -25,6 +25,7 @@ from segrenum.groebner import (
     DEFAULT_ENGINE_CONFIG,
     ENGINE_STATS,
     _cache_key,
+    _extended_ring,
     _memo_key,
     _reduce_raw,
     clear_caches,
@@ -384,3 +385,76 @@ def test_cached_basis_keeps_the_ring_of_the_request():
         gb = buchberger(ideal(ring, x ** 2 + y, y ** 2), GREVLEX)
         assert gb.ring == ring
         assert normal_form(x ** 3, gb) == -x * y
+
+
+P31 = 2147483629  # a prime just below 2^31
+
+
+def _random_ideal(rng, ring):
+    """Two or three sparse generators of degree at most 3 with small
+    integer coefficients."""
+    n = ring.nvars
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        coeffs = {}
+        for _ in range(rng.randint(2, 4)):
+            e = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                e[rng.randrange(n)] += 1
+            coeffs[tuple(e)] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 11))
+        gens.append(ring.poly(coeffs))
+    return ideal(ring, *gens)
+
+
+def test_gfp_bases_match_sympy():
+    """Reduced grevlex bases over GF(p) equal sympy's on 30 seeded random
+    ideals in 2-4 variables, up to the representative of each residue."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for case in range(30):
+        n = 2 + case % 3
+        names = ["x", "y", "z", "w"][:n]
+        p = (P31, 32003, 7)[case % 3]
+        ring = PolynomialRing(names).over(p)
+        I = _random_ideal(rng, ring)
+        ours = {frozenset(g.coeffs.items()) for g in buchberger(I).basis}
+        symbols = sympy.symbols(names)
+        exprs = [sum(int(c) * sympy.prod([v ** k for v, k in zip(symbols, e)])
+                     for e, c in g.coeffs.items()) for g in I.generators]
+        theirs = set()
+        for poly in sympy.groebner(exprs, *symbols, order="grevlex", modulus=p).polys:
+            terms = {e: int(c) % p for e, c in poly.terms()}
+            inv = pow(terms[max(terms, key=_memo_key(GREVLEX, n))], -1, p)
+            theirs.add(frozenset((e, c * inv % p) for e, c in terms.items()))
+        assert ours == theirs, (case, I)
+
+
+def test_gfp_rings_keep_residues_and_their_field():
+    """A GF(p) ring stores residues in [0, p), takes part in equality,
+    hashing and repr, and passes its field to every derived ring; the
+    cache keeps two primes apart."""
+    R = PolynomialRing(["x", "y", "z"])
+    F = R.over(7)
+    assert F != R and hash(F) != hash(R) and repr(F) == "GF(7)[x, y, z; grevlex]"
+    assert R.over(0) is R and F.over(7) is F
+    x, y, z = F.variables()
+    f = F.image(R.poly({(1, 0, 0): Fraction(1, 2), (0, 1, 0): -3}))
+    assert f.coeffs == {(1, 0, 0): 4, (0, 1, 0): 4}
+    for g in (f * f - 3 * x * y, -f, f.derivative(0), f * Fraction(2, 3) + 1):
+        assert all(isinstance(c, int) and 0 < c < 7 for c in g.coeffs.values())
+    assert (x ** 7).derivative(0).is_zero
+    assert F.with_order(LEX).modulus == 7
+    assert _extended_ring(F).modulus == 7
+    assert eliminate(ideal(F, x - y, y - z), 1).ring.modulus == 7
+    assert _homogenize(ideal(F, x + y ** 2)).ring.modulus == 7
+    gb = buchberger(ideal(F, x * y - 1, x ** 2 + y))
+    assert verify_basis(gb)
+    assert all(c < 7 for g in gb.basis for c in g.coeffs.values())
+    assert all(g.leading_item()[1] == 1 for g in gb.basis)
+    assert normal_form(x ** 3 * y + y, gb).is_zero  # x^3 y = x^2 = -y
+    assert ideal_quotient(ideal(F, 3 * x * y, x * z + x), ideal(F, 2 * x)) == ideal(F, y, z + 1)
+    G5 = F.over(5)
+    u, v, _ = G5.variables()
+    assert buchberger(ideal(G5, u * v - 1, u ** 2 + v)).ring == G5
+    assert _cache_key(ideal(F, x), GREVLEX, DEFAULT_ENGINE_CONFIG) != \
+        _cache_key(ideal(G5, u), GREVLEX, DEFAULT_ENGINE_CONFIG)

@@ -113,6 +113,18 @@ def test_reports_are_byte_deterministic():
     assert (code1, out1) == (code2, out2)
 
 
+def test_parser_is_built_once(monkeypatch):
+    """`main` reuses the module's parser: two calls in one process build
+    none and give byte-identical reports."""
+    built = []
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1))
+    argv = ["segre", str(CORPUS / "codim1_pair.ideal"), "I2"]
+    first = run_cli(argv)
+    assert run_cli(argv) == first
+    assert first[1] == (GOLDEN / "codim1_segre_I2.json").read_text(encoding="utf-8")
+    assert built == []
+
+
 def test_seed_changes_only_provenance():
     base = ["segre", str(CORPUS / "codim1_pair.ideal"), "I2"]
     _, out1 = run_cli(base + ["--seed", "11"])

@@ -1,7 +1,15 @@
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
+import segrenum
+from segrenum import cli, segre
 from segrenum import (
     GenericityConfig,
+    GermContext,
     Ideal,
     chain_condition,
     generic_tuple,
@@ -15,7 +23,11 @@ from segrenum import (
     segre_profile,
     truncation_check,
 )
-from segrenum.errors import PreconditionError
+from segrenum.errors import GenericityError, PreconditionError
+from segrenum.equising import FunctionGerm, contact_tangent_ideal
+from segrenum.parser import parse_input
+from segrenum.rings import format_polynomial
+from segrenum.segre import derive_seed
 
 from oracles import macaulay_colength_stable
 
@@ -264,6 +276,10 @@ def test_profile_on_cuspidal_ambient(R2, cfg):
     assert prof.m == (2,)
     prof_x = segre_profile(cusp_germ, ideal(R2, x), cfg)
     assert prof_x.e == (3,)
+    # a germ built without make_germ computes its multiplicity when needed
+    bare = GermContext(R2, cusp_germ.ambient, 1)
+    assert bare == cusp_germ and cusp_germ.multiplicity == 2
+    assert segre_profile(bare, ideal(R2, y), cfg) == prof
 
 
 def test_profile_oracle_consistency(germ2, R2, cfg):
@@ -274,3 +290,127 @@ def test_profile_oracle_consistency(germ2, R2, cfg):
     tup = generic_tuple(I, 2, cfg)
     combo_ideal = Ideal(R2, tup.combinations)
     assert macaulay_colength_stable(combo_ideal) == segre_profile(germ2, I, cfg).e[-1]
+
+
+def _rational_rounds(seed, den=1):
+    return 0
+
+
+def _replay_corpus():
+    """Every manifest command run through the CLI: {golden: (exit code,
+    report without its engine counters)}."""
+    corpus = Path(segrenum.__file__).parent / "corpus"
+    manifest = json.loads((corpus / "golden" / "manifest.json").read_text(encoding="utf-8"))
+    out = {}
+    for entry in manifest:
+        argv = list(entry["argv"])
+        argv[1] = str(corpus / argv[1])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        report = json.loads(buf.getvalue())
+        report.pop("engine")
+        out[entry["golden"]] = (code, report)
+    return out
+
+
+def test_modular_rounds_match_an_exact_rational_reference(monkeypatch):
+    """With every round forced over QQ, each corpus command reports the
+    same numbers, verdicts, seeds and rational polar ideals as with its
+    rounds over prime fields."""
+    modular = _replay_corpus()
+    monkeypatch.setattr(segre, "_round_prime", _rational_rounds)
+    assert _replay_corpus() == modular
+
+
+def test_polar_ideals_are_rational(R3, monkeypatch):
+    """Round 0 runs over GF(p), but the chain's ideals are those of an
+    all-rational run, coefficients too large for one prime included."""
+    doc = parse_input("ring x, y, z;\n"
+                      "ideal I = x*z + 1234567/89*y*z, y*z - 987654321/1000003*z^2, z^3;\n")
+    I = Ideal(doc.ring, doc.ideals["I"])
+    germ = make_germ(doc.ring)
+    cfg = GenericityConfig(seed=5)
+    chain = polar_chain(germ, I, cfg)
+    monkeypatch.setattr(segre, "_round_prime", _rational_rounds)
+    exact = polar_chain(germ, I, cfg)
+    assert chain.e == exact.e == (1, 1, 3)
+    assert chain.tuple_used.combinations == exact.tuple_used.combinations
+    for s, t in zip(chain.stages, exact.stages):
+        assert s.polar_ideal.ring.modulus == 0
+        assert [format_polynomial(g) for g in s.polar_ideal.generators] == \
+            [format_polynomial(g) for g in t.polar_ideal.generators]
+        assert s.cut_ideal == t.cut_ideal
+    assert any(abs(c.numerator) * c.denominator > 1 << 62
+               for g in chain.stages[2].polar_ideal.generators for c in g.coeffs.values())
+
+
+def test_exact_rerun_catches_a_prime_bad_for_every_round(R3, monkeypatch):
+    """Every round forced onto GF(3), where the Jacobian of x^3 + y^3 + z^3
+    vanishes: the rounds agree on wrong numbers, and `polar_chain`'s rerun
+    of round 0 over QQ refuses them."""
+    x, y, z = R3.variables()
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
+    with pytest.raises(GenericityError, match="over QQ"):
+        polar_chain(make_germ(R3), T, GenericityConfig())
+
+
+def test_unlucky_prime_is_caught_by_certification(R3, monkeypatch):
+    """Round 1 forced onto GF(3), where the Jacobian of x^3 + y^3 + z^3
+    vanishes: the round disagrees and the bound escalates (or the call
+    fails); no wrong number is certified."""
+    x, y, z = R3.variables()
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    germ = make_germ(R3)
+    cfg = GenericityConfig()
+    clean = polar_chain(germ, T, cfg)
+    bad_seed = derive_seed(cfg.seed, 0, 1, 0)  # bound step 0, round 1, attempt 0
+    assert bad_seed in clean.seeds_used
+    real = segre._round_prime
+    forced = []
+
+    def unlucky(seed, den=1):
+        if seed == bad_seed:
+            forced.append(seed)
+            return 3
+        return real(seed, den)
+
+    monkeypatch.setattr(segre, "_round_prime", unlucky)
+    try:
+        chain = polar_chain(germ, T, cfg)
+    except GenericityError:
+        chain = None
+    assert forced
+    if chain is not None:
+        assert (chain.e, chain.m) == (clean.e, clean.m) == ((0, 0, 27), (1, 3, 9))
+        assert bad_seed not in chain.seeds_used
+
+
+def test_subspace_precondition_takes_one_principal_quotient(germ3, divisor_pair, cfg,
+                                                           monkeypatch):
+    """When P : g = P for the generic g of I, the precondition check makes
+    no quotient by all of I."""
+    _, I2 = divisor_pair
+    P = polar_chain(germ3, I2, cfg).stages[1].polar_ideal
+    divisors = []
+    real = segre.ideal_quotient
+
+    def spy(A, B):
+        divisors.append(len(B.generators))
+        return real(A, B)
+
+    monkeypatch.setattr(segre, "ideal_quotient", spy)
+    segre_on_subspace(germ3, I2, P, cfg)
+    assert divisors == [1]
+
+
+def test_brieskorn_contact_tangent_profile(R3):
+    """The contact tangent ideal of x^3 + y^4 + z^5, which did not finish
+    over QQ, has the same certified profile under three base seeds."""
+    x, y, z = R3.variables()
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 4 + z ** 5))
+    germ = make_germ(R3)
+    for seed in (7, 8, 9):
+        prof = segre_profile(germ, T, GenericityConfig(seed=seed))
+        assert (prof.e, prof.m) == ((0, 0, 49), (1, 3, 11))
