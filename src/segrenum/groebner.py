@@ -25,6 +25,10 @@ elimination hands the basis elements free of the eliminated variables
 to that cache as the reduced grevlex basis of its result, so the
 multiplicity, dimension or colength of a saturation starts no second
 completion.
+
+A completion may start from a known reduced basis, which forms no pairs
+within itself: the saturation of a homogeneous ideal starts from its
+grevlex basis, cached when its multiplicity was read, plus t g - 1.
 """
 
 from __future__ import annotations
@@ -442,11 +446,15 @@ def _budget_check(G, lt, config):
         )
 
 
-def _buchberger_raw(gens, key, config, *, modulus=0):
+def _buchberger_raw(gens, key, config, *, modulus=0, known=0):
     """Completion of primitive integer vectors, or over GF(`modulus`) of
     monic residue vectors: returns (rows, leads), the unique reduced
     basis as such vectors and their leading exponents, in descending
     order of leading terms.
+
+    The first `known` vectors must be a reduced Groebner basis for the
+    order: each pair among them already has a standard representation,
+    so they form no pairs among themselves, only with later elements.
 
     Pairs are taken in increasing order of (key(lcm), (i, j)) from a
     heap; a pair the update deletes leaves its heap entry behind, which
@@ -462,17 +470,20 @@ def _buchberger_raw(gens, key, config, *, modulus=0):
     queue = []
     divisors = {}
 
-    def insert(r):
+    def insert(r, paired=True):
         lt = max(r, key=key)
         _budget_check(G, lt, config)
         G.append(r)
         lts.append(lt)
         mono_flags.append(len(r) == 1)
-        for pair, L in _update_pairs(lts, mono_flags, pairs, len(G) - 1, key):
-            pairs[pair] = L
-            heapq.heappush(queue, (key(L), pair))
+        if paired:
+            for pair, L in _update_pairs(lts, mono_flags, pairs, len(G) - 1, key):
+                pairs[pair] = L
+                heapq.heappush(queue, (key(L), pair))
 
-    for d in gens:
+    for d in gens[:known]:
+        insert(d, paired=False)
+    for d in gens[known:]:
         r = _reduce_raw(d, G, lts, key, divisors=divisors, modulus=modulus) if G else d
         if r:
             insert(r)
@@ -539,8 +550,13 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
     Every input generator is verified to reduce to zero against the
     result (ideal-membership sanity check).
     """
-    order = order or I.ring.order
-    config = config or DEFAULT_ENGINE_CONFIG
+    return _completion(I, order or I.ring.order, config or DEFAULT_ENGINE_CONFIG)
+
+
+def _completion(I: Ideal, order: MonomialOrder, config: EngineConfig,
+                known: int = 0) -> GroebnerBasis:
+    """`buchberger`, told that the first `known` generators of I are a
+    reduced Groebner basis for `order` (see `_buchberger_raw`)."""
     ck = _cache_key(I, order, config)
     with _GB_LOCK:
         hit = _GB_CACHE.get(ck)
@@ -550,7 +566,7 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None,
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
     gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
-    rows, leads = _buchberger_raw(gens, key, config, modulus=m)
+    rows, leads = _buchberger_raw(gens, key, config, modulus=m, known=known)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
@@ -658,9 +674,11 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     return result
 
 
-def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing) -> Ideal:
-    """The ideal of `gens` in ext = ring[t], intersected with ring."""
-    return _eliminated(buchberger(Ideal(ext, gens), ext.order), 1, ring)
+def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing, known: int = 0) -> Ideal:
+    """The ideal of `gens` in ext = ring[t], intersected with ring; the
+    first `known` of them are a reduced basis for ext's order."""
+    basis = _completion(Ideal(ext, gens), ext.order, DEFAULT_ENGINE_CONFIG, known)
+    return _eliminated(basis, 1, ring)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -681,6 +699,9 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     of V(I) inside V(g), by one Rabinowitsch elimination of
     I + (t g - 1).
 
+    For a homogeneous I it starts from I's reduced grevlex basis, still a
+    Groebner basis for the block order, which is grevlex on t-free terms.
+
     To saturate by a non-principal ideal, pass the principal ideal of one
     generic element of it (see `segre`): the two saturations agree unless
     that element lies in one of finitely many proper subspaces.
@@ -694,10 +715,15 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     (g,) = J.generators
     if I.is_zero or g.total_degree == 0:
         return I  # a unit saturator changes nothing
+    if any(f.total_degree == 0 for f in I.generators):
+        return Ideal(I.ring, (I.ring.one(),))  # so does any saturator of the unit ideal
     ext = _extended_ring(I.ring)
-    gens = [_lift(f, ext) for f in I.generators]
+    known = ()
+    if all(f.is_homogeneous for f in I.generators):
+        known = buchberger(I, GREVLEX).basis
+    gens = [_lift(f, ext) for f in known or I.generators]
     gens.append(ext.variable(0) * _lift(g, ext) - ext.one())
-    return _eliminate_aux(gens, ext, I.ring)
+    return _eliminate_aux(gens, ext, I.ring, len(known))
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:

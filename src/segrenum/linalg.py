@@ -1,4 +1,5 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""Small exact linear algebra helpers over the rationals; `rank` runs
+fraction-free on integers."""
 
 from __future__ import annotations
 
@@ -10,23 +11,23 @@ def _to_fractions(matrix):
 
 
 def rank(matrix) -> int:
-    """Rank over QQ by Gaussian elimination."""
-    m = _to_fractions(matrix)
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    """Rank over QQ of an integer matrix, by fraction-free (Bareiss)
+    elimination: every entry stays an integer minor of the matrix, and
+    each division by the previous pivot is exact."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, rows):
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         r += 1
         if r == rows:
             break
