@@ -155,6 +155,14 @@ def teissier_criterion(germ: GermContext, I1: Ideal, I2: Ideal,
     )
 
 
+def _sides(cache: MixedNumberCache, k: int):
+    """Level k's chains e_k(I1), e_k^{k-1,1}, e_k^{k-2,2} and
+    e_k^{2,k-2}, e_k^{1,k-1}, e_k(I2), for k >= 2."""
+    left = [cache.e(1, k), cache.mixed(k, k - 1, 1), cache.mixed(k, k - 2, 2)]
+    right = [cache.mixed(k, 2, k - 2), cache.mixed(k, 1, k - 1), cache.e(2, k)]
+    return left, right
+
+
 def _battery_levels(cache: MixedNumberCache, levels):
     """Per-level equality chains of the closure battery."""
     verdicts = []
@@ -165,9 +173,8 @@ def _battery_levels(cache: MixedNumberCache, levels):
             verdicts.append(_chain_verdict("j=1", labels, values))
             continue
         left_labels = [f"e_{j}(I1)", f"e_{j}^{{{j - 1},1}}", f"e_{j}^{{{j - 2},2}}"]
-        left = [cache.e(1, j), cache.mixed(j, j - 1, 1), cache.mixed(j, j - 2, 2)]
         right_labels = [f"e_{j}^{{2,{j - 2}}}", f"e_{j}^{{1,{j - 1}}}", f"e_{j}(I2)"]
-        right = [cache.mixed(j, 2, j - 2), cache.mixed(j, 1, j - 1), cache.e(2, j)]
+        left, right = _sides(cache, j)
         verdicts.append(_chain_verdict(f"j={j} left", left_labels, left))
         verdicts.append(_chain_verdict(f"j={j} right", right_labels, right))
     return verdicts
@@ -392,18 +399,10 @@ def mixed_inequality_check(germ: GermContext, I1: Ideal, I2: Ideal,
             out.append(InequalityVerdict(name_l, False, None, {}))
             out.append(InequalityVerdict(name_r, False, None, {}))
             continue
-        a = cache.mixed(k, k - 1, 1)
-        b = cache.e(1, k)
-        c = cache.mixed(k, k - 2, 2)
-        out.append(InequalityVerdict(
-            name_l, True, a * a <= b * c, {"lhs": a, "factors": (b, c)}
-        ))
-        a2 = cache.mixed(k, 1, k - 1)
-        b2 = cache.mixed(k, 2, k - 2)
-        c2 = cache.e(2, k)
-        out.append(InequalityVerdict(
-            name_r, True, a2 * a2 <= b2 * c2, {"lhs": a2, "factors": (b2, c2)}
-        ))
+        for name, (lo, mid, hi) in zip((name_l, name_r), _sides(cache, k)):
+            out.append(InequalityVerdict(
+                name, True, mid * mid <= lo * hi, {"lhs": mid, "factors": (lo, hi)}
+            ))
     return out
 
 

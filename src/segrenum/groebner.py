@@ -622,8 +622,8 @@ def verify_basis(G: GroebnerBasis) -> bool:
 
 
 def groebner_fingerprint(I: Ideal):
-    gb = buchberger(I, GREVLEX)
-    return tuple(format_polynomial(g, GREVLEX) for g in gb.basis)
+    """The reduced grevlex basis: two ideals of one ring are equal iff theirs are."""
+    return buchberger(I, GREVLEX).basis
 
 
 # -- one auxiliary variable t, eliminated first -----------------------------

@@ -33,12 +33,14 @@ Each certification round runs over its own prime field GF(p), p a prime
 just below 2^31 drawn from the round seed.  The numbers are read off
 leading ideals, which agree with those over QQ for all but finitely many
 p; a bad prime, like a bad cut, makes its round disagree and goes down
-the same retry and escalation path.  Work outside the rounds stays over
-QQ: the germ, the co-support and m-primary checks, and the subspace
-precondition.  `polar_chain` returns rational stage ideals: it reruns
-round 0's seed once over QQ, and that exact run must give the certified
-numbers.  With a single verification round a number rests on one seed
-and one prime.
+the same retry and escalation path.  One driver, `_certified`, runs the
+rounds of every certified number and maps the germ and the ideals into
+each round's field; a round returns only the numbers to agree on.  Work
+outside the rounds stays over QQ: the germ, the co-support and m-primary
+checks, and the subspace precondition.  `polar_chain` returns rational
+stage ideals: it reruns round 0's seed once over QQ, and that exact run
+must give the certified numbers.  With a single verification round a
+number rests on one seed and one prime.
 
 The one-codimensional "plane section off 0" evaluation of e_1 is
 documented background only; it needs multiplicities at points away
@@ -60,7 +62,6 @@ from .groebner import (
     Ideal,
     _clear_denominators,
     dimension,
-    groebner_fingerprint,
     ideal_quotient,
     ideal_sum,
     saturate,
@@ -104,11 +105,9 @@ class DetRng:
         self.state = seed & _M64
 
     def next_u64(self) -> int:
+        z = _mix64(self.state)
         self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        return z
 
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.next_u64() % (hi - lo + 1)
@@ -186,14 +185,20 @@ class GenericityConfig:
 
 @dataclass(frozen=True)
 class GermContext:
-    """Ambient germ (X, 0): defining ideal, ring, and its dimension n at 0.
-    `make_germ` also records the germ's multiplicity at 0; None means it
-    is computed when a polar chain needs it."""
+    """Ambient germ (X, 0): defining ideal, ring, its dimension n at 0 and
+    its multiplicity at 0, which is computed at construction when it is
+    not given (`make_germ` gives it)."""
 
     ring: PolynomialRing
     ambient: Ideal
     n: int
     multiplicity: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.multiplicity is None:
+            mult = 1 if self.ambient.is_zero else \
+                multiplicity_at_origin(self.ambient).multiplicity
+            object.__setattr__(self, "multiplicity", mult)
 
     def over(self, modulus: int) -> "GermContext":
         """The germ with its ideal mapped into GF(modulus); n and the
@@ -201,8 +206,7 @@ class GermContext:
         ring = self.ring.over(modulus)
         if ring is self.ring:
             return self
-        return replace(self, ring=ring, ambient=self.ambient.over(modulus),
-                       multiplicity=_ambient_multiplicity(self))
+        return replace(self, ring=ring, ambient=self.ambient.over(modulus))
 
 
 def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
@@ -345,14 +349,6 @@ def _contribution(res: LocalMultiplicityResult, expected_dim: int, what: str) ->
     return res.multiplicity
 
 
-def _ambient_multiplicity(germ: GermContext) -> int:
-    if germ.multiplicity is not None:
-        return germ.multiplicity
-    if germ.ambient.is_zero:
-        return 1
-    return multiplicity_at_origin(germ.ambient).multiplicity
-
-
 def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal:
     """(g) for one generic element g of S, drawn from the round seed; the
     indices `where` tell apart the draws of one round."""
@@ -368,7 +364,7 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal):
     least n - k, so a stage of any other local dimension is a genericity
     failure that triggers a seed retry."""
     ring = germ.ring
-    stages = [StageRecord(0, None, germ.ambient, _ambient_multiplicity(germ), None)]
+    stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
@@ -383,14 +379,14 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal):
     return stages
 
 
-def _certified(cfg: GenericityConfig, run_once, *inputs: Ideal):
-    """Run `run_once(seed, cfg, round, modulus)` under verification_rounds
-    independent seeds (with bounded retries on dimension anomalies),
-    compare the numeric outputs exactly, and escalate the coefficient
-    bound once on disagreement.  Each round runs over GF(p) for the prime
-    p drawn from its seed that divides no denominator of the `inputs`,
-    which `run_once` maps into that field."""
-    den = _denominator(*inputs)
+def _certified(cfg: GenericityConfig, run_once, germ: GermContext, *ideals: Ideal):
+    """(numbers, round seeds, config of the bound step that agreed): the
+    numbers `run_once(seed, cfg, round, germ, *ideals)` returns exactly
+    under verification_rounds independent seeds, with the germ and ideals
+    mapped into GF(p) for the prime p drawn from the seed that divides no
+    denominator of theirs.  A dimension anomaly retries its round; rounds
+    that disagree or keep failing escalate the coefficient bound once."""
+    den = _denominator(germ.ambient, *ideals)
     for bound_step in range(2):
         cfg_b = cfg if bound_step == 0 else replace(
             cfg, coefficient_bound=cfg.coefficient_bound * 8
@@ -399,31 +395,25 @@ def _certified(cfg: GenericityConfig, run_once, *inputs: Ideal):
         seeds = []
         try:
             for r in range(cfg_b.verification_rounds):
-                last = None
                 for attempt in range(_MAX_ATTEMPTS):
                     seed = derive_seed(cfg_b.seed, bound_step, r, attempt)
+                    p = _round_prime(seed, den)
                     try:
-                        results.append(run_once(seed, cfg_b, r, _round_prime(seed, den)))
+                        results.append(run_once(seed, cfg_b, r, germ.over(p),
+                                                *[I.over(p) for I in ideals]))
                         seeds.append(seed)
-                        last = None
                         break
                     except DimensionAnomalyError as exc:
-                        last = exc
-                if last is not None:
-                    raise GenericityError(f"persistent dimension anomaly: {last}")
+                        anomaly = exc
+                else:
+                    raise GenericityError(f"persistent dimension anomaly: {anomaly}")
         except GenericityError:
             if bound_step == 0:
                 continue
             raise
-        numeric = [r[0] for r in results]
-        if all(v == numeric[0] for v in numeric):
-            certified = cfg_b.verification_rounds >= 2
-            return results, seeds, certified
-        if bound_step == 1:
-            raise GenericityError(
-                f"seed disagreement persists after bound escalation: {numeric}"
-            )
-    raise GenericityError("certification failed")
+        if all(v == results[0] for v in results):
+            return results[0], seeds, cfg_b
+    raise GenericityError(f"seed disagreement persists after bound escalation: {results}")
 
 
 def _check_cosupport(germ: GermContext, I: Ideal):
@@ -439,41 +429,40 @@ def _check_cosupport(germ: GermContext, I: Ideal):
         )
 
 
-def _chain_rounds(germ: GermContext, I: Ideal, cfg: GenericityConfig):
-    """The certified rounds of the polar chain of I, and `run_once`."""
-    _check_cosupport(germ, I)
+def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int):
+    """One run of the polar chain of I: the tuple of n combinations drawn
+    from `seed`, and the stages it cuts, saturated by a generic element
+    of I drawn from the same seed."""
+    tup = generic_tuple(I, germ.n, cfg, seed=seed)
+    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed))
 
-    def run_once(seed, cfg_b, round_idx, modulus):
-        Ip = I.over(modulus)
-        tup = generic_tuple(Ip, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ.over(modulus), tup.combinations,
-                             _saturator(Ip, cfg_b, seed))
-        numbers = tuple((s.m, s.e) for s in stages)
-        return numbers, (tup, stages, cfg_b)
 
-    return _certified(cfg, run_once, germ.ambient, I), run_once
+def _chain_round(seed, cfg, round_idx, germ, I):
+    """The numbers of a polar-chain round: (m_k, e_k) for each stage."""
+    return tuple((s.m, s.e) for s in _polar_stages(germ, I, cfg, seed)[1])
 
 
 def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChain:
     """Certified polar chain of I on the germ: stages 0..n with polar
-    multiplicities m_k and Segre numbers e_k, and round 0's cut and polar
-    ideals over QQ (from one rerun of its seed over QQ when round 0 ran
-    over GF(p))."""
-    (results, seeds, certified), run_once = _chain_rounds(germ, I, cfg)
-    numbers, (tup, stages, cfg_b) = results[0]
-    if tup.source.ring.modulus:
-        exact, (tup, stages, _) = run_once(seeds[0], cfg_b, 0, 0)
-        if exact != numbers:
-            raise GenericityError(
-                f"round 0's seed gives {exact} over QQ but {numbers} over GF(p)")
-    return PolarChain(germ, I, tup, tuple(stages), tuple(seeds), certified)
+    multiplicities m_k and Segre numbers e_k, and the cut and polar
+    ideals over QQ of one rerun of round 0's seed, which must give the
+    certified numbers."""
+    _check_cosupport(germ, I)
+    numbers, seeds, cfg_b = _certified(cfg, _chain_round, germ, I)
+    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
+    exact = tuple((s.m, s.e) for s in stages)
+    if exact != numbers:
+        raise GenericityError(
+            f"round 0's seed gives {exact} over QQ but {numbers} over GF(p)")
+    return PolarChain(germ, I, tup, tuple(stages), tuple(seeds),
+                      cfg.verification_rounds >= 2)
 
 
 def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegreProfile:
     """The certified Segre numbers and polar multiplicities of I; unlike
     `polar_chain`, it makes no rerun over QQ."""
-    (results, _, _), _ = _chain_rounds(germ, I, cfg)
-    numbers = results[0][0]
+    _check_cosupport(germ, I)
+    numbers, _, _ = _certified(cfg, _chain_round, germ, I)
     return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
 
@@ -523,18 +512,16 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     _check_cosupport(germ, I1)
     _check_cosupport(germ, I2)
 
-    def run_once(seed, cfg_b, round_idx, modulus):
-        g, A, B = germ.over(modulus), I1.over(modulus), I2.over(modulus)
-        tup_f = generic_tuple(A, i, cfg_b, seed=derive_seed(seed, 1))
-        tup_g = generic_tuple(B, j, cfg_b, seed=derive_seed(seed, 2))
-        pool = Ideal(g.ring, tup_f.combinations + tup_g.combinations)
+    def run_once(seed, cfg_b, round_idx, germ, I1, I2):
+        tup_f = generic_tuple(I1, i, cfg_b, seed=derive_seed(seed, 1))
+        tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
+        pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        stages = _run_stages(g, tup_h.combinations,
-                             _saturator(ideal_sum(A, B), cfg_b, seed))
-        return (stages[k].e,), (tup_h, stages)
+        stages = _run_stages(germ, tup_h.combinations,
+                             _saturator(ideal_sum(I1, I2), cfg_b, seed))
+        return stages[k].e
 
-    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I1, I2)
-    return results[0][0][0]
+    return _certified(cfg, run_once, germ, I1, I2)[0]
 
 
 def require_m_primary(germ: GermContext, I: Ideal, label: str):
@@ -560,23 +547,21 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
 
-    def run_once(seed, cfg_b, round_idx, modulus):
+    def run_once(seed, cfg_b, round_idx, germ, I1, I2):
         swap = bool(round_idx & 1)
         A, B, ia = (I2, I1, n - i) if swap else (I1, I2, i)
-        A, B, g = A.over(modulus), B.over(modulus), germ.over(modulus)
         gens = []
         if ia:
             gens += list(generic_tuple(A, ia, cfg_b, seed=derive_seed(seed, 1)).combinations)
         if n - ia:
             gens += list(generic_tuple(B, n - ia, cfg_b, seed=derive_seed(seed, 2)).combinations)
-        total = ideal_sum(g.ambient, Ideal(g.ring, gens))
+        total = ideal_sum(germ.ambient, Ideal(germ.ring, gens))
         res = multiplicity_at_origin(total)
         if res.misses_origin or res.local_dimension != 0:
             raise DimensionAnomalyError("generic combinations are not a system of parameters")
-        return (res.multiplicity,), None
+        return res.multiplicity
 
-    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I1, I2)
-    return results[0][0][0]
+    return _certified(cfg, run_once, germ, I1, I2)[0]
 
 
 def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
@@ -589,10 +574,8 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
     """
     _check_cosupport(germ, I)
 
-    def run_once(seed, cfg_b, round_idx, modulus):
-        Ip = I.over(modulus)
-        tup = generic_tuple(Ip, germ.n, cfg_b, seed=seed)
-        stages = _run_stages(germ.over(modulus), tup.combinations, _saturator(Ip, cfg_b, seed))
+    def run_once(seed, cfg_b, round_idx, germ, I):
+        _, stages = _polar_stages(germ, I, cfg_b, seed)
         supports = [saturate(s.cut_ideal, _saturator(s.polar_ideal, cfg_b, seed, 1, s.k))
                     for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]
@@ -607,10 +590,9 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
                     holds = False
                     witness = idx + 2  # 1-based level that escapes its predecessor
                     break
-        return (holds, first, witness), None
+        return holds, first, witness
 
-    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I)
-    holds, first, witness = results[0][0]
+    holds, _, _ = _certified(cfg, run_once, germ, I)[0]
     return holds
 
 
@@ -626,17 +608,12 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         raise PreconditionError(f"k must be between 1 and {germ.n}")
     _check_cosupport(germ, I)
 
-    def run_once(seed, cfg_b, round_idx, modulus):
-        g, Ip = germ.over(modulus), I.over(modulus)
-        tup = generic_tuple(Ip, k + 1, cfg_b, seed=seed)
+    def run_once(seed, cfg_b, round_idx, germ, I):
+        tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
-        truncated = Ideal(g.ring, tup.combinations)
-        full_stages = _run_stages(g, cuts, _saturator(Ip, cfg_b, seed))
-        trunc_stages = _run_stages(g, cuts, _saturator(truncated, cfg_b, seed, 1))
-        same_ideal = groebner_fingerprint(full_stages[k].polar_ideal) == \
-            groebner_fingerprint(trunc_stages[k].polar_ideal)
-        same_e = full_stages[k].e == trunc_stages[k].e
-        return (same_ideal and same_e,), None
+        truncated = Ideal(germ.ring, tup.combinations)
+        full = _run_stages(germ, cuts, _saturator(I, cfg_b, seed))[k]
+        trunc = _run_stages(germ, cuts, _saturator(truncated, cfg_b, seed, 1))[k]
+        return full.polar_ideal == trunc.polar_ideal and full.e == trunc.e
 
-    results, seeds, certified = _certified(cfg, run_once, germ.ambient, I)
-    return results[0][0][0]
+    return _certified(cfg, run_once, germ, I)[0]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from segrenum import (
     segre_profile,
     truncation_check,
 )
-from segrenum.errors import GenericityError, PreconditionError
+from segrenum.errors import DimensionAnomalyError, GenericityError, PreconditionError
 from segrenum.equising import FunctionGerm, contact_tangent_ideal
 from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
@@ -276,7 +277,7 @@ def test_profile_on_cuspidal_ambient(R2, cfg):
     assert prof.m == (2,)
     prof_x = segre_profile(cusp_germ, ideal(R2, x), cfg)
     assert prof_x.e == (3,)
-    # a germ built without make_germ computes its multiplicity when needed
+    # a germ built without make_germ computes its multiplicity at construction
     bare = GermContext(R2, cusp_germ.ambient, 1)
     assert bare == cusp_germ and cusp_germ.multiplicity == 2
     assert segre_profile(bare, ideal(R2, y), cfg) == prof
@@ -385,6 +386,79 @@ def test_unlucky_prime_is_caught_by_certification(R3, monkeypatch):
     if chain is not None:
         assert (chain.e, chain.m) == (clean.e, clean.m) == ((0, 0, 27), (1, 3, 9))
         assert bad_seed not in chain.seeds_used
+
+
+def _driver_run(cfg, outcome, germ, *ideals):
+    """`segre._certified` with a fake round that records (seed, bound,
+    round, germ modulus, ideal moduli) and returns, or raises,
+    outcome(bound step, round, attempt): (result or exception, calls)."""
+    where = {derive_seed(cfg.seed, b, r, a): (b, r, a)
+             for b in range(2) for r in range(cfg.verification_rounds) for a in range(3)}
+    calls = []
+
+    def run_once(seed, cfg_b, round_idx, germ_p, *ideals_p):
+        calls.append((seed, cfg_b.coefficient_bound, round_idx, germ_p.ring.modulus,
+                      [I.ring.modulus for I in ideals_p]))
+        out = outcome(*where[seed])
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    try:
+        return segre._certified(cfg, run_once, germ, *ideals), calls
+    except GenericityError as exc:
+        return exc, calls
+
+
+def test_certification_schedule(R3):
+    """The round driver's retries, bound escalation and fields: an anomaly
+    retries its round under the next attempt's seed, a round failing every
+    attempt escalates the bound to the step-1 seeds, disagreement in both
+    steps is an error, and every round sees the germ and the ideals over
+    its own prime, which divides no denominator of theirs."""
+    cfg = GenericityConfig(seed=5)
+    s, bound = cfg.seed, cfg.coefficient_bound
+    p0, p1 = (segre._round_prime(derive_seed(s, 0, r, 0)) for r in (0, 1))
+    x, y, z = R3.variables()
+    germ = make_germ(R3, ideal(R3, x * y - z ** 2 * Fraction(2, 3 * p1)))
+    ideals = (ideal(R3, x, z), ideal(R3, x * Fraction(1, 5 * p0), y, z))
+    anomaly = DimensionAnomalyError("fake anomaly")
+    every_call = []
+
+    (numbers, seeds, cfg_b), calls = _driver_run(
+        cfg, lambda b, r, a: anomaly if (b, r, a) == (0, 1, 0) else (4, 2), germ, *ideals)
+    every_call += calls
+    assert numbers == (4, 2) and cfg_b == cfg
+    assert seeds == [derive_seed(s, 0, 0, 0), derive_seed(s, 0, 1, 1)]
+    assert [c[0] for c in calls] == [derive_seed(s, 0, 0, 0), derive_seed(s, 0, 1, 0),
+                                     derive_seed(s, 0, 1, 1)]
+    assert [c[2] for c in calls] == [0, 1, 1]
+
+    (numbers, seeds, cfg_b), calls = _driver_run(
+        cfg, lambda b, r, a: anomaly if b == 0 else 3, germ, *ideals)
+    every_call += calls
+    assert numbers == 3 and cfg_b.coefficient_bound == 8 * bound
+    assert seeds == [derive_seed(s, 1, 0, 0), derive_seed(s, 1, 1, 0)]
+    assert [c[1] for c in calls] == [bound] * 3 + [8 * bound] * 2
+
+    exc, calls = _driver_run(cfg, lambda b, r, a: r, germ, *ideals)
+    every_call += calls
+    assert isinstance(exc, GenericityError)
+    assert "persists after bound escalation" in str(exc)
+    assert [c[1] for c in calls] == [bound] * 2 + [8 * bound] * 2
+
+    exc, calls = _driver_run(cfg, lambda b, r, a: anomaly, germ, *ideals)
+    every_call += calls
+    assert isinstance(exc, GenericityError)
+    assert "persistent dimension anomaly: fake anomaly" in str(exc)
+    assert len(calls) == 6
+
+    den = 15 * p0 * p1
+    assert segre._denominator(germ.ambient, *ideals) == den
+    assert not {p0, p1} & {c[3] for c in every_call}
+    for seed, _, _, germ_modulus, ideal_moduli in every_call:
+        p = segre._round_prime(seed, den)
+        assert germ_modulus == p and ideal_moduli == [p, p]
 
 
 def test_subspace_precondition_takes_one_principal_quotient(germ3, divisor_pair, cfg,
