@@ -18,7 +18,6 @@ from .rings import (
 )
 from .groebner import (
     INFINITE,
-    EngineConfig,
     GroebnerBasis,
     Ideal,
     buchberger,

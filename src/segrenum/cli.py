@@ -37,7 +37,6 @@ from .report import (
 )
 from .rings import format_polynomial
 from .segre import (
-    DEFAULT_SEED,
     GenericityConfig,
     chain_condition,
     make_germ,
@@ -50,10 +49,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FALSE = 2
 
+_DEFAULTS = GenericityConfig()
 _DEFAULT_OPTIONS = {
-    "seed": DEFAULT_SEED,
-    "bound": 997,
-    "rounds": 2,
+    "seed": _DEFAULTS.seed,
+    "bound": _DEFAULTS.coefficient_bound,
+    "rounds": _DEFAULTS.verification_rounds,
 }
 
 
@@ -63,7 +63,12 @@ def _log(message):
 
 
 def _load_document(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
     return parse_input(text)
 
 

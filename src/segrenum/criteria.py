@@ -11,7 +11,7 @@ floating point), with the equality case characterized algebraically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConsistencyError, PreconditionError
 from .groebner import Ideal, buchberger, ideal_power, ideal_product, ideal_sum, normal_form
@@ -413,11 +413,4 @@ def power_equivalence_probe(germ: GermContext, I1: Ideal, I2: Ideal,
     if a < 1 or b < 1:
         raise PreconditionError("powers must be positive")
     report = closure_battery(germ, ideal_power(I1, a), ideal_power(I2, b), cfg)
-    return ComparisonReport(
-        kind="power-probe",
-        verdicts=report.verdicts,
-        left_profile=report.left_profile,
-        right_profile=report.right_profile,
-        mixed=report.mixed,
-        values={"a": a, "b": b},
-    )
+    return replace(report, kind="power-probe", values={"a": a, "b": b})

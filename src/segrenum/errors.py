@@ -14,7 +14,7 @@ class ZeroPolynomialError(SegrenumError):
 
 
 class ResourceLimitError(SegrenumError):
-    """A computation exceeded its configured basis/degree budget.
+    """A completion exceeded a budget, `groebner.MAX_BASIS` or `MAX_DEGREE`.
 
     Carries partial statistics so the failure can be reported, never
     silently truncated.

@@ -14,13 +14,13 @@ when it is next used, so no number grows past a few machine words.  One
 kernel serves both: only the normalisation of a vector and of a popped
 coefficient depends on the field.  A `GroebnerBasis` keeps those rows,
 and every reduction against it uses them; its monic polynomials are
-built once, for callers.  Resource budgets (basis size, total degree)
+built once, for callers.  Resource budgets (`MAX_BASIS`, `MAX_DEGREE`)
 turn runaway computations into reported failures.
 
 Within one completion the basis only grows by appending, so all its
 reductions share a memo of the first divisor found for each exponent,
 and the pending pairs wait in a heap ordered by their lcm.  Bases are
-cached by ring, order, budget and the multiset of generators.  An
+cached by ring, order and the multiset of generators.  An
 elimination hands the basis elements free of the eliminated variables
 to that cache as the reduced grevlex basis of its result, so the
 multiplicity, dimension or colength of a saturation starts no second
@@ -74,15 +74,9 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass
-class EngineConfig:
-    """Resource budgets; exceeding them raises ResourceLimitError."""
-
-    max_basis: int = 5000
-    max_degree: int = 120
-
-
-DEFAULT_ENGINE_CONFIG = EngineConfig()
+# Budgets of every completion; exceeding one raises ResourceLimitError.
+MAX_BASIS = 5000
+MAX_DEGREE = 120
 
 
 class EngineStats:
@@ -432,21 +426,21 @@ def _update_pairs(lts, mono_flags, pairs, t, key):
     return new
 
 
-def _budget_check(G, lt, config):
+def _budget_check(G, lt):
     deg = mono_degree(lt)
-    if deg > config.max_degree:
+    if deg > MAX_DEGREE:
         raise ResourceLimitError(
-            f"leading degree {deg} exceeds budget {config.max_degree}",
+            f"leading degree {deg} exceeds budget {MAX_DEGREE}",
             stats={"basis_size": len(G), "degree": deg},
         )
-    if len(G) + 1 > config.max_basis:
+    if len(G) + 1 > MAX_BASIS:
         raise ResourceLimitError(
-            f"basis size {len(G) + 1} exceeds budget {config.max_basis}",
+            f"basis size {len(G) + 1} exceeds budget {MAX_BASIS}",
             stats={"basis_size": len(G) + 1},
         )
 
 
-def _buchberger_raw(gens, key, config, *, modulus=0, known=0):
+def _buchberger_raw(gens, key, *, modulus=0, known=0):
     """Completion of primitive integer vectors, or over GF(`modulus`) of
     monic residue vectors: returns (rows, leads), the unique reduced
     basis as such vectors and their leading exponents, in descending
@@ -472,7 +466,7 @@ def _buchberger_raw(gens, key, config, *, modulus=0, known=0):
 
     def insert(r, paired=True):
         lt = max(r, key=key)
-        _budget_check(G, lt, config)
+        _budget_check(G, lt)
         G.append(r)
         lts.append(lt)
         mono_flags.append(len(r) == 1)
@@ -537,27 +531,24 @@ def clear_caches():
     _KEY_MEMO.clear()
 
 
-def _cache_key(I: Ideal, order: MonomialOrder, config: EngineConfig):
-    """The ring, order, budget and multiset of generators of a request."""
-    return (I.ring, order, config.max_basis, config.max_degree,
-            frozenset(Counter(I.generators).items()))
+def _cache_key(I: Ideal, order: MonomialOrder):
+    """The ring, order and multiset of generators of a request."""
+    return I.ring, order, frozenset(Counter(I.generators).items())
 
 
-def buchberger(I: Ideal, order: MonomialOrder | None = None,
-               config: EngineConfig | None = None) -> GroebnerBasis:
+def buchberger(I: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of I under the given order.
 
     Every input generator is verified to reduce to zero against the
     result (ideal-membership sanity check).
     """
-    return _completion(I, order or I.ring.order, config or DEFAULT_ENGINE_CONFIG)
+    return _completion(I, order or I.ring.order)
 
 
-def _completion(I: Ideal, order: MonomialOrder, config: EngineConfig,
-                known: int = 0) -> GroebnerBasis:
+def _completion(I: Ideal, order: MonomialOrder, known: int = 0) -> GroebnerBasis:
     """`buchberger`, told that the first `known` generators of I are a
     reduced Groebner basis for `order` (see `_buchberger_raw`)."""
-    ck = _cache_key(I, order, config)
+    ck = _cache_key(I, order)
     with _GB_LOCK:
         hit = _GB_CACHE.get(ck)
     if hit is not None:
@@ -566,7 +557,7 @@ def _completion(I: Ideal, order: MonomialOrder, config: EngineConfig,
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
     gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
-    rows, leads = _buchberger_raw(gens, key, config, modulus=m, known=known)
+    rows, leads = _buchberger_raw(gens, key, modulus=m, known=known)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
@@ -659,8 +650,7 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
 
     They are the reduced grevlex basis of that ideal, because the block
     order restricted to their monomials is grevlex.  That basis goes into
-    the cache under the default budget, which both eliminations use, so
-    `buchberger(result, GREVLEX)` runs nothing.
+    the cache, so `buchberger(result, GREVLEX)` runs nothing.
     """
     free = [i for i, lt in enumerate(gb.leads) if not any(lt[:split])]
     basis = tuple(Polynomial(ring, {e[split:]: c for e, c in gb.basis[i].coeffs.items()})
@@ -668,7 +658,7 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     rows = tuple({e[split:]: c for e, c in gb.rows[i].items()} for i in free)
     leads = tuple(gb.leads[i][split:] for i in free)
     result = Ideal(ring, basis)
-    ck = _cache_key(result, GREVLEX, DEFAULT_ENGINE_CONFIG)
+    ck = _cache_key(result, GREVLEX)
     with _GB_LOCK:
         _GB_CACHE[ck] = GroebnerBasis(ring, GREVLEX, basis, rows, leads)
     return result
@@ -677,7 +667,7 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
 def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing, known: int = 0) -> Ideal:
     """The ideal of `gens` in ext = ring[t], intersected with ring; the
     first `known` of them are a reduced basis for ext's order."""
-    basis = _completion(Ideal(ext, gens), ext.order, DEFAULT_ENGINE_CONFIG, known)
+    basis = _completion(Ideal(ext, gens), ext.order, known)
     return _eliminated(basis, 1, ring)
 
 
@@ -839,19 +829,19 @@ def hilbert_series(lead_exps, nvars):
     return P, d
 
 
-def _global_series(I: Ideal, config: EngineConfig | None):
+def _global_series(I: Ideal):
     if I.is_zero:
         return [1], I.ring.nvars
-    lead = buchberger(I, GREVLEX, config).leading_exponents()
+    lead = buchberger(I, GREVLEX).leading_exponents()
     return hilbert_series(lead, I.ring.nvars)
 
 
-def colength(I: Ideal, config: EngineConfig | None = None):
+def colength(I: Ideal):
     """Number of standard monomials, or INFINITE."""
-    P, d = _global_series(I, config)
+    P, d = _global_series(I)
     return sum(P) if d <= 0 else INFINITE
 
 
-def dimension(I: Ideal, config: EngineConfig | None = None) -> int:
+def dimension(I: Ideal) -> int:
     """Krull dimension of V(I) in affine space; -1 for the unit ideal."""
-    return _global_series(I, config)[1]
+    return _global_series(I)[1]

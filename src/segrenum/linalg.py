@@ -6,10 +6,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _to_fractions(matrix):
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
 def rank(matrix) -> int:
     """Rank over QQ of an integer matrix, by fraction-free (Bareiss)
     elimination: every entry stays an integer minor of the matrix, and
@@ -32,33 +28,6 @@ def rank(matrix) -> int:
         if r == rows:
             break
     return r
-
-
-def determinant(matrix) -> Fraction:
-    m = _to_fractions(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
-def leading_principal_minors(matrix):
-    n = len(matrix)
-    return [determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]
 
 
 def solve(matrix, rhs):

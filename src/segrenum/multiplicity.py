@@ -49,7 +49,7 @@ def _homogenize(I: Ideal) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _local_series(I: Ideal, config):
+def _local_series(I: Ideal):
     """(P, d): the Hilbert series P(z) / (1 - z)^d of the tangent cone of
     I at the origin; ([], -1) when I misses the origin.
 
@@ -65,7 +65,7 @@ def _local_series(I: Ideal, config):
         H, order, drop = I, GREVLEX, 0
     else:
         H, order, drop = _homogenize(I), TANGENT_CONE, 1
-    lead = [e[drop:] for e in buchberger(H, order, config).leading_exponents()]
+    lead = [e[drop:] for e in buchberger(H, order).leading_exponents()]
     return hilbert_series(lead, I.ring.nvars)
 
 
@@ -74,11 +74,11 @@ def _samuel_value(P, d, N):
     return sum(c * comb(N - 1 - j + d, d) for j, c in enumerate(P[:N]))
 
 
-def hilbert_samuel(I: Ideal, N: int, config=None) -> int:
+def hilbert_samuel(I: Ideal, N: int) -> int:
     """colength(I + m^N) at the origin; always finite, 0 when I is not in m."""
     if N < 1:
         raise ValueError("hilbert_samuel needs N >= 1")
-    P, d = _local_series(I, config)
+    P, d = _local_series(I)
     return _samuel_value(P, d, N)
 
 
@@ -99,7 +99,7 @@ class LocalMultiplicityResult:
         return self.local_dimension < 0
 
 
-def multiplicity_at_origin(I: Ideal, config=None) -> LocalMultiplicityResult:
+def multiplicity_at_origin(I: Ideal) -> LocalMultiplicityResult:
     """Multiplicity and local dimension of the scheme of I at the origin.
 
     A scheme missing the origin reports multiplicity 0 with local
@@ -107,7 +107,7 @@ def multiplicity_at_origin(I: Ideal, config=None) -> LocalMultiplicityResult:
     Hilbert-Samuel values for N = 1 .. deg P + d + 2, which reach past
     the point where the function becomes a polynomial in N.
     """
-    P, d = _local_series(I, config)
+    P, d = _local_series(I)
     if d < 0:
         return LocalMultiplicityResult(0, -1, ())
     samples = tuple(

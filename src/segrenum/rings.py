@@ -154,11 +154,6 @@ class PolynomialRing:
     def nvars(self):
         return len(self.variable_names)
 
-    def monomial_key(self, order: MonomialOrder | None = None):
-        if order is None or order == self.order:
-            return self._key
-        return order.key_function(self.nvars)
-
     def with_order(self, order):
         return PolynomialRing(self.variable_names, order, self.modulus)
 
@@ -303,20 +298,18 @@ class Polynomial:
         degs = {mono_degree(e) for e in self.coeffs}
         return len(degs) <= 1
 
-    def terms(self, order: MonomialOrder | None = None):
-        """Terms as (coefficient, Monomial), descending in the given order."""
-        key = self.ring.monomial_key(order)
+    def terms(self):
+        """Terms as (coefficient, Monomial), descending in the ring's order."""
         return [
             (self.coeffs[e], Monomial(e))
-            for e in sorted(self.coeffs, key=key, reverse=True)
+            for e in sorted(self.coeffs, key=self.ring._key, reverse=True)
         ]
 
-    def leading_item(self, order: MonomialOrder | None = None):
+    def leading_item(self):
         """(exponent tuple, coefficient) of the maximal term."""
         if not self.coeffs:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        key = self.ring.monomial_key(order)
-        e = max(self.coeffs, key=key)
+        e = max(self.coeffs, key=self.ring._key)
         return e, self.coeffs[e]
 
     # -- arithmetic ----------------------------------------------------------
@@ -433,15 +426,15 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder | None = None) -> str:
-    """Canonical text form: terms descending in the active order.
+def format_polynomial(p: Polynomial) -> str:
+    """Canonical text form: terms descending in the ring's order.
 
     Deterministic across runs; reparses to an equal polynomial.
     """
     if p.is_zero:
         return "0"
     parts = []
-    for coeff, mono in p.terms(order):
+    for coeff, mono in p.terms():
         mono_s = p.ring.format_monomial(mono.exponents)
         mag = -coeff if coeff < 0 else coeff
         if not mono_s:
@@ -467,7 +460,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return p * q
 
 
-def leading_term(p: Polynomial, order: MonomialOrder | None = None):
+def leading_term(p: Polynomial):
     """(coefficient, Monomial) of the maximal term of a nonzero polynomial."""
-    e, c = p.leading_item(order)
+    e, c = p.leading_item()
     return c, Monomial(e)

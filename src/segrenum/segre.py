@@ -178,9 +178,9 @@ class GenericityConfig:
 
     def __post_init__(self):
         if self.coefficient_bound < 1:
-            raise ValueError("coefficient bound must be positive")
+            raise PreconditionError("coefficient bound must be positive")
         if self.verification_rounds < 1:
-            raise ValueError("at least one round is required")
+            raise PreconditionError("at least one round is required")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError
-from .linalg import leading_principal_minors, solve
+from .linalg import solve
 
 
 def _check_symmetric(matrix):
@@ -30,9 +30,18 @@ def _negated(matrix):
 
 
 def posdef_check(matrix) -> bool:
-    """True iff M is positive definite (exact principal-minor signs)."""
+    """True iff M is positive definite: exact Gaussian elimination with no
+    row exchanges meets only positive pivots.  Pivot k is D_k / D_(k-1),
+    the ratio of leading principal minors, so this is Sylvester's test."""
     _check_symmetric(matrix)
-    return all(d > 0 for d in leading_principal_minors(matrix))
+    m = [[Fraction(x) for x in row] for row in matrix]
+    for c, top in enumerate(m):
+        if top[c] <= 0:
+            return False
+        for row in m[c + 1:]:
+            f = row[c] / top[c]
+            row[c:] = [a - f * b for a, b in zip(row[c:], top[c:])]
+    return True
 
 
 def negdef_check(matrix) -> bool:

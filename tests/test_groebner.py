@@ -7,7 +7,6 @@ import pytest
 from segrenum import (
     GREVLEX,
     INFINITE,
-    EngineConfig,
     buchberger,
     colength,
     dimension,
@@ -21,8 +20,8 @@ from segrenum import (
     saturate,
 )
 from segrenum.errors import PreconditionError, ResourceLimitError
+from segrenum import groebner
 from segrenum.groebner import (
-    DEFAULT_ENGINE_CONFIG,
     ENGINE_STATS,
     _buchberger_raw,
     _cache_key,
@@ -88,7 +87,7 @@ def test_basis_rows_are_primitive_integer_vectors(R3):
         buchberger(_homogenize(ideal(R3, f, g)), TANGENT_CONE),
     ]
     for gb in bases:
-        key = gb.ring.monomial_key(gb.order)
+        key = gb.order.key_function(gb.ring.nvars)
         assert gb.leading_exponents() == gb.leads
         assert list(gb.leads) == sorted(gb.leads, key=key, reverse=True)
         assert len(gb.rows) == len(gb.leads) == len(gb.basis) > 1
@@ -262,19 +261,26 @@ def test_elimination_generators_lie_in_ideal():
         assert all(e[0] == 0 for e in lifted.coeffs)
 
 
-def test_degree_budget_is_reported(R2):
+def test_degree_budget_is_reported(R2, monkeypatch):
+    """The generators x^3 - y^2 and x y^2 lead in degree 3, within a
+    budget of three; the S-pair element y^4 trips it."""
     x, y = R2.variables()
-    tight = EngineConfig(max_basis=5000, max_degree=3)
-    with pytest.raises(ResourceLimitError):
-        buchberger(ideal(R2, x ** 4 - y, y ** 4 - x * y), GREVLEX, tight)
+    clear_caches()
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 3)
+    with pytest.raises(ResourceLimitError, match="leading degree 4 exceeds budget 3") as info:
+        buchberger(ideal(R2, x ** 3 - y ** 2, x * y ** 2), GREVLEX)
+    assert info.value.stats == {"basis_size": 2, "degree": 4}
 
 
-def test_cached_basis_respects_a_tighter_budget(R2):
+def test_basis_size_budget_is_reported(R2, monkeypatch):
+    """The grevlex basis of (x^3 - y^2, x y^2) adds y^4 to the generators:
+    a budget of two trips on it."""
     x, y = R2.variables()
-    I = ideal(R2, x ** 3 - y ** 2, x * y ** 2)
-    buchberger(I)
-    with pytest.raises(ResourceLimitError):
-        buchberger(I, config=EngineConfig(max_degree=2))
+    clear_caches()
+    monkeypatch.setattr(groebner, "MAX_BASIS", 2)
+    with pytest.raises(ResourceLimitError, match="basis size 3 exceeds budget 2") as info:
+        buchberger(ideal(R2, x ** 3 - y ** 2, x * y ** 2), GREVLEX)
+    assert info.value.stats == {"basis_size": 3}
 
 
 def test_equal_ideals_hash_equal(R2):
@@ -389,8 +395,7 @@ def test_cache_key_is_the_multiset_of_generators(R2):
     assert ENGINE_STATS.buchberger_runs == runs
     buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
     assert ENGINE_STATS.buchberger_runs == runs + 1
-    cfg = DEFAULT_ENGINE_CONFIG
-    assert _cache_key(ideal(R2, x, x), GREVLEX, cfg) != _cache_key(ideal(R2, x), GREVLEX, cfg)
+    assert _cache_key(ideal(R2, x, x), GREVLEX) != _cache_key(ideal(R2, x), GREVLEX)
 
 
 def test_cached_basis_keeps_the_ring_of_the_request():
@@ -476,8 +481,7 @@ def test_gfp_rings_keep_residues_and_their_field():
     G5 = F.over(5)
     u, v, _ = G5.variables()
     assert buchberger(ideal(G5, u * v - 1, u ** 2 + v)).ring == G5
-    assert _cache_key(ideal(F, x), GREVLEX, DEFAULT_ENGINE_CONFIG) != \
-        _cache_key(ideal(G5, u), GREVLEX, DEFAULT_ENGINE_CONFIG)
+    assert _cache_key(ideal(F, x), GREVLEX) != _cache_key(ideal(G5, u), GREVLEX)
 
 
 def _random_homogeneous_ideal(rng, ring):
@@ -526,8 +530,8 @@ def test_seeded_saturation_equals_a_fresh_one(cfg):
         for known, start in ((0, gb.basis), (len(gb.basis), gb.basis), (0, I.generators)):
             gens = [_primitive_int(_lift(f, ext).coeffs, key, m) for f in start] + [aux]
             ENGINE_STATS.reset()
-            runs.append((_buchberger_raw(gens, key, DEFAULT_ENGINE_CONFIG, modulus=m,
-                                         known=known), ENGINE_STATS.spairs_reduced))
+            runs.append((_buchberger_raw(gens, key, modulus=m, known=known),
+                         ENGINE_STATS.spairs_reduced))
         (fresh, fresh_pairs), (seeded, seeded_pairs), (generators, _) = runs
         assert seeded == fresh == generators, (case, I)
         assert seeded_pairs <= fresh_pairs, (case, I)

@@ -1,6 +1,8 @@
 import io
 import json
 import contextlib
+import errno
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,6 +142,39 @@ def test_exit_code_on_error(tmp_path):
     bad.write_text("ring x, y; ideal I = x;")
     code, _ = run_cli(["segre", str(bad), "NOPE"])
     assert code == 1
+
+
+@pytest.mark.parametrize("options, flags, message", [
+    ("", ["--rounds", "0"], "at least one round is required"),
+    ("", ["--bound", "0"], "coefficient bound must be positive"),
+    ("[options]\nrounds = 0\n", [], "at least one round is required"),
+], ids=["rounds-flag", "bound-flag", "rounds-option"])
+def test_bad_genericity_options_exit_1(tmp_path, capsys, options, flags, message):
+    doc = tmp_path / "plane.ideal"
+    doc.write_text("ring x, y; ideal I = x, y;\n" + options)
+    assert run_cli(["segre", str(doc), "I"] + flags) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.ideal", os.strerror(errno.ENOENT)),
+    (".", os.strerror(errno.EISDIR)),
+    ("latin1.ideal", "not UTF-8 (invalid continuation byte)"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_document_exits_1(tmp_path, capsys, name, reason):
+    (tmp_path / "latin1.ideal").write_bytes("ring \xe9; ideal I = \xe9;".encode("latin-1"))
+    path = tmp_path / name
+    assert run_cli(["segre", str(path), "I"]) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+
+def test_budget_failure_exits_1(tmp_path, capsys):
+    """A generator whose leading degree passes the degree budget ends the
+    command with the budget's message, not a traceback."""
+    doc = tmp_path / "steep.ideal"
+    doc.write_text("ring x, y; ideal I = x^121 - y, y^2;")
+    assert run_cli(["segre", str(doc), "I"]) == (1, "")
+    assert capsys.readouterr().err == "error: leading degree 121 exceeds budget 120\n"
 
 
 def test_whitney_two_file_form(tmp_path):

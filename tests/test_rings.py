@@ -46,7 +46,8 @@ def test_leading_term_examples(R2):
     assert (c, m.exponents) == (1, (3, 0))
     c, m = leading_term(x)
     assert (c, m.exponents) == (1, (1, 0))
-    c, m = leading_term(x + y ** 2, LEX)
+    xl, yl = R2.with_order(LEX).variables()
+    c, m = leading_term(xl + yl ** 2)
     assert (c, m.exponents) == (1, (1, 0))
     with pytest.raises(ZeroPolynomialError):
         leading_term(R2.zero())

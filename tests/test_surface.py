@@ -31,6 +31,45 @@ def test_negdef_examples():
         negdef_check([[-2, 1], [0, -2]])
 
 
+def _det(m):
+    """Determinant by cofactor expansion along the first row: the reference."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_posdef_matches_sylvester_minors():
+    """posdef_check agrees with the signs of the leading principal minors,
+    each by cofactor expansion, on seeded symmetric integer matrices up to
+    5 x 5: Gram matrices plus a positive diagonal (definite), Gram
+    matrices of fewer vectors than the size (semidefinite, singular), and
+    unconstrained symmetric ones (mostly indefinite)."""
+    rng = random.Random(8)
+    verdicts = []
+    for case in range(300):
+        n = rng.randint(1, 5)
+        kind = case % 3
+        if kind == 2:
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    G[i][j] = G[j][i] = rng.randint(-5, 5)
+        else:
+            rows = n + 1 if kind == 0 else rng.randint(0, n - 1)
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rows)]
+            G = [[sum(b[i] * b[j] for b in B) for j in range(n)] for i in range(n)]
+            if kind == 0:
+                for i in range(n):
+                    G[i][i] += rng.randint(1, 3)
+        expected = all(_det([row[:k] for row in G[:k]]) > 0 for k in range(1, n + 1))
+        assert posdef_check(G) == expected, G
+        assert negdef_check([[-x for x in row] for row in G]) == expected, G
+        verdicts.append((kind, expected))
+    assert (0, False) not in verdicts and (1, True) not in verdicts
+    assert (2, True) in verdicts and (2, False) in verdicts
+
+
 def test_negdef_chains():
     for n in range(1, 9):
         assert negdef_check(chain_matrix(n))
