@@ -6,16 +6,21 @@ Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy, over
 the coefficient field of the ring (`PolynomialRing.modulus`).  All
 arithmetic is exact.  The raw layer works on coefficient vectors
-({exponent tuple: int}) and returns the reduced basis as such vectors
-with their leading exponents.  Over QQ it runs fraction-free on
+({packed exponent: int}) and returns the reduced basis as such vectors
+with their leading exponents.  A packed exponent is one int holding
+each exponent in a 16-bit field below a guard bit: a product of
+monomials is a sum, divisibility one mask test, and each order's key a
+single int.  An exponent past 2^15 - 1, in an input or in a new term,
+raises ResourceLimitError.  Over QQ the layer runs fraction-free on
 primitive integer vectors (content 1, positive leading coefficient);
 over GF(p) on monic vectors of residues, reducing each coefficient mod p
 when it is next used, so no number grows past a few machine words.  One
 kernel serves both: only the normalisation of a vector and of a popped
 coefficient depends on the field.  A `GroebnerBasis` keeps those rows,
 and every reduction against it uses them; its monic polynomials are
-built once, for callers.  Resource budgets (`MAX_BASIS`, `MAX_DEGREE`)
-turn runaway computations into reported failures.
+built once, for callers.  Resource budgets turn runaway computations
+into reported failures: `MAX_BASIS` elements, and `MAX_DEGREE` for the
+leading degree of an element an S-pair adds.
 
 Within one completion the basis only grows by appending, so all its
 reductions share a memo of the first divisor found for each exponent,
@@ -34,12 +39,12 @@ grevlex basis, cached when its multiplicity was read, plus t g - 1.
 from __future__ import annotations
 
 import heapq
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add as _add, le as _le
 
 from .errors import (
     PreconditionError,
@@ -55,10 +60,7 @@ from .rings import (
     block_order,
     format_polynomial,
     mono_degree,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 
@@ -194,61 +196,106 @@ class GroebnerBasis:
     """The reduced basis, in descending order of leading terms: `basis[i]`
     is `rows[i]` divided by its leading coefficient at `leads[i]`.  Over
     QQ a row is a primitive integer vector with positive leading
-    coefficient; over GF(p) it is monic, and `basis[i]` holds it as is."""
+    coefficient; over GF(p) it is monic, and `basis[i]` holds it as is.
+    The kernel's packed rows and leads are kept; `rows` and `leads`
+    unpack them."""
 
     ring: PolynomialRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
-    rows: tuple[dict, ...] = field(compare=False, repr=False)
-    leads: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    packed_rows: tuple[dict, ...] = field(compare=False, repr=False)
+    packed_leads: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def is_unit(self):
         return len(self.basis) == 1 and self.basis[0].total_degree == 0
 
+    @property
+    def rows(self):
+        key = _memo_key(self.order, self.ring.nvars)
+        return tuple(_unpacked(r, key) for r in self.packed_rows)
+
     def leading_exponents(self):
-        return self.leads
+        return tuple(map(_memo_key(self.order, self.ring.nvars).__self__.unpack,
+                         self.packed_leads))
+
+    leads = property(leading_exponents)
 
 
 # ---------------------------------------------------------------------------
-# raw machinery: polynomials as {exponent tuple: int}
+# raw machinery: polynomials as {packed exponent: int}
 # ---------------------------------------------------------------------------
+
+# A monomial is one int: exponent i in bits [W i, W i + W), whose top bit
+# is a guard, so exponents below 2^(W - 1) add without a carry into the
+# next field.  Products and quotients are + and -; b | a iff
+# (a - b) & guard is 0, since a field that borrows sets its guard bit; a
+# new term with a guard bit set raises ResourceLimitError.
+W = 16
+
+
+def _overflow(exps):
+    return ResourceLimitError(f"exponent {max(exps)} exceeds the limit {2 ** (W - 1) - 1}")
+
+
+def _lcm(a, b, guard):
+    """Field-wise max: `mask` is all ones in each field where a >= b."""
+    m = ((a | guard) - b) & guard
+    mask = m - (m >> (W - 1))
+    return b ^ ((a ^ b) & mask)
+
+
+class _KeyMemo(dict):
+    """The keys of one order's packed monomials in n variables, each
+    computed once: the order's `key_function` tuple read as the digits
+    of one int, which sorts as the tuple does.  Its bound
+    `__getitem__` is the key function, so a hit runs no Python frame.
+    A tuple looked up gets the key of its packed form."""
+
+    __slots__ = ("_base", "_struct", "guard")
+
+    def __init__(self, order, n):
+        super().__init__()
+        self._base = order.key_function(n)
+        self._struct = struct.Struct(f"<{n}H")
+        self.guard = int.from_bytes(b"\0\x80" * n, "little")
+
+    def __missing__(self, a):
+        k = 0
+        for d in self._base(self.unpack(a) if type(a) is int else a):
+            k = (k << 2 * W) + d  # |d| < n 2^(W - 1) <= 2^(2 W - 1)
+        self[a] = k
+        return k
+
+    def pack(self, e):
+        if max(e) >> (W - 1):
+            raise _overflow(e)
+        return int.from_bytes(self._struct.pack(*e), "little")
+
+    def unpack(self, a):
+        return self._struct.unpack(a.to_bytes(self._struct.size, "little"))
+
 
 _KEY_MEMO: dict = {}
 
 
-class _KeyMemo(dict):
-    """The monomial keys of one order, each computed once.  Its bound
-    `__getitem__` is the key function, so a hit runs no Python frame."""
-
-    __slots__ = ("_base", "negkey")
-
-    def __init__(self, base):
-        super().__init__()
-        self._base = base
-
-    def __missing__(self, e):
-        k = self[e] = self._base(e)
-        return k
-
-
 def _memo_key(order: MonomialOrder, nvars: int):
-    """Memoized monomial key function of an order.  `key.__self__.negkey`
-    is the negated key, for min-heaps acting as max-heaps."""
+    """Memoized key function of an order; `key.__self__` packs."""
     ck = (order.kind, order.block_split, nvars)
     memo = _KEY_MEMO.get(ck)
     if memo is None:
-        base = order.key_function(nvars)
-        memo = _KeyMemo(base)
-        memo.negkey = _KeyMemo(lambda e: _negate_key(base(e))).__getitem__
-        memo = _KEY_MEMO.setdefault(ck, memo)
+        memo = _KEY_MEMO.setdefault(ck, _KeyMemo(order, nvars))
     return memo.__getitem__
 
 
-def _negate_key(k):
-    if isinstance(k, tuple):
-        return tuple(_negate_key(x) for x in k)
-    return -k
+def _packed(d, key):
+    pack = key.__self__.pack
+    return {pack(e): c for e, c in d.items()}
+
+
+def _unpacked(d, key):
+    unpack = key.__self__.unpack
+    return {unpack(a): c for a, c in d.items()}
 
 
 def _clear_denominators(d):
@@ -314,8 +361,8 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
     nb = len(basis)
     if divisors is None:
         divisors = {}
-    negkey = key.__self__.negkey
-    heap = [(negkey(e), e) for e in work]
+    guard = key.__self__.guard
+    heap = [(-key(e), e) for e in work]
     heapq.heapify(heap)
     while work:
         _, e = heapq.heappop(heap)
@@ -329,7 +376,7 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
         hit, scanned = divisors.get(e, _UNSCANNED)
         if hit < 0:
             for i in range(scanned, nb):
-                if all(map(_le, lts[i], e)):
+                if not (e - lts[i]) & guard:
                     hit = i
                     break
             divisors[e] = (hit, nb)
@@ -340,7 +387,7 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
         if len(g) == 1:
             continue  # monomial divisor cancels the term exactly
         lt_hit = lts[hit]
-        shift = mono_div(e, lt_hit)
+        shift = e - lt_hit
         a = g[lt_hit]
         if a != 1:
             common = gcd(a, c)
@@ -356,11 +403,13 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
         for eg, cg in g.items():
             if eg == lt_hit:
                 continue
-            ee = tuple(map(_add, eg, shift))
+            ee = eg + shift
             s = get(ee)
             if s is None:
+                if ee & guard:
+                    raise _overflow(key.__self__.unpack(ee))
                 work[ee] = -c * cg
-                heapq.heappush(heap, (negkey(ee), ee))
+                heapq.heappush(heap, (-key(ee), ee))
             else:
                 s = s - c * cg
                 if s:
@@ -373,16 +422,15 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
 
 
 def _spoly_raw(f, lt_f, g, lt_g, key, modulus=0):
-    lcm = mono_lcm(lt_f, lt_g)
-    sf = mono_div(lcm, lt_f)
-    sg = mono_div(lcm, lt_g)
+    guard = key.__self__.guard
+    L = _lcm(lt_f, lt_g, guard)
+    sf = L - lt_f
+    sg = L - lt_g
     a_f = f[lt_f]
     a_g = g[lt_g]
-    out = {}
-    for e, c in f.items():
-        out[mono_mul(e, sf)] = c * a_g
+    out = {e + sf: c * a_g for e, c in f.items()}
     for e, c in g.items():
-        ee = mono_mul(e, sg)
+        ee = e + sg
         s = out.get(ee)
         if s is None:
             out[ee] = -c * a_f
@@ -392,6 +440,9 @@ def _spoly_raw(f, lt_f, g, lt_g, key, modulus=0):
                 out[ee] = s
             else:
                 del out[ee]
+    for e in out:
+        if e & guard:
+            raise _overflow(key.__self__.unpack(e))
     return _strip_content(out, key, modulus) if out else out
 
 
@@ -402,22 +453,23 @@ def _update_pairs(lts, mono_flags, pairs, t, key):
     pairs the new lead makes redundant are deleted from it, and the new
     pairs (i, t) are returned with their lcms.
     """
+    guard = key.__self__.guard
     lt_t = lts[t]
-    lcm_t = [mono_lcm(lt_i, lt_t) for lt_i in lts[:t]]
+    lcm_t = [_lcm(lt_i, lt_t, guard) for lt_i in lts[:t]]
     for (i, j), lij in list(pairs.items()):
-        if mono_divides(lt_t, lij) and lij != lcm_t[i] and lij != lcm_t[j]:
+        if not (lij - lt_t) & guard and lij != lcm_t[i] and lij != lcm_t[j]:
             del pairs[i, j]
     buckets: dict = {}
     for i, L in enumerate(lcm_t):
         buckets.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(buckets, key=key):
-        if not any(mono_divides(M, L) for M in minimal):
+        if all((L - M) & guard for M in minimal):
             minimal.append(L)
     new = []
     for L in minimal:
         bucket = buckets[L]
-        if any(L == mono_mul(lts[i], lt_t) for i in bucket):
+        if any(L == lts[i] + lt_t for i in bucket):
             continue  # coprime leading terms: S-poly reduces to zero
         i = bucket[0]  # the smallest index: buckets fill in index order
         if mono_flags[i] and mono_flags[t]:
@@ -426,8 +478,7 @@ def _update_pairs(lts, mono_flags, pairs, t, key):
     return new
 
 
-def _budget_check(G, lt):
-    deg = mono_degree(lt)
+def _budget_check(G, deg):
     if deg > MAX_DEGREE:
         raise ResourceLimitError(
             f"leading degree {deg} exceeds budget {MAX_DEGREE}",
@@ -444,7 +495,8 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     """Completion of primitive integer vectors, or over GF(`modulus`) of
     monic residue vectors: returns (rows, leads), the unique reduced
     basis as such vectors and their leading exponents, in descending
-    order of leading terms.
+    order of leading terms.  Exponents are packed, and `key` is the
+    `_memo_key` of the order.
 
     The first `known` vectors must be a reduced Groebner basis for the
     order: each pair among them already has a standard representation,
@@ -454,9 +506,13 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     heap; a pair the update deletes leaves its heap entry behind, which
     is skipped when it comes up.  G and lts only grow by appending, so
     every reduction of the run shares one divisor memo.
+
+    Every element counts against `MAX_BASIS`; the leads that S-pair
+    reductions add also against `MAX_DEGREE`.
     """
     stats = ENGINE_STATS
     stats.buchberger_runs += 1
+    guard = key.__self__.guard
     G = []
     lts = []
     mono_flags = []
@@ -464,9 +520,9 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     queue = []
     divisors = {}
 
-    def insert(r, paired=True):
+    def insert(r, paired=True, grown=False):
         lt = max(r, key=key)
-        _budget_check(G, lt)
+        _budget_check(G, sum(key.__self__.unpack(lt)) if grown else 0)
         G.append(r)
         lts.append(lt)
         mono_flags.append(len(r) == 1)
@@ -491,12 +547,12 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
         stats.spairs_reduced += 1
         r = _reduce_raw(s, G, lts, key, divisors=divisors, modulus=modulus)
         if r:
-            insert(r)
+            insert(r, grown=True)
 
     if len(G) > stats.max_basis_size:
         stats.max_basis_size = len(G)
     if lts:
-        top = max(mono_degree(e) for e in lts)
+        top = max(sum(key.__self__.unpack(e)) for e in lts)
         if top > stats.max_lt_degree:
             stats.max_lt_degree = top
 
@@ -504,7 +560,7 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
     keep = []
     for i in order_idx:
-        if not any(mono_divides(lts[j], lts[i]) for j in keep):
+        if all((lts[i] - lts[j]) & guard for j in keep):
             keep.append(i)
     G_min = [G[i] for i in keep]
     lts_min = [lts[i] for i in keep]
@@ -556,16 +612,17 @@ def _completion(I: Ideal, order: MonomialOrder, known: int = 0) -> GroebnerBasis
 
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
-    gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
+    gens = [_primitive_int(_packed(g.coeffs, key), key, m) for g in I.generators]
     rows, leads = _buchberger_raw(gens, key, modulus=m, known=known)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
             raise ConsistencyError("input generator fails membership in its own basis")
     if m:
-        basis = tuple(Polynomial(I.ring, r) for r in rows)
+        basis = tuple(Polynomial(I.ring, _unpacked(r, key)) for r in rows)
     else:
-        basis = tuple(Polynomial(I.ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
+        unpack = key.__self__.unpack
+        basis = tuple(Polynomial(I.ring, {unpack(e): Fraction(c, r[lt]) for e, c in r.items()})
                       for r, lt in zip(rows, leads))
     gb = GroebnerBasis(I.ring, order, basis, rows, leads)
 
@@ -582,13 +639,15 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         return p
     key = _memo_key(G.order, G.ring.nvars)
     m = G.ring.modulus
+    rows, leads, work = G.packed_rows, G.packed_leads, _packed(p.coeffs, key)
     if m:
-        return Polynomial(p.ring, _reduce_raw(p.coeffs, G.rows, G.leads, key,
-                                              track_multiplier=True, modulus=m)[0])
-    scaled, denom = _clear_denominators(p.coeffs)
-    remainder, multiplier = _reduce_raw(scaled, G.rows, G.leads, key, track_multiplier=True)
+        remainder = _reduce_raw(work, rows, leads, key, track_multiplier=True, modulus=m)[0]
+        return Polynomial(p.ring, _unpacked(remainder, key))
+    scaled, denom = _clear_denominators(work)
+    remainder, multiplier = _reduce_raw(scaled, rows, leads, key, track_multiplier=True)
     scale = multiplier * denom
-    return Polynomial(p.ring, {e: Fraction(c, scale) for e, c in remainder.items()})
+    unpack = key.__self__.unpack
+    return Polynomial(p.ring, {unpack(e): Fraction(c, scale) for e, c in remainder.items()})
 
 
 def is_unit_ideal(I: Ideal) -> bool:
@@ -603,7 +662,7 @@ def verify_basis(G: GroebnerBasis) -> bool:
     """Post-hoc Buchberger closure: all S-polynomials reduce to zero."""
     key = _memo_key(G.order, G.ring.nvars)
     m = G.ring.modulus
-    rows, lts = G.rows, G.leads
+    rows, lts = G.packed_rows, G.packed_leads
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key, m)
@@ -652,11 +711,12 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     order restricted to their monomials is grevlex.  That basis goes into
     the cache, so `buchberger(result, GREVLEX)` runs nothing.
     """
-    free = [i for i, lt in enumerate(gb.leads) if not any(lt[:split])]
+    shift = W * split
+    free = [i for i, lt in enumerate(gb.packed_leads) if not lt & ((1 << shift) - 1)]
     basis = tuple(Polynomial(ring, {e[split:]: c for e, c in gb.basis[i].coeffs.items()})
                   for i in free)
-    rows = tuple({e[split:]: c for e, c in gb.rows[i].items()} for i in free)
-    leads = tuple(gb.leads[i][split:] for i in free)
+    rows = tuple({e >> shift: c for e, c in gb.packed_rows[i].items()} for i in free)
+    leads = tuple(gb.packed_leads[i] >> shift for i in free)
     result = Ideal(ring, basis)
     ck = _cache_key(result, GREVLEX)
     with _GB_LOCK:
@@ -721,23 +781,27 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     key = _memo_key(p.ring.order, p.ring.nvars)
+    guard = key.__self__.guard
     m = p.ring.modulus
-    lt_g, c_g = g.leading_item()
-    inv = pow(c_g, -1, m) if m else None
-    work = dict(p.coeffs)
+    gp = _packed(g.coeffs, key)
+    lt_g = max(gp, key=key)
+    inv = pow(gp[lt_g], -1, m) if m else 1 / gp[lt_g]
+    work = _packed(p.coeffs, key)
     quot = {}
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        if not mono_divides(lt_g, e):
+        shift = e - lt_g
+        if shift & guard:
             raise PreconditionError("polynomial is not exactly divisible")
-        shift = mono_div(e, lt_g)
-        factor = c * inv % m if m else c / c_g
+        factor = c * inv % m if m else c * inv
         quot[shift] = factor
-        for eg, cg in g.coeffs.items():
+        for eg, cg in gp.items():
             if eg == lt_g:
                 continue
-            ee = mono_mul(eg, shift)
+            ee = eg + shift
+            if ee & guard:
+                raise _overflow(key.__self__.unpack(ee))
             s = work.get(ee, 0) - factor * cg
             if m:
                 s %= m
@@ -745,7 +809,7 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
                 work[ee] = s
             else:
                 work.pop(ee, None)
-    return Polynomial(p.ring, quot)
+    return Polynomial(p.ring, _unpacked(quot, key))
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:

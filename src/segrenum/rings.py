@@ -46,7 +46,8 @@ class MonomialOrder:
             raise ValueError("block_split only makes sense for block orders")
 
     def key_function(self, nvars):
-        """Return key(exponents) such that key order == monomial order."""
+        """Return key(exponents), a flat tuple of ints, such that key
+        order == monomial order."""
         if self.kind is OrderKind.LEX:
             return lambda e: e
         if self.kind is OrderKind.GREVLEX:
@@ -58,7 +59,7 @@ class MonomialOrder:
             raise ValueError("block_split must be smaller than the variable count")
 
         def block_key(e):
-            return (_grevlex_key(e[:split]), _grevlex_key(e[split:]))
+            return _grevlex_key(e[:split]) + _grevlex_key(e[split:])
 
         return block_key
 
@@ -67,7 +68,7 @@ def _grevlex_key(e):
     total = 0
     for x in e:
         total += x
-    return (total, tuple(-x for x in reversed(e)))
+    return (total, *(-x for x in reversed(e)))
 
 
 def _tangent_cone_key(e):
@@ -78,7 +79,7 @@ def _tangent_cone_key(e):
     total = 0
     for x in e:
         total += x
-    return (total, e[0], tuple(-x for x in reversed(e[1:])))
+    return (total, e[0], *(-x for x in reversed(e[1:])))
 
 
 GREVLEX = MonomialOrder(OrderKind.GREVLEX)

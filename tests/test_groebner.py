@@ -28,6 +28,7 @@ from segrenum.groebner import (
     _extended_ring,
     _lift,
     _memo_key,
+    _packed,
     _primitive_int,
     _reduce_raw,
     clear_caches,
@@ -294,11 +295,12 @@ def test_divisor_memo_matches_memo_free_reduction():
     appending give the remainder and multiplier of memo-free ones."""
     rng = random.Random(5)
     key = _memo_key(GREVLEX, 3)
+    pack = key.__self__.pack
 
     def vector(terms, deg):
         v = {}
         for _ in range(terms):
-            e = tuple(rng.randint(0, deg) for _ in range(3))
+            e = pack(tuple(rng.randint(0, deg) for _ in range(3)))
             v[e] = v.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 5))
         return {e: c for e, c in v.items() if c}
 
@@ -525,10 +527,12 @@ def test_seeded_saturation_equals_a_fresh_one(cfg):
         ext = _extended_ring(ring)
         key = _memo_key(ext.order, ext.nvars)
         m = ring.modulus
-        aux = _primitive_int((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key, m)
+        aux = _primitive_int(_packed((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key),
+                             key, m)
         runs = []
         for known, start in ((0, gb.basis), (len(gb.basis), gb.basis), (0, I.generators)):
-            gens = [_primitive_int(_lift(f, ext).coeffs, key, m) for f in start] + [aux]
+            gens = [_primitive_int(_packed(_lift(f, ext).coeffs, key), key, m)
+                    for f in start] + [aux]
             ENGINE_STATS.reset()
             runs.append((_buchberger_raw(gens, key, modulus=m, known=known),
                          ENGINE_STATS.spairs_reduced))

@@ -169,12 +169,14 @@ def test_unreadable_document_exits_1(tmp_path, capsys, name, reason):
 
 
 def test_budget_failure_exits_1(tmp_path, capsys):
-    """A generator whose leading degree passes the degree budget ends the
-    command with the budget's message, not a traceback."""
+    """The tangent-cone basis of (x^121 - y, y^2), which the multiplicity
+    at the origin reads, gets an S-pair element of leading degree 122,
+    past the degree budget: the command ends with the budget's message,
+    not a traceback."""
     doc = tmp_path / "steep.ideal"
     doc.write_text("ring x, y; ideal I = x^121 - y, y^2;")
     assert run_cli(["segre", str(doc), "I"]) == (1, "")
-    assert capsys.readouterr().err == "error: leading degree 121 exceeds budget 120\n"
+    assert capsys.readouterr().err == "error: leading degree 122 exceeds budget 120\n"
 
 
 def test_whitney_two_file_form(tmp_path):

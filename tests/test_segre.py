@@ -488,3 +488,16 @@ def test_brieskorn_contact_tangent_profile(R3):
     for seed in (7, 8, 9):
         prof = segre_profile(germ, T, GenericityConfig(seed=seed))
         assert (prof.e, prof.m) == ((0, 0, 49), (1, 3, 11))
+
+
+@pytest.mark.parametrize("f, e", [
+    (lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2, (0, 0, 14)),   # D4
+    (lambda x, y, z: x ** 3 + y ** 4 + z ** 2, (0, 0, 16)),       # E6
+], ids=["D4", "E6"])
+def test_simple_singularity_contact_tangent_profiles(R3, f, e):
+    """The contact tangent ideals of D4 and E6 are not homogeneous, so
+    every saturation of their polar chains is a block-order elimination
+    of a non-homogeneous cut."""
+    T = contact_tangent_ideal(FunctionGerm(f(*R3.variables())))
+    prof = segre_profile(make_germ(R3), T, GenericityConfig(seed=7))
+    assert (prof.e, prof.m) == (e, (1, 2, 5))
