@@ -14,7 +14,7 @@ class ZeroPolynomialError(SegrenumError):
 
 
 class ResourceLimitError(SegrenumError):
-    """A completion exceeded a budget, `groebner.MAX_BASIS` or `MAX_DEGREE`.
+    """A budget was exceeded: `groebner.MAX_BASIS`, `MAX_DEGREE` or `rings.MAX_EXPONENT`.
 
     Carries partial statistics so the failure can be reported, never
     silently truncated.

@@ -6,12 +6,10 @@ Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy, over
 the coefficient field of the ring (`PolynomialRing.modulus`).  All
 arithmetic is exact.  The raw layer works on coefficient vectors
-({packed exponent: int}) and returns the reduced basis as such vectors
-with their leading exponents.  A packed exponent is one int holding
-each exponent in a 16-bit field below a guard bit: a product of
-monomials is a sum, divisibility one mask test, and each order's key a
-single int.  An exponent past 2^15 - 1, in an input or in a new term,
-raises ResourceLimitError.  Over QQ the layer runs fraction-free on
+({packed monomial: int}, with the packing, guard bits and memoized order
+keys of `rings`) and returns the reduced basis as such vectors with
+their packed leading monomials.  A new term with an exponent past
+2^15 - 1 raises ResourceLimitError.  Over QQ the layer runs fraction-free on
 primitive integer vectors (content 1, positive leading coefficient);
 over GF(p) on monic vectors of residues, reducing each coefficient mod p
 when it is next used, so no number grows past a few machine words.  One
@@ -39,7 +37,6 @@ grevlex basis, cached when its multiplicity was read, plus t g - 1.
 from __future__ import annotations
 
 import heapq
-import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,12 +51,15 @@ from .errors import (
 )
 from .rings import (
     GREVLEX,
+    _KEY_MEMO,
+    W,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _memo_key,
+    _overflow,
     block_order,
     format_polynomial,
-    mono_degree,
     mono_divides,
 )
 
@@ -194,108 +194,35 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """The reduced basis, in descending order of leading terms: `basis[i]`
-    is `rows[i]` divided by its leading coefficient at `leads[i]`.  Over
-    QQ a row is a primitive integer vector with positive leading
-    coefficient; over GF(p) it is monic, and `basis[i]` holds it as is.
-    The kernel's packed rows and leads are kept; `rows` and `leads`
-    unpack them."""
+    is `rows[i]` divided by its leading coefficient at the packed
+    monomial `leads[i]`.  Over QQ a row is a primitive integer vector with
+    positive leading coefficient; over GF(p) it is monic, and `basis[i]`
+    holds it as is."""
 
     ring: PolynomialRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
-    packed_rows: tuple[dict, ...] = field(compare=False, repr=False)
-    packed_leads: tuple[int, ...] = field(compare=False, repr=False)
+    rows: tuple[dict, ...] = field(compare=False, repr=False)
+    leads: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def is_unit(self):
         return len(self.basis) == 1 and self.basis[0].total_degree == 0
 
-    @property
-    def rows(self):
-        key = _memo_key(self.order, self.ring.nvars)
-        return tuple(_unpacked(r, key) for r in self.packed_rows)
-
     def leading_exponents(self):
-        return tuple(map(_memo_key(self.order, self.ring.nvars).__self__.unpack,
-                         self.packed_leads))
-
-    leads = property(leading_exponents)
+        """The leading exponent tuples, in the order of `basis`."""
+        return tuple(map(self.ring._key.__self__.unpack, self.leads))
 
 
 # ---------------------------------------------------------------------------
 # raw machinery: polynomials as {packed exponent: int}
 # ---------------------------------------------------------------------------
 
-# A monomial is one int: exponent i in bits [W i, W i + W), whose top bit
-# is a guard, so exponents below 2^(W - 1) add without a carry into the
-# next field.  Products and quotients are + and -; b | a iff
-# (a - b) & guard is 0, since a field that borrows sets its guard bit; a
-# new term with a guard bit set raises ResourceLimitError.
-W = 16
-
-
-def _overflow(exps):
-    return ResourceLimitError(f"exponent {max(exps)} exceeds the limit {2 ** (W - 1) - 1}")
-
-
 def _lcm(a, b, guard):
     """Field-wise max: `mask` is all ones in each field where a >= b."""
     m = ((a | guard) - b) & guard
     mask = m - (m >> (W - 1))
     return b ^ ((a ^ b) & mask)
-
-
-class _KeyMemo(dict):
-    """The keys of one order's packed monomials in n variables, each
-    computed once: the order's `key_function` tuple read as the digits
-    of one int, which sorts as the tuple does.  Its bound
-    `__getitem__` is the key function, so a hit runs no Python frame.
-    A tuple looked up gets the key of its packed form."""
-
-    __slots__ = ("_base", "_struct", "guard")
-
-    def __init__(self, order, n):
-        super().__init__()
-        self._base = order.key_function(n)
-        self._struct = struct.Struct(f"<{n}H")
-        self.guard = int.from_bytes(b"\0\x80" * n, "little")
-
-    def __missing__(self, a):
-        k = 0
-        for d in self._base(self.unpack(a) if type(a) is int else a):
-            k = (k << 2 * W) + d  # |d| < n 2^(W - 1) <= 2^(2 W - 1)
-        self[a] = k
-        return k
-
-    def pack(self, e):
-        if max(e) >> (W - 1):
-            raise _overflow(e)
-        return int.from_bytes(self._struct.pack(*e), "little")
-
-    def unpack(self, a):
-        return self._struct.unpack(a.to_bytes(self._struct.size, "little"))
-
-
-_KEY_MEMO: dict = {}
-
-
-def _memo_key(order: MonomialOrder, nvars: int):
-    """Memoized key function of an order; `key.__self__` packs."""
-    ck = (order.kind, order.block_split, nvars)
-    memo = _KEY_MEMO.get(ck)
-    if memo is None:
-        memo = _KEY_MEMO.setdefault(ck, _KeyMemo(order, nvars))
-    return memo.__getitem__
-
-
-def _packed(d, key):
-    pack = key.__self__.pack
-    return {pack(e): c for e, c in d.items()}
-
-
-def _unpacked(d, key):
-    unpack = key.__self__.unpack
-    return {unpack(a): c for a, c in d.items()}
 
 
 def _clear_denominators(d):
@@ -584,7 +511,8 @@ _GB_LOCK = threading.Lock()
 def clear_caches():
     with _GB_LOCK:
         _GB_CACHE.clear()
-    _KEY_MEMO.clear()
+    for memo in list(_KEY_MEMO.values()):
+        memo.clear()  # live rings hold these memos too
 
 
 def _cache_key(I: Ideal, order: MonomialOrder):
@@ -612,23 +540,25 @@ def _completion(I: Ideal, order: MonomialOrder, known: int = 0) -> GroebnerBasis
 
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
-    gens = [_primitive_int(_packed(g.coeffs, key), key, m) for g in I.generators]
+    gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
     rows, leads = _buchberger_raw(gens, key, modulus=m, known=known)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
             raise ConsistencyError("input generator fails membership in its own basis")
-    if m:
-        basis = tuple(Polynomial(I.ring, _unpacked(r, key)) for r in rows)
-    else:
-        unpack = key.__self__.unpack
-        basis = tuple(Polynomial(I.ring, {unpack(e): Fraction(c, r[lt]) for e, c in r.items()})
-                      for r, lt in zip(rows, leads))
-    gb = GroebnerBasis(I.ring, order, basis, rows, leads)
+    gb = GroebnerBasis(I.ring, order, _monic(I.ring, rows, leads), rows, leads)
 
     with _GB_LOCK:
         _GB_CACHE[ck] = gb
     return gb
+
+
+def _monic(ring, rows, leads):
+    """The monic polynomials of a basis' rows, in `ring`."""
+    if ring.modulus:
+        return tuple(Polynomial(ring, r) for r in rows)
+    return tuple(Polynomial(ring, {e: Fraction(c, r[lt]) for e, c in r.items()})
+                 for r, lt in zip(rows, leads))
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -639,15 +569,14 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         return p
     key = _memo_key(G.order, G.ring.nvars)
     m = G.ring.modulus
-    rows, leads, work = G.packed_rows, G.packed_leads, _packed(p.coeffs, key)
     if m:
-        remainder = _reduce_raw(work, rows, leads, key, track_multiplier=True, modulus=m)[0]
-        return Polynomial(p.ring, _unpacked(remainder, key))
-    scaled, denom = _clear_denominators(work)
-    remainder, multiplier = _reduce_raw(scaled, rows, leads, key, track_multiplier=True)
+        remainder = _reduce_raw(p.coeffs, G.rows, G.leads, key, track_multiplier=True,
+                                modulus=m)[0]
+        return Polynomial(p.ring, remainder)
+    scaled, denom = _clear_denominators(p.coeffs)
+    remainder, multiplier = _reduce_raw(scaled, G.rows, G.leads, key, track_multiplier=True)
     scale = multiplier * denom
-    unpack = key.__self__.unpack
-    return Polynomial(p.ring, {unpack(e): Fraction(c, scale) for e, c in remainder.items()})
+    return Polynomial(p.ring, {e: Fraction(c, scale) for e, c in remainder.items()})
 
 
 def is_unit_ideal(I: Ideal) -> bool:
@@ -662,7 +591,7 @@ def verify_basis(G: GroebnerBasis) -> bool:
     """Post-hoc Buchberger closure: all S-polynomials reduce to zero."""
     key = _memo_key(G.order, G.ring.nvars)
     m = G.ring.modulus
-    rows, lts = G.packed_rows, G.packed_leads
+    rows, lts = G.rows, G.leads
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key, m)
@@ -686,7 +615,7 @@ def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
 
 
 def _lift(p: Polynomial, ext: PolynomialRing) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in p.coeffs.items()})
+    return Polynomial(ext, {e << W: c for e, c in p.coeffs.items()})
 
 
 def eliminate(I: Ideal, keep_last: int) -> Ideal:
@@ -699,7 +628,7 @@ def eliminate(I: Ideal, keep_last: int) -> Ideal:
     if I.is_zero:
         return Ideal(sub, ())
     work_ring = I.ring.with_order(block_order(split))
-    work = Ideal(work_ring, [Polynomial(work_ring, dict(g.coeffs)) for g in I.generators])
+    work = Ideal(work_ring, [Polynomial(work_ring, g.coeffs) for g in I.generators])
     return _eliminated(buchberger(work, work_ring.order), split, sub)
 
 
@@ -712,11 +641,10 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     the cache, so `buchberger(result, GREVLEX)` runs nothing.
     """
     shift = W * split
-    free = [i for i, lt in enumerate(gb.packed_leads) if not lt & ((1 << shift) - 1)]
-    basis = tuple(Polynomial(ring, {e[split:]: c for e, c in gb.basis[i].coeffs.items()})
-                  for i in free)
-    rows = tuple({e >> shift: c for e, c in gb.packed_rows[i].items()} for i in free)
-    leads = tuple(gb.packed_leads[i] >> shift for i in free)
+    free = [i for i, lt in enumerate(gb.leads) if not lt & ((1 << shift) - 1)]
+    rows = tuple({e >> shift: c for e, c in gb.rows[i].items()} for i in free)
+    leads = tuple(gb.leads[i] >> shift for i in free)
+    basis = _monic(ring, rows, leads)
     result = Ideal(ring, basis)
     ck = _cache_key(result, GREVLEX)
     with _GB_LOCK:
@@ -783,10 +711,9 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
     key = _memo_key(p.ring.order, p.ring.nvars)
     guard = key.__self__.guard
     m = p.ring.modulus
-    gp = _packed(g.coeffs, key)
-    lt_g = max(gp, key=key)
-    inv = pow(gp[lt_g], -1, m) if m else 1 / gp[lt_g]
-    work = _packed(p.coeffs, key)
+    lt_g = max(g.coeffs, key=key)
+    inv = pow(g.coeffs[lt_g], -1, m) if m else 1 / g.coeffs[lt_g]
+    work = dict(p.coeffs)
     quot = {}
     while work:
         e = max(work, key=key)
@@ -796,7 +723,7 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
             raise PreconditionError("polynomial is not exactly divisible")
         factor = c * inv % m if m else c * inv
         quot[shift] = factor
-        for eg, cg in gp.items():
+        for eg, cg in g.coeffs.items():
             if eg == lt_g:
                 continue
             ee = eg + shift
@@ -809,7 +736,7 @@ def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
                 work[ee] = s
             else:
                 work.pop(ee, None)
-    return Polynomial(p.ring, _unpacked(quot, key))
+    return Polynomial(p.ring, quot)
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
@@ -855,7 +782,7 @@ def _numerator(gens):
     if all(c <= 1 for c in counts):
         out = [1]  # pairwise coprime: a product of (1 - z^deg g)
         for g in minimal:
-            d = mono_degree(g)
+            d = sum(g)
             shifted = [0] * d + [-c for c in out]
             out = [a + b for a, b in zip(out + [0] * d, shifted)]
         return out

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .groebner import Ideal, buchberger, hilbert_series
-from .rings import GREVLEX, TANGENT_CONE, Polynomial, PolynomialRing, mono_degree
+from .rings import (GREVLEX, MAX_EXPONENT, TANGENT_CONE, W, Polynomial, PolynomialRing,
+                    _overflow)
 
 _HOMOGENIZER = "@h"
 
@@ -43,9 +44,12 @@ def _homogenize(I: Ideal) -> Ideal:
                           I.ring.modulus)
     gens = []
     for g in I.generators:
-        top = g.total_degree
-        gens.append(Polynomial(ring, {(top - mono_degree(e),) + e: c
-                                      for e, c in g.coeffs.items()}))
+        degrees = g.degrees()
+        top = max(degrees)
+        if top - min(degrees) > MAX_EXPONENT:
+            raise _overflow((top - min(degrees),))
+        gens.append(Polynomial(ring, {e << W | top - d: c
+                                      for (e, c), d in zip(g.coeffs.items(), degrees)}))
     return Ideal(ring, gens)
 
 

@@ -3,20 +3,22 @@
 A ring's `modulus` names its coefficient field: 0 for QQ, where
 coefficients are `fractions.Fraction` values (always reduced, positive
 denominator), or a prime p for GF(p), where they are integer residues in
-[0, p).  A polynomial is stored as a mapping from exponent tuples to
-nonzero coefficients; the ring context fixes the field, the variable
-names and the active monomial order, which determines leading terms and
-the canonical text form.
+[0, p).  A polynomial is stored as a mapping from packed monomials (see
+`W` below) to nonzero coefficients; `PolynomialRing.poly` packs exponent
+tuples, and `terms`, `leading_term` and `Monomial` hand them back.  The
+ring context fixes the field, the variable names and the active monomial
+order, which determines leading terms and the canonical text form.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import RingMismatchError, ZeroPolynomialError
+from .errors import ResourceLimitError, RingMismatchError, ZeroPolynomialError
 
 
 class OrderKind(Enum):
@@ -125,8 +127,63 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def mono_degree(a):
-    return sum(a)
+# -- packed monomials --------------------------------------------------------
+
+# A monomial is one int: exponent i in bits [W i, W i + W), whose top bit
+# is a guard, so exponents below 2^(W - 1) add without a carry into the
+# next field.  Products and quotients are + and -; b | a iff
+# (a - b) & guard is 0, since a field that borrows sets its guard bit; a
+# new term with a guard bit set raises ResourceLimitError.  Each order's
+# key of a packed monomial is one memoized int.
+W = 16
+MAX_EXPONENT = 2 ** (W - 1) - 1
+
+
+def _overflow(exps):
+    return ResourceLimitError(f"exponent {max(exps)} exceeds the limit {MAX_EXPONENT}")
+
+
+class _KeyMemo(dict):
+    """The keys of one order's packed monomials in n variables, each
+    computed once: the order's `key_function` tuple read as the digits
+    of one int, which sorts as the tuple does.  Its bound
+    `__getitem__` is the key function, so a hit runs no Python frame.
+    It also packs and unpacks monomials in n variables."""
+
+    __slots__ = ("_base", "_struct", "guard")
+
+    def __init__(self, order, n):
+        super().__init__()
+        self._base = order.key_function(n)
+        self._struct = struct.Struct(f"<{n}H")
+        self.guard = int.from_bytes(b"\0\x80" * n, "little")
+
+    def __missing__(self, a):
+        k = 0
+        for d in self._base(self.unpack(a)):
+            k = (k << 2 * W) + d  # |d| < n 2^(W - 1) <= 2^(2 W - 1)
+        self[a] = k
+        return k
+
+    def pack(self, e):
+        if max(e) > MAX_EXPONENT:
+            raise _overflow(e)
+        return int.from_bytes(self._struct.pack(*e), "little")
+
+    def unpack(self, a):
+        return self._struct.unpack(a.to_bytes(self._struct.size, "little"))
+
+
+_KEY_MEMO: dict = {}
+
+
+def _memo_key(order: MonomialOrder, nvars: int):
+    """Memoized key function of an order; `key.__self__` packs."""
+    ck = (order.kind, order.block_split, nvars)
+    memo = _KEY_MEMO.get(ck)
+    if memo is None:
+        memo = _KEY_MEMO.setdefault(ck, _KeyMemo(order, nvars))
+    return memo.__getitem__
 
 
 class PolynomialRing:
@@ -148,7 +205,7 @@ class PolynomialRing:
         self.variable_names = names
         self.order = order
         self.modulus = modulus
-        self._key = order.key_function(len(names))
+        self._key = _memo_key(order, len(names))
         self._vars_index = {n: i for i, n in enumerate(names)}
 
     @property
@@ -206,6 +263,8 @@ class PolynomialRing:
     # -- construction -------------------------------------------------------
 
     def poly(self, coeffs: Mapping[tuple[int, ...], Fraction | int]):
+        """The polynomial with the given {exponent tuple: coefficient}."""
+        pack = self._key.__self__.pack
         clean = {}
         for exps, c in coeffs.items():
             c = Fraction(c)
@@ -214,7 +273,8 @@ class PolynomialRing:
             exps = tuple(int(x) for x in exps)
             if len(exps) != self.nvars or any(x < 0 for x in exps):
                 raise ValueError(f"bad exponent vector {exps} for {self!r}")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
+            e = pack(exps)
+            clean[e] = clean.get(e, Fraction(0)) + c
         if self.modulus:
             clean = {e: self.coerce(c) for e, c in clean.items()}
         return Polynomial(self, {e: c for e, c in clean.items() if c != 0})
@@ -229,7 +289,7 @@ class PolynomialRing:
         c = self.coerce(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def variable(self, name_or_index):
         if isinstance(name_or_index, str):
@@ -238,9 +298,9 @@ class PolynomialRing:
             i = self._vars_index[name_or_index]
         else:
             i = name_or_index
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.coerce(1)})
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"variable index {i} out of range")
+        return Polynomial(self, {1 << W * i: self.coerce(1)})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -258,7 +318,8 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients are stored."""
+    """Immutable sparse polynomial: `coeffs` maps packed monomials to
+    nonzero coefficients."""
 
     __slots__ = ("ring", "coeffs", "_hash")
 
@@ -281,37 +342,36 @@ class Polynomial:
         """Maximal total degree; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(mono_degree(e) for e in self.coeffs)
+        return max(self.degrees())
 
-    @property
-    def order_at_origin(self):
-        """Minimal total degree of a term (order of vanishing at 0)."""
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no vanishing order")
-        return min(mono_degree(e) for e in self.coeffs)
+    def degrees(self):
+        """The total degree of each term, in `coeffs` order."""
+        unpack = self.ring._key.__self__.unpack
+        return [sum(unpack(e)) for e in self.coeffs]
 
     @property
     def constant_term(self):
-        return self.coeffs.get((0,) * self.ring.nvars, Fraction(0))
+        return self.coeffs.get(0, Fraction(0))
 
     @property
     def is_homogeneous(self):
-        degs = {mono_degree(e) for e in self.coeffs}
-        return len(degs) <= 1
+        return len(set(self.degrees())) <= 1
 
     def terms(self):
         """Terms as (coefficient, Monomial), descending in the ring's order."""
+        key = self.ring._key
         return [
-            (self.coeffs[e], Monomial(e))
-            for e in sorted(self.coeffs, key=self.ring._key, reverse=True)
+            (self.coeffs[e], Monomial(key.__self__.unpack(e)))
+            for e in sorted(self.coeffs, key=key, reverse=True)
         ]
 
     def leading_item(self):
         """(exponent tuple, coefficient) of the maximal term."""
         if not self.coeffs:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        e = max(self.coeffs, key=self.ring._key)
-        return e, self.coeffs[e]
+        key = self.ring._key
+        e = max(self.coeffs, key=key)
+        return key.__self__.unpack(e), self.coeffs[e]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -358,12 +418,15 @@ class Polynomial:
                 return Polynomial(self.ring, {e: k * c % m for e, k in self.coeffs.items()})
             return Polynomial(self.ring, {e: k * c for e, k in self.coeffs.items()})
         self._check(other)
+        guard = self.ring._key.__self__.guard
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = mono_mul(e1, e2)
+                e = e1 + e2
                 s = out.get(e)
                 if s is None:
+                    if e & guard:
+                        raise _overflow(self.ring._key.__self__.unpack(e))
                     out[e] = c1 * c2
                 else:
                     s = s + c1 * c2
@@ -384,6 +447,11 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        # p^n has n times p's largest exponent of each variable
+        unpack = self.ring._key.__self__.unpack
+        top = n * max((max(unpack(e)) for e in self.coeffs), default=0)
+        if top > MAX_EXPONENT:
+            raise _overflow((top,))
         result = self.ring.one()
         base = self
         while n:
@@ -395,15 +463,14 @@ class Polynomial:
 
     def derivative(self, var_index):
         m = self.ring.modulus
+        shift = W * var_index
+        unit = 1 << shift
         out = {}
         for e, c in self.coeffs.items():
-            k = e[var_index]
+            k = e >> shift & MAX_EXPONENT
             c = c * k % m if m else c * k
-            if not c:
-                continue
-            e2 = list(e)
-            e2[var_index] = k - 1
-            out[tuple(e2)] = c
+            if c:
+                out[e - unit] = c
         return Polynomial(self.ring, out)
 
     # -- equality / hashing / printing ----------------------------------------

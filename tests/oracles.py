@@ -8,6 +8,7 @@ shares none of its code paths.  The one exception is
 is built from the engine's principal saturation and intersection.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -45,8 +46,8 @@ def macaulay_colength(ideal_, low_degree, high_degree):
     pivots = {}
     for g in ideal_.generators:
         for mu in _monomials_up_to(nvars, high_degree - g.total_degree):
-            row = {index[tuple(a + b for a, b in zip(exps, mu))]: Fraction(coeff)
-                   for exps, coeff in g.coeffs.items()}
+            row = {index[tuple(a + b for a, b in zip(mono.exponents, mu))]: Fraction(coeff)
+                   for coeff, mono in g.terms()}
             while row:
                 col = min(row)
                 pivot = pivots.get(col)
@@ -129,4 +130,105 @@ def staircase_colength(exponents, nvars):
 def vanishing_order(poly):
     """Order of the lowest-degree form; the multiplicity oracle for a
     plane curve defined by one equation."""
-    return min(sum(e) for e in poly.coeffs)
+    return min(sum(mono.exponents) for _, mono in poly.terms())
+
+
+# -- Teissier's sequence mu* of an isolated hypersurface singularity ----------
+
+_P = 2 ** 61 - 1  # linear algebra of `_truncated_colength` runs mod this prime
+
+
+def _mul(p, q):
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            e = tuple(x + y for x, y in zip(a, b))
+            out[e] = (out.get(e, 0) + c * d) % _P
+    return {e: c for e, c in out.items() if c}
+
+
+def _restrict(poly, matrix):
+    """poly(x = A u) mod _P as {u exponents: residue}, row j of `matrix`
+    writing x_j as a linear form in u."""
+    i = len(matrix[0])
+    forms = [{tuple(int(k == l) for l in range(i)): a % _P for k, a in enumerate(row)}
+             for row in matrix]
+    out = {}
+    for c, mono in poly.terms():
+        c = Fraction(c)
+        term = {(0,) * i: c.numerator * pow(c.denominator, -1, _P) % _P}
+        for form, k in zip(forms, mono.exponents):
+            for _ in range(k):
+                term = _mul(term, form)
+        for e, v in term.items():
+            out[e] = (out.get(e, 0) + v) % _P
+    return {e: c for e, c in out.items() if c}
+
+
+def _partial(p, k):
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] % _P for e, c in p.items() if e[k]}
+
+
+def _truncated_colength(gens, nvars, N):
+    """dim k[u] / ((gens) + m^N): the monomials of degree < N minus the
+    rank of every monomial multiple of a generator, truncated at degree N."""
+    columns = {m: i for i, m in enumerate(_monomials_up_to(nvars, N - 1))}
+    pivots = {}
+    for g in gens:
+        for mu in columns:
+            row = {}
+            for e, c in g.items():
+                col = columns.get(tuple(a + b for a, b in zip(e, mu)))
+                if col is not None:
+                    row[col] = c
+            while row:
+                col = min(row)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv = pow(row[col], -1, _P)
+                    pivots[col] = {c: x * inv % _P for c, x in row.items()}
+                    break
+                f = row[col]
+                for c, x in pivot.items():
+                    s = (row.get(c, 0) - f * x) % _P
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+    return len(columns) - len(pivots)
+
+
+def _local_colength(gens, nvars):
+    """dim O / (gens) at the origin, for gens primary to the maximal ideal
+    there: colength((gens) + m^N) at the first N where it stops growing,
+    since then m^N lies in (gens) + m^(N + 1), so in (gens) (Nakayama)."""
+    previous, N = None, 1
+    while True:
+        value = _truncated_colength(gens, nvars, N)
+        if value == previous:
+            return value
+        previous, N = value, N + 1
+
+
+def milnor_sequence(f):
+    """Teissier's (mu^(0), ..., mu^(n)) of a polynomial f with an isolated
+    singularity at the origin: mu^(i) is the Milnor number of f restricted
+    to a generic i-plane through 0, the local colength of the Jacobian
+    ideal of the restriction, and mu^(0) = 1.
+
+    A plane is the image of an n x i integer matrix with entries drawn
+    from [-10^6, 10^6]; each mu^(i) is the least value over two seeded
+    planes, since a special plane can only raise it.  The ranks are taken
+    mod a 61-bit prime, which can only raise a value too.
+    """
+    rng = random.Random(0)
+    n = f.ring.nvars
+    mu = [1]
+    for i in range(1, n + 1):
+        values = []
+        for _ in range(2):
+            matrix = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(i)] for _ in range(n)]
+            g = _restrict(f, matrix)
+            values.append(_local_colength([_partial(g, k) for k in range(i)], i))
+        mu.append(min(values))
+    return tuple(mu)

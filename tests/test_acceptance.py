@@ -76,7 +76,8 @@ def test_acceptance_02_product_formula(germ2, R2, cfg):
     I2 = ideal(R2, x ** 2, y ** 3)
     res = product_formula_check(germ2, I1, I2, 2, cfg)
     # independent oracles, frozen before the engine values are trusted
-    prod_points = [max(g.coeffs) for g in ideal_product(I1, I2).generators]
+    prod_points = [max(m.exponents for _, m in g.terms())
+                   for g in ideal_product(I1, I2).generators]
     covolume = newton_covolume_2d(prod_points)
     stair_e_I2 = staircase_colength([(2, 0), (0, 3)], 2)
     ok = (

@@ -217,7 +217,7 @@ def test_product_formula_plane_pair(germ2, R2, cfg):
     assert res.verdict == "binomial"
     # oracle: covolume of the product monomial ideal
     prod = ideal_product(I1, I2)
-    pts = [max(g.coeffs) for g in prod.generators]
+    pts = [max(m.exponents for _, m in g.terms()) for g in prod.generators]
     assert 2 * newton_covolume_2d([tuple(e) for e in pts]) == 11
 
 

@@ -27,8 +27,6 @@ from segrenum.groebner import (
     _cache_key,
     _extended_ring,
     _lift,
-    _memo_key,
-    _packed,
     _primitive_int,
     _reduce_raw,
     clear_caches,
@@ -36,7 +34,7 @@ from segrenum.groebner import (
     verify_basis,
 )
 from segrenum.multiplicity import _homogenize
-from segrenum.rings import LEX, TANGENT_CONE, Polynomial, PolynomialRing, block_order
+from segrenum.rings import LEX, TANGENT_CONE, Polynomial, PolynomialRing, _memo_key, block_order
 
 from oracles import macaulay_colength_stable, saturation_by_generators
 
@@ -88,8 +86,11 @@ def test_basis_rows_are_primitive_integer_vectors(R3):
         buchberger(_homogenize(ideal(R3, f, g)), TANGENT_CONE),
     ]
     for gb in bases:
-        key = gb.order.key_function(gb.ring.nvars)
-        assert gb.leading_exponents() == gb.leads
+        key = _memo_key(gb.order, gb.ring.nvars)
+        exponents = gb.leading_exponents()
+        assert exponents == tuple(map(key.__self__.unpack, gb.leads))
+        assert list(exponents) == sorted(exponents, key=gb.order.key_function(gb.ring.nvars),
+                                         reverse=True)
         assert list(gb.leads) == sorted(gb.leads, key=key, reverse=True)
         assert len(gb.rows) == len(gb.leads) == len(gb.basis) > 1
         for row, lead, poly in zip(gb.rows, gb.leads, gb.basis):
@@ -257,9 +258,9 @@ def test_elimination_generators_lie_in_ideal():
     E = eliminate(I, 2)
     gb = buchberger(I)
     for g in E.generators:
-        lifted = Rtxy.poly({(0,) + e: c for e, c in g.coeffs.items()})
+        lifted = Rtxy.poly({(0,) + m.exponents: c for c, m in g.terms()})
         assert normal_form(lifted, gb).is_zero
-        assert all(e[0] == 0 for e in lifted.coeffs)
+        assert all(m.exponents[0] == 0 for _, m in lifted.terms())
 
 
 def test_degree_budget_is_reported(R2, monkeypatch):
@@ -444,14 +445,14 @@ def test_gfp_bases_match_sympy():
         p = (P31, 32003, 7)[case % 3]
         ring = PolynomialRing(names).over(p)
         I = _random_ideal(rng, ring)
-        ours = {frozenset(g.coeffs.items()) for g in buchberger(I).basis}
+        ours = {frozenset((m.exponents, c) for c, m in g.terms()) for g in buchberger(I).basis}
         symbols = sympy.symbols(names)
-        exprs = [sum(int(c) * sympy.prod([v ** k for v, k in zip(symbols, e)])
-                     for e, c in g.coeffs.items()) for g in I.generators]
+        exprs = [sum(int(c) * sympy.prod([v ** k for v, k in zip(symbols, m.exponents)])
+                     for c, m in g.terms()) for g in I.generators]
         theirs = set()
         for poly in sympy.groebner(exprs, *symbols, order="grevlex", modulus=p).polys:
             terms = {e: int(c) % p for e, c in poly.terms()}
-            inv = pow(terms[max(terms, key=_memo_key(GREVLEX, n))], -1, p)
+            inv = pow(terms[max(terms, key=GREVLEX.key_function(n))], -1, p)
             theirs.add(frozenset((e, c * inv % p) for e, c in terms.items()))
         assert ours == theirs, (case, I)
 
@@ -466,7 +467,7 @@ def test_gfp_rings_keep_residues_and_their_field():
     assert R.over(0) is R and F.over(7) is F
     x, y, z = F.variables()
     f = F.image(R.poly({(1, 0, 0): Fraction(1, 2), (0, 1, 0): -3}))
-    assert f.coeffs == {(1, 0, 0): 4, (0, 1, 0): 4}
+    assert {m.exponents: c for c, m in f.terms()} == {(1, 0, 0): 4, (0, 1, 0): 4}
     for g in (f * f - 3 * x * y, -f, f.derivative(0), f * Fraction(2, 3) + 1):
         assert all(isinstance(c, int) and 0 < c < 7 for c in g.coeffs.values())
     assert (x ** 7).derivative(0).is_zero
@@ -527,12 +528,10 @@ def test_seeded_saturation_equals_a_fresh_one(cfg):
         ext = _extended_ring(ring)
         key = _memo_key(ext.order, ext.nvars)
         m = ring.modulus
-        aux = _primitive_int(_packed((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key),
-                             key, m)
+        aux = _primitive_int((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key, m)
         runs = []
         for known, start in ((0, gb.basis), (len(gb.basis), gb.basis), (0, I.generators)):
-            gens = [_primitive_int(_packed(_lift(f, ext).coeffs, key), key, m)
-                    for f in start] + [aux]
+            gens = [_primitive_int(_lift(f, ext).coeffs, key, m) for f in start] + [aux]
             ENGINE_STATS.reset()
             runs.append((_buchberger_raw(gens, key, modulus=m, known=known),
                          ENGINE_STATS.spairs_reduced))

@@ -1,17 +1,21 @@
-"""The packed monomials of the Groebner kernel against the exponent
-tuples of `rings`: arithmetic, divisibility, order keys and the
-exponent ceiling."""
+"""Packed monomials against exponent tuples: the kernel's arithmetic,
+divisibility and order keys, `Polynomial` products, derivatives and
+construction, and the exponent ceiling."""
 
 import pytest
 
 from segrenum import buchberger, ideal, normal_form
 from segrenum.errors import ResourceLimitError
-from segrenum.groebner import W, ENGINE_STATS, _lcm, _memo_key, clear_caches
+from segrenum.groebner import ENGINE_STATS, _lcm, clear_caches
+from segrenum.multiplicity import _homogenize
 from segrenum.rings import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     TANGENT_CONE,
+    W,
     PolynomialRing,
+    _memo_key,
     block_order,
     mono_div,
     mono_divides,
@@ -70,8 +74,35 @@ def test_int_keys_sort_as_the_order_keys(vectors):
         assert sorted(vectors, key=tuple_key) == \
             [key.__self__.unpack(a) for a in sorted(packed, key=key)], order
         for a, e in zip(packed, vectors):
-            assert key(a) == key(e)  # a tuple gets the key of its packed form
+            for b, f in zip(packed, vectors):
+                assert (key(a) < key(b)) == (tuple_key(e) < tuple_key(f)), order
 
+
+def _exponents(p):
+    return {m.exponents: c for c, m in p.terms()}
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(exponent_vectors(2), st.sampled_from([0, 7]))
+def test_polynomials_agree_with_exponent_tuples(vectors, modulus):
+    """`poly` packs what `terms` unpacks; a product of monomials is
+    `mono_mul` (or raises past the limit); a derivative lowers one
+    exponent and multiplies by it."""
+    a, b = vectors
+    n = len(a)
+    R = PolynomialRing(list("xyzwv"[:n])).over(modulus)
+    f, g = R.poly({a: 3}), R.poly({b: 2}) + 1
+    assert _exponents(f) == {a: 3} and f.total_degree == sum(a)
+    assert _exponents(g) == ({b: 2, (0,) * n: 1} if any(b) else {b: 3})
+    if max(mono_mul(a, b)) <= LIMIT:
+        assert f * g == R.poly({mono_mul(a, b): 6}) + R.poly({a: 3})
+    else:
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            f * g
+    for i in range(n):
+        lowered = tuple(x - (j == i) for j, x in enumerate(a))
+        expected = R.poly({lowered: 3 * a[i]}) if a[i] else R.zero()
+        assert f.derivative(i) == expected
 
 def test_exponent_past_the_limit_is_refused():
     """An input exponent past the limit, an S-polynomial term and a
@@ -105,3 +136,23 @@ def test_steep_generators_pass_the_degree_budget():
     gb = buchberger(ideal(R, x ** 121 - y, y ** 2))
     assert gb.basis == (x ** 121 - y, y ** 2)
     assert ENGINE_STATS.spairs_reduced == 0
+
+
+def test_polynomial_exponents_past_the_limit_are_refused():
+    """Every polynomial obeys the ceiling: construction, a product and
+    the t exponent of a homogenization raise ResourceLimitError."""
+    assert MAX_EXPONENT == LIMIT
+    R = PolynomialRing(["x", "y"])
+    x, y = R.variables()
+    assert R.poly({(LIMIT, 0): 1}) == x ** LIMIT
+    with pytest.raises(ResourceLimitError, match=f"exponent {LIMIT + 1} exceeds"):
+        R.poly({(0, LIMIT + 1): 1})
+    with pytest.raises(ResourceLimitError, match=f"exponent {LIMIT + 1} exceeds"):
+        x ** LIMIT * x
+    with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+        x ** 40000
+    # x^20000 y^20000 + x has top degree 40000, so x gets t^39999.
+    with pytest.raises(ResourceLimitError, match="exponent 39999 exceeds"):
+        _homogenize(ideal(R, x ** 20000 * y ** 20000 + x))
+    assert _homogenize(ideal(R, x ** 20000 * y ** 12768 + x)).generators[0].total_degree \
+        == 32768

@@ -35,7 +35,7 @@ def test_parse_basic_document():
 def test_parse_rational_coefficient():
     doc = parse_input("ring x; ideal I = x^2 - 1/2*x;")
     (p,) = doc.ideals["I"]
-    assert p.coeffs[(1,)] == Fraction(-1, 2)
+    assert {m.exponents: c for c, m in p.terms()}[(1,)] == Fraction(-1, 2)
 
 
 def test_parse_requires_ring_first():
@@ -177,6 +177,15 @@ def test_budget_failure_exits_1(tmp_path, capsys):
     doc.write_text("ring x, y; ideal I = x^121 - y, y^2;")
     assert run_cli(["segre", str(doc), "I"]) == (1, "")
     assert capsys.readouterr().err == "error: leading degree 122 exceeds budget 120\n"
+
+
+def test_exponent_past_the_limit_exits_1(tmp_path, capsys):
+    """Every polynomial holds exponents up to 2^15 - 1, so the parser
+    refuses x^40000 before any command runs."""
+    doc = tmp_path / "huge.ideal"
+    doc.write_text("ring x, y; ideal I = x^40000 - y;")
+    assert run_cli(["segre", str(doc), "I"]) == (1, "")
+    assert capsys.readouterr().err == "error: exponent 40000 exceeds the limit 32767\n"
 
 
 def test_whitney_two_file_form(tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,12 +26,12 @@ from segrenum import (
     truncation_check,
 )
 from segrenum.errors import DimensionAnomalyError, GenericityError, PreconditionError
-from segrenum.equising import FunctionGerm, contact_tangent_ideal
+from segrenum.equising import FunctionGerm, contact_tangent_ideal, jacobian_ideal
 from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
-from oracles import macaulay_colength_stable
+from oracles import macaulay_colength_stable, milnor_sequence
 
 
 def test_generic_tuple_basics(R3, cfg):
@@ -501,3 +502,32 @@ def test_simple_singularity_contact_tangent_profiles(R3, f, e):
     T = contact_tangent_ideal(FunctionGerm(f(*R3.variables())))
     prof = segre_profile(make_germ(R3), T, GenericityConfig(seed=7))
     assert (prof.e, prof.m) == (e, (1, 2, 5))
+
+
+def test_milnor_sequence_oracle(R3):
+    """Known mu* of isolated singularities; on the last germ a generic
+    line from [-9, 9] can read mu^(1) = 3, so wide draws are needed."""
+    x, y, z = R3.variables()
+    assert milnor_sequence(x ** 2 * y + y ** 3 + z ** 2) == (1, 1, 2, 4)
+    assert milnor_sequence(x ** 3 + y ** 4 + z ** 5 + x * y * z) == (1, 2, 4, 11)
+    assert milnor_sequence(x ** 3 + y ** 3 + z ** 4 + 2 * x * y ** 2 * z) == (1, 2, 4, 12)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2,                    # D4: (1, 1, 2, 4)
+    lambda x, y, z: x ** 3 + y ** 4 + z ** 2,                        # E6: (1, 1, 2, 6)
+    lambda x, y, z: x ** 3 + y ** 3 + z ** 3,                        # (1, 2, 4, 8)
+    lambda x, y, z: x ** 3 + y ** 4 + z ** 5,                        # (1, 2, 6, 24)
+    lambda x, y, z: x ** 3 + x * y ** 3 + z ** 2,                    # E7: (1, 1, 2, 7)
+], ids=["D4", "E6", "x3+y3+z3", "x3+y4+z5", "E7"])
+def test_teissier_formula_for_contact_tangent_ideals(R3, f):
+    """Teissier: e_3 of the contact tangent ideal m J(f) + (f) is
+    sum C(3, i) mu^(i), and mu^(i) is the mixed multiplicity of 3 - i
+    generic linear forms with i generic partials of f."""
+    germ_f = FunctionGerm(f(*R3.variables()))
+    mu = milnor_sequence(germ_f.poly)
+    germ, cfg = make_germ(R3), GenericityConfig(seed=7)
+    prof = segre_profile(germ, contact_tangent_ideal(germ_f), cfg)
+    assert prof.e[2] == sum(math.comb(3, i) * mu[i] for i in range(4))
+    m, J = ideal(R3, *R3.variables()), jacobian_ideal(germ_f)
+    assert [mixed_multiplicity_primary(germ, m, J, 3 - i, cfg) for i in range(4)] == list(mu)
