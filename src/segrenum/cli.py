@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .criteria import (
@@ -27,14 +28,7 @@ from .equising import FunctionGerm, whitney_battery
 from .errors import PreconditionError, SegrenumError
 from .groebner import ENGINE_STATS, Ideal, clear_caches
 from .parser import parse_input
-from .report import (
-    dump_report,
-    jnum,
-    jseq,
-    make_report,
-    mixed_payload,
-    profile_payload,
-)
+from .report import dump_report, make_report
 from .rings import format_polynomial
 from .segre import (
     GenericityConfig,
@@ -103,12 +97,15 @@ def _named_ideal(doc, name):
     return Ideal(doc.ring, doc.ideals[name])
 
 
-def _inputs_echo(doc, path, names):
-    echo = {"file": Path(path).name}
+def _inputs_echo(doc, args):
+    echo = {"file": Path(args.file).name}
     if doc.ring is not None:
         echo["ring"] = list(doc.ring.variable_names)
         if doc.ambient:
             echo["ambient"] = [format_polynomial(p) for p in doc.ambient]
+        names = [getattr(args, key, None) for key in ("ideal", "ideal1", "ideal2")]
+        if getattr(args, "germ1", None):  # the two-file whitney form names no ideal
+            names += [args.germ0, args.germ1]
         echo["ideals"] = {
             name: [format_polynomial(p) for p in doc.ideals[name]]
             for name in names
@@ -124,16 +121,16 @@ def _cmd_segre(doc, args, cfg):
     chain = polar_chain(germ, _named_ideal(doc, args.ideal), cfg)
     results = {
         "ideal": args.ideal,
-        "n": jnum(germ.n),
-        "e": jseq(chain.e),
-        "m": jseq(chain.m),
+        "n": germ.n,
+        "e": chain.e,
+        "m": chain.m,
         "polar_ideals": [
             [format_polynomial(g) for g in s.polar_ideal.generators] or ["0"]
             for s in chain.stages
         ],
         "certified": chain.certified,
     }
-    return results, None, chain.seeds_used, EXIT_OK
+    return results, (), chain.seeds_used, EXIT_OK
 
 
 def _cmd_mixed(doc, args, cfg):
@@ -144,13 +141,18 @@ def _cmd_mixed(doc, args, cfg):
         _named_ideal(doc, args.ideal2),
         args.k, args.i, args.j, cfg,
     )
-    results = {
-        "k": jnum(args.k),
-        "i": jnum(args.i),
-        "j": jnum(args.j),
-        "value": jnum(value),
+    return {"k": args.k, "i": args.i, "j": args.j, "value": value}, (), (cfg.seed,), EXIT_OK
+
+
+def _battery(report):
+    """The two Segre profiles and the mixed Segre numbers of a battery."""
+    return {
+        "left": asdict(report.left_profile),
+        "right": asdict(report.right_profile),
+        "mixed": {
+            f"e_{k}^({i},{j})": v for (k, i, j), v in sorted(report.mixed.entries.items())
+        },
     }
-    return results, None, (cfg.seed,), EXIT_OK
 
 
 def _cmd_compare(doc, args, cfg):
@@ -162,14 +164,9 @@ def _cmd_compare(doc, args, cfg):
         report = power_equivalence_probe(germ, I1, I2, a, b, cfg)
     else:
         report = closure_battery(germ, I1, I2, cfg)
-    results = {
-        "left": profile_payload(report.left_profile),
-        "right": profile_payload(report.right_profile),
-        "mixed": mixed_payload(report.mixed),
-        "holds": report.holds,
-    }
+    results = {**_battery(report), "holds": report.holds}
     if args.powers:
-        results["powers"] = jseq(args.powers)
+        results["powers"] = args.powers
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE
 
 
@@ -179,8 +176,8 @@ def _cmd_teissier(doc, args, cfg):
         germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), cfg
     )
     results = {
-        "labels": list(report.values["labels"]),
-        "chain": jseq(report.values["chain"]),
+        "labels": report.values["labels"],
+        "chain": report.values["chain"],
         "holds": report.holds,
     }
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE
@@ -192,8 +189,8 @@ def _cmd_rees(doc, args, cfg):
         germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), cfg
     )
     results = {
-        "left": profile_payload(report.left_profile),
-        "right": profile_payload(report.right_profile),
+        "left": asdict(report.left_profile),
+        "right": asdict(report.right_profile),
         "equivalent": report.holds,
     }
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE
@@ -205,17 +202,8 @@ def _cmd_product_check(doc, args, cfg):
     res = product_formula_check(
         germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), k, cfg
     )
-    results = {
-        "k": jnum(res.k),
-        "lhs": jnum(res.lhs),
-        "terms": jseq(res.terms),
-        "binomial_sum": jnum(res.binomial_sum),
-        "plain_sum": jnum(res.plain_sum),
-        "hypothesis_met": res.hypothesis_met,
-        "verdict": res.verdict,
-    }
     code = EXIT_OK if res.verdict != "neither" else EXIT_FALSE
-    return results, None, (cfg.seed,), code
+    return asdict(res), (), (cfg.seed,), code
 
 
 def _cmd_minkowski(doc, args, cfg):
@@ -224,68 +212,50 @@ def _cmd_minkowski(doc, args, cfg):
     res = minkowski_check(
         germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), k, cfg
     )
-    results = {
-        "k": jnum(res.k),
-        "product_number": jnum(res.product_number),
-        "left_number": jnum(res.left_number),
-        "right_number": jnum(res.right_number),
-        "comparison": res.comparison,
-        "holds": res.holds,
-        "hypothesis_met": res.hypothesis_met,
-    }
-    return results, None, (cfg.seed,), EXIT_OK if res.holds else EXIT_FALSE
+    return asdict(res), (), (cfg.seed,), EXIT_OK if res.holds else EXIT_FALSE
 
 
 def _cmd_chain(doc, args, cfg):
     germ = _germ(doc)
     holds = chain_condition(germ, _named_ideal(doc, args.ideal), cfg)
-    return {"chain_condition": holds}, None, (cfg.seed,), EXIT_OK if holds else EXIT_FALSE
+    return {"chain_condition": holds}, (), (cfg.seed,), EXIT_OK if holds else EXIT_FALSE
 
 
 def _cmd_surface(doc, args, cfg):
     if doc.surface is None:
         raise PreconditionError("document has no [surface] block")
     block = doc.surface
-    results = {"negative_definite": negdef_check(block.matrix)}
-    data = SurfaceResolutionData(block.matrix, block.u, block.v, block.w)
-    orders = e2_from_orders(data)
-    results["e2_I1"] = jnum(orders.e2_I1)
-    results["e2_I2"] = jnum(orders.e2_I2)
-    results["e2_mixed"] = jnum(orders.e2_mixed)
-    results["mixed_inequality_holds"] = orders.inequality_holds
+    orders = e2_from_orders(SurfaceResolutionData(block.matrix, block.u, block.v, block.w))
     gram = tuple(tuple(-x for x in row) for row in block.matrix)
-    lemma = lemma32_verify(gram, block.u, block.v, block.w)
-    results["lemma32"] = {
-        "hypothesis_ok": lemma.hypothesis_ok,
-        "conclusion_holds": lemma.conclusion_holds,
-        "lhs": jnum(lemma.lhs),
-        "rhs": jnum(lemma.rhs),
-        "w_is_zero": lemma.w_is_zero,
+    results = {
+        "negative_definite": negdef_check(block.matrix),
+        **asdict(orders),
+        "mixed_inequality_holds": orders.inequality_holds,
+        "lemma32": asdict(lemma32_verify(gram, block.u, block.v, block.w)),
     }
     if block.c is not None:
-        results["total_transform"] = jseq(total_transform(block.matrix, block.c))
-    return results, None, (), EXIT_OK
+        results["total_transform"] = total_transform(block.matrix, block.c)
+    return results, (), (), EXIT_OK
 
 
-def _cmd_whitney(doc, args, cfg, second_doc=None):
-    if second_doc is not None:
-        ring = doc.ring
-        if second_doc.ring != ring:
+def _cmd_whitney(doc, args, cfg):
+    if args.germ1 is None:
+        # two-file form: whitney f0.poly f1.poly
+        second = _load_document(args.germ0)
+        if second.ring != doc.ring:
             raise PreconditionError("the two documents declare different rings")
-        gens0 = next(iter(doc.ideals.values()), doc.ambient)
-        gens1 = next(iter(second_doc.ideals.values()), second_doc.ambient)
-        if len(gens0) != 1 or len(gens1) != 1:
+        gens = [next(iter(d.ideals.values()), d.ambient) for d in (doc, second)]
+        if any(len(g) != 1 for g in gens):
             raise PreconditionError("each germ file needs a single-generator ideal")
-        f0, f1 = FunctionGerm(gens0[0]), FunctionGerm(gens1[0])
     else:
+        gens = []
         for name in (args.germ0, args.germ1):
             if name not in doc.ideals:
                 raise PreconditionError(f"no ideal named {name!r} in the document")
             if len(doc.ideals[name]) != 1:
                 raise PreconditionError(f"germ {name!r} must have a single generator")
-        f0 = FunctionGerm(doc.ideals[args.germ0][0])
-        f1 = FunctionGerm(doc.ideals[args.germ1][0])
-    report = whitney_battery(f0, f1, cfg)
+            gens.append(doc.ideals[name])
+    report = whitney_battery(FunctionGerm(gens[0][0]), FunctionGerm(gens[1][0]), cfg)
     results = {
         "whitney_sufficient": report.holds,
         "tangent_ideal_0": [
@@ -294,9 +264,7 @@ def _cmd_whitney(doc, args, cfg, second_doc=None):
         "tangent_ideal_1": [
             format_polynomial(g) for g in report.values["tangent_ideal_1"].generators
         ],
-        "left": profile_payload(report.left_profile),
-        "right": profile_payload(report.right_profile),
-        "mixed": mixed_payload(report.mixed),
+        **_battery(report),
     }
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE
 
@@ -389,30 +357,13 @@ def main(argv=None) -> int:
     clear_caches()
     ENGINE_STATS.reset()
     try:
-        second_doc = None
-        if args.command == "whitney" and args.germ1 is None:
-            # two-file form: whitney f0.poly f1.poly
-            doc = _load_document(args.file)
-            second_doc = _load_document(args.germ0)
-            names = []
-        else:
-            doc = _load_document(args.file)
-            names = [
-                getattr(args, key)
-                for key in ("ideal", "ideal1", "ideal2", "germ0", "germ1")
-                if getattr(args, key, None)
-            ]
+        doc = _load_document(args.file)
         options = _merge_options(doc, args)
-        cfg = _config(options)
-        handler = _HANDLERS[args.command]
-        if args.command == "whitney":
-            results, verdicts, seeds, code = handler(doc, args, cfg, second_doc=second_doc)
-        else:
-            results, verdicts, seeds, code = handler(doc, args, cfg)
+        results, verdicts, seeds, code = _HANDLERS[args.command](doc, args, _config(options))
         timing = (time.monotonic() - started) * 1000 if args.timing else None
         report = make_report(
             command=args.command,
-            inputs=_inputs_echo(doc, args.file, names),
+            inputs=_inputs_echo(doc, args),
             options=options,
             seeds=seeds,
             results=results,

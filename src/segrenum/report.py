@@ -15,58 +15,40 @@ from fractions import Fraction
 SCHEMA_VERSION = "2"
 
 
-def jnum(x):
-    """Exact string form of an integer or rational."""
-    if isinstance(x, bool):
-        raise TypeError("booleans are not numbers in reports")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    raise TypeError(f"not an exact number: {x!r}")
+def _exact(value):
+    """The JSON form of a report value: an int or a Fraction becomes its
+    exact string, a tuple or list a list, a dict keeps its key order, and
+    a bool, a str or None stays as it is.  Anything else, a float
+    included, is refused."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    raise TypeError(f"not an exact report value: {value!r}")
 
 
-def jseq(xs):
-    return [jnum(x) for x in xs]
-
-
-def profile_payload(profile):
-    return {"e": jseq(profile.e), "m": jseq(profile.m)}
-
-
-def verdicts_payload(verdicts):
-    return [
-        {
-            "criterion": v.criterion_id,
-            "holds": v.holds,
-            "witness": v.witness,
-        }
-        for v in verdicts
-    ]
-
-
-def mixed_payload(table):
-    out = {}
-    for (k, i, j) in sorted(table.entries):
-        out[f"e_{k}^({i},{j})"] = jnum(table.entries[(k, i, j)])
-    return out
-
-
-def make_report(command, inputs, options, seeds, results, verdicts=None,
+def make_report(command, inputs, options, seeds, results, verdicts=(),
                 engine=None, timing_ms=None):
     report = {
         "schema": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
-        "options": {k: jnum(v) for k, v in options.items()},
-        "seeds_used": [jnum(s) for s in seeds],
+        "options": options,
+        "seeds_used": seeds,
         "results": results,
-        "verdicts": verdicts_payload(verdicts or ()),
-        "engine": {k: jnum(v) for k, v in (engine or {}).items()},
+        "verdicts": [
+            {"criterion": v.criterion_id, "holds": v.holds, "witness": v.witness}
+            for v in verdicts
+        ],
+        "engine": engine or {},
     }
     if timing_ms is not None:
         report["timing_ms"] = f"{timing_ms:.1f}"
-    return report
+    return _exact(report)
 
 
 def dump_report(report) -> str:

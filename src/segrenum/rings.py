@@ -12,6 +12,7 @@ order, which determines leading terms and the canonical text form.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -270,10 +271,13 @@ class PolynomialRing:
             c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(x) for x in exps)
-            if len(exps) != self.nvars or any(x < 0 for x in exps):
+            try:
+                vector = tuple(map(operator.index, exps))
+            except TypeError:
+                vector = None
+            if vector is None or len(vector) != self.nvars or any(x < 0 for x in vector):
                 raise ValueError(f"bad exponent vector {exps} for {self!r}")
-            e = pack(exps)
+            e = pack(vector)
             clean[e] = clean.get(e, Fraction(0)) + c
         if self.modulus:
             clean = {e: self.coerce(c) for e, c in clean.items()}

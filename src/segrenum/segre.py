@@ -423,7 +423,9 @@ def _check_cosupport(germ: GermContext, I: Ideal):
     d = dimension(total)
     if d < 0 and dimension(I) < 0:
         raise PreconditionError("the unit ideal has no Segre data")
-    if d >= germ.n:
+    # A component away from the origin can lift the global dimension;
+    # the local one, never larger, decides.
+    if d >= germ.n and multiplicity_at_origin(total).local_dimension >= germ.n:
         raise PreconditionError(
             "ideal does not have nowhere-dense co-support on the germ"
         )

@@ -12,7 +12,7 @@ import segrenum
 from segrenum import cli
 from segrenum.errors import InputSyntaxError
 from segrenum.parser import parse_input, serialize_document
-from segrenum.report import SCHEMA_VERSION
+from segrenum.report import SCHEMA_VERSION, _exact
 
 CORPUS = Path(segrenum.__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
@@ -189,13 +189,33 @@ def test_exponent_past_the_limit_exits_1(tmp_path, capsys):
 
 
 def test_whitney_two_file_form(tmp_path):
+    """`whitney F0 F1` on two files gives the results, verdicts and engine
+    counters of `whitney FILE f0 f1` on one.  Its echo names no ideal, and
+    the second file's [options] are not read."""
     a = tmp_path / "f0.poly"
     b = tmp_path / "f1.poly"
+    pair = tmp_path / "pair.ideal"
     a.write_text("ring x, y; ideal f = x^2 + y^2;")
-    b.write_text("ring x, y; ideal f = x^2 + 2*y^2;")
+    b.write_text("ring x, y; ideal f = x^2 + 2*y^2;\n[options]\nseed = 5\n")
+    pair.write_text("ring x, y; ideal f0 = x^2 + y^2; ideal f1 = x^2 + 2*y^2;")
     code, out = run_cli(["whitney", str(a), str(b)])
     assert code == 0
-    assert json.loads(out)["results"]["whitney_sufficient"] is True
+    two_files = json.loads(out)
+    assert two_files["results"]["whitney_sufficient"] is True
+    code, out = run_cli(["whitney", str(pair), "f0", "f1"])
+    assert code == 0
+    one_file = json.loads(out)
+    for key in ("results", "verdicts", "engine", "options"):
+        assert two_files[key] == one_file[key], key
+    assert two_files["inputs"]["ideals"] == {}
+
+
+def test_report_values_render_exactly():
+    assert _exact({"n": (3, Fraction(1, 2)), "holds": True, "witness": None}) == {
+        "n": ["3", "1/2"], "holds": True, "witness": None,
+    }
+    with pytest.raises(TypeError, match="not an exact report value"):
+        _exact({"e": [1, 0.5]})
 
 
 def test_mixed_command(tmp_path):

@@ -35,6 +35,14 @@ def test_multiplication_examples(R2):
     assert poly_mul(x + 2 * y, x + 2 * y) == x ** 2 + 4 * x * y + 4 * y ** 2
 
 
+def test_bad_exponent_vectors_are_refused(R2):
+    """A vector of the wrong length, a negative entry and a non-integral
+    entry are each refused, not truncated."""
+    for exps in [(1,), (1, 0, 0), (-1, 0), (1.5, 0)]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            R2.poly({exps: 1})
+
+
 def test_ring_mismatch(R2, R3):
     with pytest.raises(RingMismatchError):
         poly_add(R2.variable(0), R3.variable(0))

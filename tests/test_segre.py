@@ -13,7 +13,10 @@ from segrenum import (
     GenericityConfig,
     GermContext,
     Ideal,
+    PolynomialRing,
+    SegreProfile,
     chain_condition,
+    closure_battery,
     generic_tuple,
     ideal,
     ideal_power,
@@ -239,6 +242,19 @@ def test_cosupport_precondition(R3, cfg):
     assert germ_surface.n == 2
     with pytest.raises(PreconditionError):
         polar_chain(germ_surface, ideal(R3, z), cfg)
+
+
+def test_cosupport_is_judged_at_the_origin(R2, cfg):
+    """On the lines x = 0 and x = 1, (x - 1) y is (y) near the origin: its
+    co-support is dense only on the far line, so it has the profile of (y).
+    (x) on the line x = 0 is still refused."""
+    x, y = R2.variables()
+    lines = make_germ(R2, ideal(R2, x ** 2 - x))
+    far, near = ideal(R2, (x - 1) * y), ideal(R2, y)
+    assert segre_profile(lines, far, cfg) == segre_profile(lines, near, cfg) == SegreProfile((1,), (1,))
+    assert closure_battery(lines, far, near, cfg).holds
+    with pytest.raises(PreconditionError, match="does not have nowhere-dense co-support"):
+        segre_profile(make_germ(R2, ideal(R2, x)), ideal(R2, x), cfg)
 
 
 def test_unit_ideal_rejected(germ3, R3, cfg):
@@ -513,21 +529,24 @@ def test_milnor_sequence_oracle(R3):
     assert milnor_sequence(x ** 3 + y ** 3 + z ** 4 + 2 * x * y ** 2 * z) == (1, 2, 4, 12)
 
 
-@pytest.mark.parametrize("f", [
-    lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2,                    # D4: (1, 1, 2, 4)
-    lambda x, y, z: x ** 3 + y ** 4 + z ** 2,                        # E6: (1, 1, 2, 6)
-    lambda x, y, z: x ** 3 + y ** 3 + z ** 3,                        # (1, 2, 4, 8)
-    lambda x, y, z: x ** 3 + y ** 4 + z ** 5,                        # (1, 2, 6, 24)
-    lambda x, y, z: x ** 3 + x * y ** 3 + z ** 2,                    # E7: (1, 1, 2, 7)
-], ids=["D4", "E6", "x3+y3+z3", "x3+y4+z5", "E7"])
-def test_teissier_formula_for_contact_tangent_ideals(R3, f):
-    """Teissier: e_3 of the contact tangent ideal m J(f) + (f) is
-    sum C(3, i) mu^(i), and mu^(i) is the mixed multiplicity of 3 - i
+@pytest.mark.parametrize("n, f", [
+    (3, lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2),                 # D4: (1, 1, 2, 4)
+    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 2),                     # E6: (1, 1, 2, 6)
+    (3, lambda x, y, z: x ** 3 + y ** 3 + z ** 3),                     # (1, 2, 4, 8)
+    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 5),                     # (1, 2, 6, 24)
+    (3, lambda x, y, z: x ** 3 + x * y ** 3 + z ** 2),                 # E7: (1, 1, 2, 7)
+    (4, lambda x, y, z, w: x ** 2 + y ** 2 + z ** 2 + w ** 3),         # (1, 1, 1, 1, 2), e_4 = 17
+    (4, lambda x, y, z, w: x ** 3 + y ** 3 + z ** 3 + w ** 3),         # (1, 2, 4, 8, 16), e_4 = 81
+], ids=["D4", "E6", "x3+y3+z3", "x3+y4+z5", "E7", "x2+y2+z2+w3", "x3+y3+z3+w3"])
+def test_teissier_formula_for_contact_tangent_ideals(n, f):
+    """Teissier: e_n of the contact tangent ideal m J(f) + (f) is
+    sum C(n, i) mu^(i), and mu^(i) is the mixed multiplicity of n - i
     generic linear forms with i generic partials of f."""
-    germ_f = FunctionGerm(f(*R3.variables()))
+    R = PolynomialRing(["x", "y", "z", "w"][:n])
+    germ_f = FunctionGerm(f(*R.variables()))
     mu = milnor_sequence(germ_f.poly)
-    germ, cfg = make_germ(R3), GenericityConfig(seed=7)
+    germ, cfg = make_germ(R), GenericityConfig(seed=7)
     prof = segre_profile(germ, contact_tangent_ideal(germ_f), cfg)
-    assert prof.e[2] == sum(math.comb(3, i) * mu[i] for i in range(4))
-    m, J = ideal(R3, *R3.variables()), jacobian_ideal(germ_f)
-    assert [mixed_multiplicity_primary(germ, m, J, 3 - i, cfg) for i in range(4)] == list(mu)
+    assert prof.e[n - 1] == sum(math.comb(n, i) * mu[i] for i in range(n + 1))
+    m, J = ideal(R, *R.variables()), jacobian_ideal(germ_f)
+    assert [mixed_multiplicity_primary(germ, m, J, n - i, cfg) for i in range(n + 1)] == list(mu)
