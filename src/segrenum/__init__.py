@@ -12,9 +12,6 @@ from .rings import (
     PolynomialRing,
     block_order,
     format_polynomial,
-    leading_term,
-    poly_add,
-    poly_mul,
 )
 from .groebner import (
     INFINITE,
@@ -36,7 +33,6 @@ from .groebner import (
     saturate,
 )
 from .multiplicity import (
-    HilbertSamuelSample,
     LocalMultiplicityResult,
     hilbert_samuel,
     multiplicity_at_origin,

@@ -11,7 +11,7 @@ floating point), with the equality case characterized algebraically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, PreconditionError
 from .groebner import Ideal, buchberger, ideal_power, ideal_product, ideal_sum, normal_form
@@ -69,7 +69,6 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    kind: str
     verdicts: tuple[CriterionVerdict, ...]
     left_profile: SegreProfile | None = None
     right_profile: SegreProfile | None = None
@@ -149,7 +148,6 @@ def teissier_criterion(germ: GermContext, I1: Ideal, I2: Ideal,
     chain = [mixed_multiplicity_primary(germ, I1, I2, i, cfg) for i in range(n, -1, -1)]
     verdict = _chain_verdict("teissier-chain", labels, chain)
     return ComparisonReport(
-        kind="teissier",
         verdicts=(verdict,),
         values={"chain": tuple(chain), "labels": tuple(labels)},
     )
@@ -188,7 +186,6 @@ def closure_battery(germ: GermContext, I1: Ideal, I2: Ideal,
     cache = MixedNumberCache(germ, I1, I2, cfg)
     verdicts = _battery_levels(cache, range(1, germ.n + 1))
     return ComparisonReport(
-        kind="closure-battery",
         verdicts=tuple(verdicts),
         left_profile=cache.profile(1),
         right_profile=cache.profile(2),
@@ -215,15 +212,24 @@ def rees_test(germ: GermContext, I1: Ideal, I2: Ideal,
             witness = f"e_{k}(I1)={a} differs from e_{k}(I2)={b}"
             break
     verdict = CriterionVerdict("rees-profiles", witness is None, witness)
-    return ComparisonReport(
-        kind="rees", verdicts=(verdict,), left_profile=p1, right_profile=p2
-    )
+    return ComparisonReport(verdicts=(verdict,), left_profile=p1, right_profile=p2)
 
 
 def _lower_codim_hypothesis(cache: MixedNumberCache, k: int) -> bool:
     """Lower-codimension equalities required before the codim-k
     inequalities and product/Minkowski formulas apply (k >= 2)."""
     return all(v.holds for v in _battery_levels(cache, range(1, k)))
+
+
+def _product_preamble(germ: GermContext, I1: Ideal, I2: Ideal, k: int,
+                      cfg: GenericityConfig):
+    """(cache, hypothesis, e_k(I1*I2)) for the product formula and the
+    Minkowski check; the hypothesis is None at k = n."""
+    if not 1 <= k <= germ.n:
+        raise PreconditionError(f"k must be between 1 and {germ.n}")
+    cache = MixedNumberCache(germ, I1, I2, cfg)
+    hypothesis = _lower_codim_hypothesis(cache, k) if k < germ.n else None
+    return cache, hypothesis, segre_profile(germ, ideal_product(I1, I2), cfg).e[k - 1]
 
 
 @dataclass(frozen=True)
@@ -247,14 +253,7 @@ def product_formula_check(germ: GermContext, I1: Ideal, I2: Ideal, k: int,
     is the correct one, and the unweighted sum documents the discrepancy
     in the unweighted printed statement.
     """
-    if not 1 <= k <= germ.n:
-        raise PreconditionError(f"k must be between 1 and {germ.n}")
-    cache = MixedNumberCache(germ, I1, I2, cfg)
-    hypothesis = None
-    if k < germ.n:
-        hypothesis = _lower_codim_hypothesis(cache, k)
-    product = ideal_product(I1, I2)
-    lhs = segre_profile(germ, product, cfg).e[k - 1]
+    cache, hypothesis, lhs = _product_preamble(germ, I1, I2, k, cfg)
     terms = tuple(cache.mixed(k, i, k - i) for i in range(k + 1))
     binomial_sum = sum(math.comb(k, i) * t for i, t in enumerate(terms))
     plain_sum = sum(terms)
@@ -343,14 +342,7 @@ class MinkowskiResult:
 def minkowski_check(germ: GermContext, I1: Ideal, I2: Ideal, k: int,
                     cfg: GenericityConfig) -> MinkowskiResult:
     """e_k(I1*I2)^(1/k) <= e_k(I1)^(1/k) + e_k(I2)^(1/k), exactly."""
-    if not 1 <= k <= germ.n:
-        raise PreconditionError(f"k must be between 1 and {germ.n}")
-    cache = MixedNumberCache(germ, I1, I2, cfg)
-    hypothesis = None
-    if k < germ.n:
-        hypothesis = _lower_codim_hypothesis(cache, k)
-    product = ideal_product(I1, I2)
-    A = segre_profile(germ, product, cfg).e[k - 1]
+    cache, hypothesis, A = _product_preamble(germ, I1, I2, k, cfg)
     B = cache.e(1, k)
     C = cache.e(2, k)
     cmp_ = radical_sum_compare(A, B, C, k)
@@ -412,5 +404,4 @@ def power_equivalence_probe(germ: GermContext, I1: Ideal, I2: Ideal,
     case for user-supplied exponents."""
     if a < 1 or b < 1:
         raise PreconditionError("powers must be positive")
-    report = closure_battery(germ, ideal_power(I1, a), ideal_power(I2, b), cfg)
-    return replace(report, kind="power-probe", values={"a": a, "b": b})
+    return closure_battery(germ, ideal_power(I1, a), ideal_power(I2, b), cfg)

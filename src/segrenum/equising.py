@@ -87,7 +87,6 @@ def whitney_battery(f0: FunctionGerm, f1: FunctionGerm,
                cache.mixed(k, k - 2, 2, swap=True)]
         verdicts.append(_chain_verdict(f"k={k} reverse", rev_labels, rev))
     report = ComparisonReport(
-        kind="whitney",
         verdicts=tuple(verdicts),
         left_profile=cache.profile(1),
         right_profile=cache.profile(2),

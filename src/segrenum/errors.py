@@ -14,7 +14,8 @@ class ZeroPolynomialError(SegrenumError):
 
 
 class ResourceLimitError(SegrenumError):
-    """A budget was exceeded: `groebner.MAX_BASIS`, `MAX_DEGREE` or `rings.MAX_EXPONENT`.
+    """A budget was exceeded: `groebner.MAX_BASIS`, `MAX_DEGREE`,
+    `rings.MAX_EXPONENT`, or Python's limit on the digits of a printed int.
 
     Carries partial statistics so the failure can be reported, never
     silently truncated.

@@ -627,9 +627,7 @@ def eliminate(I: Ideal, keep_last: int) -> Ideal:
     sub = PolynomialRing(I.ring.variable_names[split:], GREVLEX, I.ring.modulus)
     if I.is_zero:
         return Ideal(sub, ())
-    work_ring = I.ring.with_order(block_order(split))
-    work = Ideal(work_ring, [Polynomial(work_ring, g.coeffs) for g in I.generators])
-    return _eliminated(buchberger(work, work_ring.order), split, sub)
+    return _eliminated(buchberger(I, block_order(split)), split, sub)
 
 
 def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .groebner import Ideal, buchberger, hilbert_series
-from .rings import (GREVLEX, MAX_EXPONENT, TANGENT_CONE, W, Polynomial, PolynomialRing,
-                    _overflow)
+from .groebner import Ideal, _global_series, buchberger, hilbert_series
+from .rings import MAX_EXPONENT, TANGENT_CONE, W, Polynomial, PolynomialRing, _overflow
 
 _HOMOGENIZER = "@h"
 
@@ -63,13 +62,9 @@ def _local_series(I: Ideal):
     """
     if not passes_through_origin(I):
         return [], -1
-    if I.is_zero:
-        return [1], I.ring.nvars
     if all(g.is_homogeneous for g in I.generators):
-        H, order, drop = I, GREVLEX, 0
-    else:
-        H, order, drop = _homogenize(I), TANGENT_CONE, 1
-    lead = [e[drop:] for e in buchberger(H, order).leading_exponents()]
+        return _global_series(I)
+    lead = [e[1:] for e in buchberger(_homogenize(I), TANGENT_CONE).leading_exponents()]
     return hilbert_series(lead, I.ring.nvars)
 
 
@@ -87,16 +82,10 @@ def hilbert_samuel(I: Ideal, N: int) -> int:
 
 
 @dataclass(frozen=True)
-class HilbertSamuelSample:
-    N: int
-    value: int
-
-
-@dataclass(frozen=True)
 class LocalMultiplicityResult:
     multiplicity: int
     local_dimension: int
-    samples: tuple[HilbertSamuelSample, ...]
+    samples: tuple[int, ...]
 
     @property
     def misses_origin(self):
@@ -114,7 +103,5 @@ def multiplicity_at_origin(I: Ideal) -> LocalMultiplicityResult:
     P, d = _local_series(I)
     if d < 0:
         return LocalMultiplicityResult(0, -1, ())
-    samples = tuple(
-        HilbertSamuelSample(N, _samuel_value(P, d, N)) for N in range(1, len(P) + d + 2)
-    )
+    samples = tuple(_samuel_value(P, d, N) for N in range(1, len(P) + d + 2))
     return LocalMultiplicityResult(sum(P), d, samples)

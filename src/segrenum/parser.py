@@ -25,6 +25,7 @@ rational literals like 1/2; syntax errors carry line and column.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,6 +102,17 @@ def _tokenize(lines, start_line=1):
     return tokens
 
 
+def _int(tok: _Token) -> int:
+    """The value of an INT token; a literal with more digits than Python
+    converts is a syntax error at its position."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise InputSyntaxError(
+            f"integer literal of {len(tok.text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}", tok.line, tok.column) from None
+
+
 class _TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -169,17 +181,17 @@ class _PolyParser:
         base = self._atom()
         if self.s.accept_sym("^"):
             tok = self.s.expect("INT")
-            return base ** int(tok.text)
+            return base ** _int(tok)
         return base
 
     def _atom(self):
         tok = self.s.peek()
         if tok.kind == "INT":
             self.s.next()
-            num = int(tok.text)
+            num = _int(tok)
             if self.s.accept_sym("/"):
                 den_tok = self.s.expect("INT")
-                den = int(den_tok.text)
+                den = _int(den_tok)
                 if den == 0:
                     raise InputSyntaxError("zero denominator", den_tok.line, den_tok.column)
                 return self.ring.constant(Fraction(num, den))

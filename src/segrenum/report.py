@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .rings import _decimal
+
 SCHEMA_VERSION = "2"
 
 
@@ -23,7 +25,7 @@ def _exact(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, (tuple, list)):
         return [_exact(v) for v in value]
     if isinstance(value, dict):

@@ -5,7 +5,7 @@ coefficients are `fractions.Fraction` values (always reduced, positive
 denominator), or a prime p for GF(p), where they are integer residues in
 [0, p).  A polynomial is stored as a mapping from packed monomials (see
 `W` below) to nonzero coefficients; `PolynomialRing.poly` packs exponent
-tuples, and `terms`, `leading_term` and `Monomial` hand them back.  The
+tuples, and `terms`, `leading_item` and `Monomial` hand them back.  The
 ring context fixes the field, the variable names and the active monomial
 order, which determines leading terms and the canonical text form.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -99,10 +100,6 @@ class Monomial:
     """Exponent vector of a single monomial; length equals the ring's nvars."""
 
     exponents: tuple[int, ...]
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
 
 
 # -- raw monomial helpers (exponent tuples) --------------------------------
@@ -498,6 +495,16 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
+def _decimal(value) -> str:
+    """str(value) for an int or a Fraction; ResourceLimitError when it has
+    more decimal digits than Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ResourceLimitError(f"a number has more than {sys.get_int_max_str_digits()} "
+                                 "decimal digits, the limit for printing it") from None
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form: terms descending in the ring's order.
 
@@ -510,29 +517,14 @@ def format_polynomial(p: Polynomial) -> str:
         mono_s = p.ring.format_monomial(mono.exponents)
         mag = -coeff if coeff < 0 else coeff
         if not mono_s:
-            body = str(mag)
+            body = _decimal(mag)
         elif mag == 1:
             body = mono_s
         else:
-            body = f"{mag}*{mono_s}"
+            body = f"{_decimal(mag)}*{mono_s}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
 
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact sum (ring-checked)."""
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product (ring-checked)."""
-    return p * q
-
-
-def leading_term(p: Polynomial):
-    """(coefficient, Monomial) of the maximal term of a nonzero polynomial."""
-    e, c = p.leading_item()
-    return c, Monomial(e)

@@ -209,14 +209,12 @@ class GermContext:
         return replace(self, ring=ring, ambient=self.ambient.over(modulus))
 
 
-def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
-              expected_dim: int | None = None) -> GermContext:
+def make_germ(ring: PolynomialRing, ambient: Ideal | None = None) -> GermContext:
     """Build a germ context; n is the local dimension of the ambient
-    ideal at the origin, checked against `expected_dim` when given.
+    ideal at the origin, which must be positive.
 
-    Equidimensionality of the ambient is a documented user obligation;
-    the check performed is that the local dimension matches the
-    declared dimension.
+    Equidimensionality of the ambient is a documented user obligation and
+    is not checked.
     """
     if ambient is None or ambient.is_zero:
         ambient = Ideal(ring, ())
@@ -226,10 +224,6 @@ def make_germ(ring: PolynomialRing, ambient: Ideal | None = None,
             raise PreconditionError("ambient ideal does not pass through the origin")
         res = multiplicity_at_origin(ambient)
         n, mult = res.local_dimension, res.multiplicity
-    if expected_dim is not None and expected_dim != n:
-        raise PreconditionError(
-            f"declared dimension {expected_dim} but local dimension {n}"
-        )
     if n < 1:
         raise PreconditionError("germ must have positive dimension")
     return GermContext(ring, ambient, n, mult)
@@ -240,10 +234,8 @@ class GenericTuple:
     """Recorded generic combinations: each row of `coefficients` gives
     one combination of the source generators (replayable by seed)."""
 
-    source: Ideal
     combinations: tuple[Polynomial, ...]
     coefficients: tuple[tuple[int, ...], ...]
-    seed_used: int
 
 
 @dataclass(frozen=True)
@@ -257,8 +249,6 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class PolarChain:
-    germ: GermContext
-    source: Ideal
     tuple_used: GenericTuple
     stages: tuple[StageRecord, ...]
     seeds_used: tuple[int, ...]
@@ -329,7 +319,7 @@ def generic_tuple(I: Ideal, count: int, cfg: GenericityConfig,
             combos.append(p)
         if any(p.is_zero for p in combos):
             continue
-        return GenericTuple(I, tuple(combos), matrix, base)
+        return GenericTuple(tuple(combos), matrix)
     raise GenericityError(
         "could not draw a full-rank coefficient matrix; bound too small"
     )
@@ -456,7 +446,7 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     if exact != numbers:
         raise GenericityError(
             f"round 0's seed gives {exact} over QQ but {numbers} over GF(p)")
-    return PolarChain(germ, I, tup, tuple(stages), tuple(seeds),
+    return PolarChain(tup, tuple(stages), tuple(seeds),
                       cfg.verification_rounds >= 2)
 
 

@@ -69,10 +69,6 @@ class SurfaceResolutionData:
             if any(x < 0 for x in vec):
                 raise PreconditionError(f"vector {name} must be entrywise nonnegative")
 
-    @property
-    def rank(self):
-        return len(self.intersection_matrix)
-
 
 def _form(gram, x, y) -> Fraction:
     """x^T G y, exactly."""

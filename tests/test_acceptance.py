@@ -191,8 +191,7 @@ def test_acceptance_09_hilbert_samuel(R2, R3):
     plane = ideal(R3, z)
     ok = all(hilbert_samuel(plane, N) == N * (N + 1) // 2 for N in range(1, 11))
     res = multiplicity_at_origin(ideal(R2, x ** 2 - y ** 3))
-    values = [s.value for s in res.samples]
-    first_diffs = [b - a for a, b in zip(values, values[1:])]
+    first_diffs = [b - a for a, b in zip(res.samples, res.samples[1:])]
     ok = ok and res.multiplicity == 2 and res.local_dimension == 1
     ok = ok and first_diffs[-3:] == [2, 2, 2]
     _record(9, "hilbert_samuel((z), N) = N(N+1)/2; cusp multiplicity 2, degree 1", ok)

@@ -126,6 +126,19 @@ def test_eliminate_examples():
     )
 
 
+def test_eliminate_does_not_depend_on_the_callers_order():
+    """The block-order basis is computed from generators in the caller's
+    ring, whatever its order: a LEX ring gives the GREVLEX ring's result."""
+    results = []
+    for order in (GREVLEX, LEX):
+        R = PolynomialRing(["t", "s", "x", "y", "z"], order)
+        t, s, x, y, z = R.variables()
+        I = ideal(R, x - t ** 2 - s, y - t * s, z - s ** 2 + t)
+        results.append([eliminate(I, keep).generators for keep in (3, 4)])
+    grevlex, lex = results
+    assert lex == grevlex and all(grevlex)
+
+
 def test_saturate_examples(R3):
     x, y, z = R3.variables()
     S = saturate(ideal(R3, x * z, y * z), ideal(R3, z))

@@ -103,9 +103,8 @@ def test_multiplicity_examples(R2, R3):
 def test_degree_detection_is_sound(R2):
     x, y = R2.variables()
     res = multiplicity_at_origin(ideal(R2, x ** 2 - y ** 3))
-    values = [s.value for s in res.samples]
     d = res.local_dimension
-    diffs = values
+    diffs = res.samples
     for _ in range(d + 1):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     assert diffs[-2:] == [0, 0]

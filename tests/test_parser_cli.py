@@ -3,6 +3,7 @@ import json
 import contextlib
 import errno
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,6 +187,34 @@ def test_exponent_past_the_limit_exits_1(tmp_path, capsys):
     doc.write_text("ring x, y; ideal I = x^40000 - y;")
     assert run_cli(["segre", str(doc), "I"]) == (1, "")
     assert capsys.readouterr().err == "error: exponent 40000 exceeds the limit 32767\n"
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not _DIGIT_LIMIT, reason="this interpreter converts ints of any length to text")
+
+
+@needs_digit_limit
+def test_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
+    """Python refuses to convert a literal of more digits than its limit,
+    so the parser reports the literal's position instead."""
+    doc = tmp_path / "long.ideal"
+    doc.write_text("ring x, y;\nideal I = " + "7" * 5000 + "*x, y;")
+    assert run_cli(["segre", str(doc), "I"]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: integer literal of 5000 digits exceeds the limit of {_DIGIT_LIMIT}"
+        " at line 2, column 11\n")
+
+
+@needs_digit_limit
+def test_number_past_the_digit_limit_at_printing_exits_1(tmp_path, capsys):
+    """3^9100 has 4342 digits: the chain is computed, and echoing the
+    input coefficient ends with the limit's message, not a traceback."""
+    doc = tmp_path / "power.ideal"
+    doc.write_text("ring x, y; ideal I = 3^9100*x, y;")
+    assert run_cli(["segre", str(doc), "I"]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: a number has more than {_DIGIT_LIMIT} decimal digits, the limit for printing it\n")
 
 
 def test_whitney_two_file_form(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -550,3 +551,30 @@ def test_teissier_formula_for_contact_tangent_ideals(n, f):
     assert prof.e[n - 1] == sum(math.comb(n, i) * mu[i] for i in range(n + 1))
     m, J = ideal(R, *R.variables()), jacobian_ideal(germ_f)
     assert [mixed_multiplicity_primary(germ, m, J, n - i, cfg) for i in range(n + 1)] == list(mu)
+
+
+def _semi_quasi_homogeneous(R, seed):
+    """x^a + y^b + z^c with a, b, c drawn from 2..4, plus three seeded
+    terms of weighted degree above 1 (weights 1/a, 1/b, 1/c) and total
+    degree at most 5; returns the germ and (a, b, c)."""
+    rng = random.Random(seed)
+    a, b, c = (rng.randint(2, 4) for _ in range(3))
+    x, y, z = R.variables()
+    above = [(i, j, k) for i in range(6) for j in range(6) for k in range(6 - i - j)
+             if i * b * c + j * a * c + k * a * b > a * b * c]
+    f = x ** a + y ** b + z ** c
+    for i, j, k in rng.sample(above, 3):
+        f = f + rng.choice([-3, -2, -1, 1, 2, 3]) * x ** i * y ** j * z ** k
+    return FunctionGerm(f), (a, b, c)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_teissier_formula_on_random_semi_quasi_homogeneous_germs(R3, seed):
+    """A semi-quasi-homogeneous germ has an isolated singularity with the
+    Milnor number of its principal part, (a-1)(b-1)(c-1), and e_3 of its
+    contact tangent ideal is Teissier's sum C(3, i) mu^(i)."""
+    f, (a, b, c) = _semi_quasi_homogeneous(R3, seed)
+    mu = milnor_sequence(f.poly)
+    assert mu[3] == (a - 1) * (b - 1) * (c - 1)
+    prof = segre_profile(make_germ(R3), contact_tangent_ideal(f), GenericityConfig(seed=7))
+    assert prof.e[2] == sum(math.comb(3, i) * mu[i] for i in range(4))
