@@ -6,7 +6,6 @@ from .rings import (
     GREVLEX,
     LEX,
     MonomialOrder,
-    Monomial,
     OrderKind,
     Polynomial,
     PolynomialRing,

@@ -97,20 +97,25 @@ def _named_ideal(doc, name):
     return Ideal(doc.ring, doc.ideals[name])
 
 
+def _pair(doc, args):
+    """The germ and the two named ideals of a two-ideal command."""
+    return _germ(doc), _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2)
+
+
+def _texts(polys):
+    return [format_polynomial(p) for p in polys]
+
+
 def _inputs_echo(doc, args):
     echo = {"file": Path(args.file).name}
     if doc.ring is not None:
         echo["ring"] = list(doc.ring.variable_names)
         if doc.ambient:
-            echo["ambient"] = [format_polynomial(p) for p in doc.ambient]
+            echo["ambient"] = _texts(doc.ambient)
         names = [getattr(args, key, None) for key in ("ideal", "ideal1", "ideal2")]
         if getattr(args, "germ1", None):  # the two-file whitney form names no ideal
             names += [args.germ0, args.germ1]
-        echo["ideals"] = {
-            name: [format_polynomial(p) for p in doc.ideals[name]]
-            for name in names
-            if name in doc.ideals
-        }
+        echo["ideals"] = {name: _texts(doc.ideals[name]) for name in names if name in doc.ideals}
     return echo
 
 
@@ -124,23 +129,14 @@ def _cmd_segre(doc, args, cfg):
         "n": germ.n,
         "e": chain.e,
         "m": chain.m,
-        "polar_ideals": [
-            [format_polynomial(g) for g in s.polar_ideal.generators] or ["0"]
-            for s in chain.stages
-        ],
+        "polar_ideals": [_texts(s.polar_ideal.generators) or ["0"] for s in chain.stages],
         "certified": chain.certified,
     }
     return results, (), chain.seeds_used, EXIT_OK
 
 
 def _cmd_mixed(doc, args, cfg):
-    germ = _germ(doc)
-    value = mixed_segre(
-        germ,
-        _named_ideal(doc, args.ideal1),
-        _named_ideal(doc, args.ideal2),
-        args.k, args.i, args.j, cfg,
-    )
+    value = mixed_segre(*_pair(doc, args), args.k, args.i, args.j, cfg)
     return {"k": args.k, "i": args.i, "j": args.j, "value": value}, (), (cfg.seed,), EXIT_OK
 
 
@@ -156,14 +152,11 @@ def _battery(report):
 
 
 def _cmd_compare(doc, args, cfg):
-    germ = _germ(doc)
-    I1 = _named_ideal(doc, args.ideal1)
-    I2 = _named_ideal(doc, args.ideal2)
+    pair = _pair(doc, args)
     if args.powers:
-        a, b = args.powers
-        report = power_equivalence_probe(germ, I1, I2, a, b, cfg)
+        report = power_equivalence_probe(*pair, *args.powers, cfg)
     else:
-        report = closure_battery(germ, I1, I2, cfg)
+        report = closure_battery(*pair, cfg)
     results = {**_battery(report), "holds": report.holds}
     if args.powers:
         results["powers"] = args.powers
@@ -171,10 +164,7 @@ def _cmd_compare(doc, args, cfg):
 
 
 def _cmd_teissier(doc, args, cfg):
-    germ = _germ(doc)
-    report = teissier_criterion(
-        germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), cfg
-    )
+    report = teissier_criterion(*_pair(doc, args), cfg)
     results = {
         "labels": report.values["labels"],
         "chain": report.values["chain"],
@@ -184,10 +174,7 @@ def _cmd_teissier(doc, args, cfg):
 
 
 def _cmd_rees(doc, args, cfg):
-    germ = _germ(doc)
-    report = rees_test(
-        germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), cfg
-    )
+    report = rees_test(*_pair(doc, args), cfg)
     results = {
         "left": asdict(report.left_profile),
         "right": asdict(report.right_profile),
@@ -197,21 +184,17 @@ def _cmd_rees(doc, args, cfg):
 
 
 def _cmd_product_check(doc, args, cfg):
-    germ = _germ(doc)
-    k = args.k if args.k is not None else germ.n
-    res = product_formula_check(
-        germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), k, cfg
-    )
+    germ, I1, I2 = _pair(doc, args)
+    k = germ.n if args.k is None else args.k
+    res = product_formula_check(germ, I1, I2, k, cfg)
     code = EXIT_OK if res.verdict != "neither" else EXIT_FALSE
     return asdict(res), (), (cfg.seed,), code
 
 
 def _cmd_minkowski(doc, args, cfg):
-    germ = _germ(doc)
-    k = args.k if args.k is not None else germ.n
-    res = minkowski_check(
-        germ, _named_ideal(doc, args.ideal1), _named_ideal(doc, args.ideal2), k, cfg
-    )
+    germ, I1, I2 = _pair(doc, args)
+    k = germ.n if args.k is None else args.k
+    res = minkowski_check(germ, I1, I2, k, cfg)
     return asdict(res), (), (cfg.seed,), EXIT_OK if res.holds else EXIT_FALSE
 
 
@@ -247,6 +230,9 @@ def _cmd_whitney(doc, args, cfg):
         gens = [next(iter(d.ideals.values()), d.ambient) for d in (doc, second)]
         if any(len(g) != 1 for g in gens):
             raise PreconditionError("each germ file needs a single-generator ideal")
+        if second.options:
+            raise PreconditionError(f"{args.germ0} has an [options] block; only the first "
+                                    "file's options are read")
     else:
         gens = []
         for name in (args.germ0, args.germ1):
@@ -258,12 +244,8 @@ def _cmd_whitney(doc, args, cfg):
     report = whitney_battery(FunctionGerm(gens[0][0]), FunctionGerm(gens[1][0]), cfg)
     results = {
         "whitney_sufficient": report.holds,
-        "tangent_ideal_0": [
-            format_polynomial(g) for g in report.values["tangent_ideal_0"].generators
-        ],
-        "tangent_ideal_1": [
-            format_polynomial(g) for g in report.values["tangent_ideal_1"].generators
-        ],
+        "tangent_ideal_0": _texts(report.values["tangent_ideal_0"].generators),
+        "tangent_ideal_1": _texts(report.values["tangent_ideal_1"].generators),
         **_battery(report),
     }
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE

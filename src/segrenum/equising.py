@@ -50,15 +50,9 @@ def jacobian_ideal(f: FunctionGerm) -> Ideal:
 def contact_tangent_ideal(f: FunctionGerm) -> Ideal:
     """m*J(f) + (f): every variable times every partial, plus f."""
     ring = f.ring
-    gens = []
-    for i in range(ring.nvars):
-        xi = ring.variable(i)
-        for j in range(ring.nvars):
-            d = f.poly.derivative(j)
-            if not d.is_zero:
-                gens.append(xi * d)
-    gens.append(f.poly)
-    return Ideal(ring, gens)
+    partials = jacobian_ideal(f).generators
+    gens = [ring.variable(i) * d for i in range(ring.nvars) for d in partials]
+    return Ideal(ring, gens + [f.poly])
 
 
 def whitney_battery(f0: FunctionGerm, f1: FunctionGerm,

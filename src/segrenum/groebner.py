@@ -170,16 +170,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
         raise RingMismatchError("ideal product needs a shared ring")
     if a.is_zero or b.is_zero:
         return Ideal(a.ring, ())
-    prods = []
-    seen = set()
-    for f in a.generators:
-        for g in b.generators:
-            p = f * g
-            key = frozenset(p.coeffs.items())
-            if key not in seen:
-                seen.add(key)
-                prods.append(p)
-    return Ideal(a.ring, prods)
+    return Ideal(a.ring, dict.fromkeys(f * g for f in a.generators for g in b.generators))
 
 
 def ideal_power(a: Ideal, n: int) -> Ideal:
@@ -650,13 +641,6 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     return result
 
 
-def _eliminate_aux(gens, ext: PolynomialRing, ring: PolynomialRing, known: int = 0) -> Ideal:
-    """The ideal of `gens` in ext = ring[t], intersected with ring; the
-    first `known` of them are a reduced basis for ext's order."""
-    basis = _completion(Ideal(ext, gens), ext.order, known)
-    return _eliminated(basis, 1, ring)
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the t/(1-t) trick in one auxiliary variable."""
     if I.ring != J.ring:
@@ -667,7 +651,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     t = ext.variable(0)
     gens = [t * _lift(f, ext) for f in I.generators]
     gens += [(ext.one() - t) * _lift(g, ext) for g in J.generators]
-    return _eliminate_aux(gens, ext, I.ring)
+    return _eliminated(_completion(Ideal(ext, gens), ext.order), 1, I.ring)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
@@ -699,7 +683,7 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         known = buchberger(I, GREVLEX).basis
     gens = [_lift(f, ext) for f in known or I.generators]
     gens.append(ext.variable(0) * _lift(g, ext) - ext.one())
-    return _eliminate_aux(gens, ext, I.ring, len(known))
+    return _eliminated(_completion(Ideal(ext, gens), ext.order, len(known)), 1, I.ring)
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:

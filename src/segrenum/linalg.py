@@ -1,9 +1,6 @@
-"""Small exact linear algebra helpers over the rationals; `rank` runs
-fraction-free on integers."""
+"""Exact rank of integer matrices, fraction-free."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def rank(matrix) -> int:
@@ -29,20 +26,3 @@ def rank(matrix) -> int:
             break
     return r
 
-
-def solve(matrix, rhs):
-    """Solve M x = rhs exactly; raises on singular M."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]

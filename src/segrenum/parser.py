@@ -228,25 +228,25 @@ def _parse_vector(text: str, line_no: int):
     return tuple(_parse_rational(part, line_no) for part in text.split(","))
 
 
+def _content_lines(lines, start_line):
+    """(line number, text) of each line that is not blank once its
+    comment is stripped."""
+    for line_no, raw in enumerate(lines, start=start_line):
+        text = _strip_comment(raw).strip()
+        if text:
+            yield line_no, text
+
+
 def _parse_surface(lines, start_line) -> SurfaceBlock:
     matrix_rows = []
     vectors = {}
-    c_vec = None
-    for offset, raw in enumerate(lines):
-        line_no = start_line + offset
-        text = _strip_comment(raw).strip()
-        if not text:
-            continue
+    for line_no, text in _content_lines(lines, start_line):
         if "=" in text:
             key, _, rest = text.partition("=")
             key = key.strip()
             if key not in {"u", "v", "w", "c"}:
                 raise InputSyntaxError(f"unknown surface row {key!r}", line_no)
-            vec = _parse_vector(rest, line_no)
-            if key == "c":
-                c_vec = vec
-            else:
-                vectors[key] = vec
+            vectors[key] = _parse_vector(rest, line_no)
         else:
             try:
                 row = tuple(int(part) for part in text.replace(",", " ").split())
@@ -261,21 +261,17 @@ def _parse_surface(lines, start_line) -> SurfaceBlock:
     missing = {"u", "v", "w"} - set(vectors)
     if missing:
         raise InputSyntaxError(f"surface block lacks rows: {sorted(missing)}", start_line)
-    for key, vec in vectors.items():
+    # u, v and w in the order given, then c
+    for key, vec in sorted(vectors.items(), key=lambda item: item[0] == "c"):
         if len(vec) != r:
             raise InputSyntaxError(f"vector {key} has length {len(vec)}, expected {r}", start_line)
-    if c_vec is not None and len(c_vec) != r:
-        raise InputSyntaxError(f"vector c has length {len(c_vec)}, expected {r}", start_line)
-    return SurfaceBlock(tuple(matrix_rows), vectors["u"], vectors["v"], vectors["w"], c_vec)
+    return SurfaceBlock(tuple(matrix_rows), vectors["u"], vectors["v"], vectors["w"],
+                        vectors.get("c"))
 
 
 def _parse_options(lines, start_line) -> dict:
     options = {}
-    for offset, raw in enumerate(lines):
-        line_no = start_line + offset
-        text = _strip_comment(raw).strip()
-        if not text:
-            continue
+    for line_no, text in _content_lines(lines, start_line):
         for piece in text.split(","):
             piece = piece.strip()
             if not piece:

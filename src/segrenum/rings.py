@@ -5,7 +5,7 @@ coefficients are `fractions.Fraction` values (always reduced, positive
 denominator), or a prime p for GF(p), where they are integer residues in
 [0, p).  A polynomial is stored as a mapping from packed monomials (see
 `W` below) to nonzero coefficients; `PolynomialRing.poly` packs exponent
-tuples, and `terms`, `leading_item` and `Monomial` hand them back.  The
+tuples, and `terms` and `leading_item` hand them back.  The
 ring context fixes the field, the variable names and the active monomial
 order, which determines leading terms and the canonical text form.
 """
@@ -93,13 +93,6 @@ LEX = MonomialOrder(OrderKind.LEX)
 
 def block_order(split):
     return MonomialOrder(OrderKind.BLOCK, split)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of a single monomial; length equals the ring's nvars."""
-
-    exponents: tuple[int, ...]
 
 
 # -- raw monomial helpers (exponent tuples) --------------------------------
@@ -359,10 +352,10 @@ class Polynomial:
         return len(set(self.degrees())) <= 1
 
     def terms(self):
-        """Terms as (coefficient, Monomial), descending in the ring's order."""
+        """Terms as (coefficient, exponent tuple), descending in the ring's order."""
         key = self.ring._key
         return [
-            (self.coeffs[e], Monomial(key.__self__.unpack(e)))
+            (self.coeffs[e], key.__self__.unpack(e))
             for e in sorted(self.coeffs, key=key, reverse=True)
         ]
 
@@ -513,8 +506,8 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for coeff, mono in p.terms():
-        mono_s = p.ring.format_monomial(mono.exponents)
+    for coeff, exps in p.terms():
+        mono_s = p.ring.format_monomial(exps)
         mag = -coeff if coeff < 0 else coeff
         if not mono_s:
             body = _decimal(mag)

@@ -460,23 +460,24 @@ def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegrePr
 
 def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
                       cfg: GenericityConfig) -> SegreProfile:
-    """Segre numbers of the ideal induced by I on the subgerm cut out by P.
+    """Segre numbers of the ideal induced by I on the subgerm X cut out
+    by P on the germ, whose ideal is the ambient plus P.
 
-    Precondition: no associated component of P lies inside V(I), checked
-    exactly as P : I == P (which gives P : I^k == P for every k).  For
-    one generic g in I drawn from the seed, P <= P : I <= P : g, so
-    P : g == P, one principal quotient, proves it; only otherwise is the
+    Precondition: no associated component of X lies inside V(I), checked
+    exactly as X : I == X (which gives X : I^k == X for every k).  For
+    one generic g in I drawn from the seed, X <= X : I <= X : g, so
+    X : g == X, one principal quotient, proves it; only otherwise is the
     quotient by all of I computed, to tell a bad g from a real failure.
     """
     if P.is_zero:
         return segre_profile(germ, I, cfg)
-    if (ideal_quotient(P, _saturator(I, cfg, cfg.seed)) != P
-            and ideal_quotient(P, I) != P):
+    X = ideal_sum(germ.ambient, P)
+    if (ideal_quotient(X, _saturator(I, cfg, cfg.seed)) != X
+            and ideal_quotient(X, I) != X):
         raise PreconditionError("a component of the subscheme lies inside V(I)")
-    if not passes_through_origin(P):
+    if not passes_through_origin(X):
         raise PreconditionError("subscheme misses the origin")
-    subgerm = make_germ(germ.ring, P)
-    return segre_profile(subgerm, I, cfg)
+    return segre_profile(make_germ(germ.ring, X), I, cfg)
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,

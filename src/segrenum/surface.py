@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError
-from .linalg import solve
 
 
 def _check_symmetric(matrix):
@@ -25,28 +24,30 @@ def _check_symmetric(matrix):
                 raise PreconditionError("intersection matrix must be symmetric")
 
 
-def _negated(matrix):
-    return [[-x for x in row] for row in matrix]
+def _sylvester(rows) -> bool:
+    """Gaussian elimination of the leading square block of `rows`, in
+    place and with no row exchanges; False at the first pivot that is not
+    positive.  Pivot k is D_k / D_(k-1), the ratio of leading principal
+    minors, so this is Sylvester's test.  Columns past the block, such as
+    a right-hand side, are carried along."""
+    for k, top in enumerate(rows):
+        if top[k] <= 0:
+            return False
+        for row in rows[k + 1:]:
+            f = row[k] / top[k]
+            row[k:] = [a - f * b for a, b in zip(row[k:], top[k:])]
+    return True
 
 
 def posdef_check(matrix) -> bool:
-    """True iff M is positive definite: exact Gaussian elimination with no
-    row exchanges meets only positive pivots.  Pivot k is D_k / D_(k-1),
-    the ratio of leading principal minors, so this is Sylvester's test."""
+    """True iff M is positive definite (Sylvester's test)."""
     _check_symmetric(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    for c, top in enumerate(m):
-        if top[c] <= 0:
-            return False
-        for row in m[c + 1:]:
-            f = row[c] / top[c]
-            row[c:] = [a - f * b for a, b in zip(row[c:], top[c:])]
-    return True
+    return _sylvester([[Fraction(x) for x in row] for row in matrix])
 
 
 def negdef_check(matrix) -> bool:
     """True iff -M is positive definite."""
-    return posdef_check(_negated(matrix))
+    return posdef_check([[-x for x in row] for row in matrix])
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,27 @@ def total_transform(matrix, c):
 
     c holds the intersection numbers of the strict transform against
     each exceptional component; positivity of the solution is asserted.
+    One elimination of -M, with c carried as its last column, checks
+    that M is negative definite and gives a by back-substitution.
     """
-    if not negdef_check(matrix):
+    _check_symmetric(matrix)
+    n = len(matrix)
+    rows = [[-Fraction(x) for x in row] for row in matrix]
+    if len(c) == n:
+        for row, x in zip(rows, c):
+            row.append(Fraction(x))
+    if not _sylvester(rows):
         raise PreconditionError("matrix must be negative definite")
-    if len(c) != len(matrix):
+    if len(c) != n:
         raise PreconditionError("vector/matrix dimensions differ")
     if any(Fraction(x) < 0 for x in c):
         raise PreconditionError("intersection numbers must be nonnegative")
     if all(Fraction(x) == 0 for x in c):
         raise PreconditionError("the zero vector is rejected")
-    a = solve(_negated(matrix), [Fraction(x) for x in c])
+    a = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        a[k] = (row[n] - sum(row[j] * a[j] for j in range(k + 1, n))) / row[k]
     if any(x <= 0 for x in a):
         raise PreconditionError("solution is not entrywise positive: invalid input data")
     return a

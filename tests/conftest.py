@@ -1,6 +1,31 @@
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
-from segrenum import GenericityConfig, PolynomialRing, ideal, make_germ
+import segrenum
+from segrenum import GenericityConfig, PolynomialRing, cli, ideal, make_germ
+
+CORPUS = Path(segrenum.__file__).parent / "corpus"
+GOLDEN = CORPUS / "golden"
+
+
+def replay_corpus(*flags):
+    """Every command of the golden manifest run in-process through
+    `cli.main`, with `flags` appended: a list of (manifest entry, exit
+    code, report text)."""
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    runs = []
+    for entry in manifest:
+        argv = list(entry["argv"])
+        argv[1] = str(CORPUS / argv[1])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv + list(flags))
+        runs.append((entry, code, buf.getvalue()))
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,7 @@ def macaulay_colength(ideal_, low_degree, high_degree):
     pivots = {}
     for g in ideal_.generators:
         for mu in _monomials_up_to(nvars, high_degree - g.total_degree):
-            row = {index[tuple(a + b for a, b in zip(mono.exponents, mu))]: Fraction(coeff)
+            row = {index[tuple(a + b for a, b in zip(mono, mu))]: Fraction(coeff)
                    for coeff, mono in g.terms()}
             while row:
                 col = min(row)
@@ -130,7 +130,7 @@ def staircase_colength(exponents, nvars):
 def vanishing_order(poly):
     """Order of the lowest-degree form; the multiplicity oracle for a
     plane curve defined by one equation."""
-    return min(sum(mono.exponents) for _, mono in poly.terms())
+    return min(sum(mono) for _, mono in poly.terms())
 
 
 # -- Teissier's sequence mu* of an isolated hypersurface singularity ----------
@@ -157,7 +157,7 @@ def _restrict(poly, matrix):
     for c, mono in poly.terms():
         c = Fraction(c)
         term = {(0,) * i: c.numerator * pow(c.denominator, -1, _P) % _P}
-        for form, k in zip(forms, mono.exponents):
+        for form, k in zip(forms, mono):
             for _ in range(k):
                 term = _mul(term, form)
         for e, v in term.items():

@@ -3,19 +3,14 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import io
-import contextlib
 import json
 import random
 import time
 from fractions import Fraction
 from math import isqrt
-from pathlib import Path
 
-import segrenum
 from segrenum import (
     TupleTriple,
-    cli,
     closure_battery,
     colength,
     hilbert_samuel,
@@ -37,10 +32,8 @@ from segrenum import (
 )
 from segrenum.surface import posdef_check
 
+from conftest import replay_corpus
 from oracles import macaulay_colength_stable, newton_covolume_2d, staircase_colength
-
-CORPUS = Path(segrenum.__file__).parent / "corpus"
-GOLDEN = CORPUS / "golden"
 
 
 def _record(number, description, ok):
@@ -76,7 +69,7 @@ def test_acceptance_02_product_formula(germ2, R2, cfg):
     I2 = ideal(R2, x ** 2, y ** 3)
     res = product_formula_check(germ2, I1, I2, 2, cfg)
     # independent oracles, frozen before the engine values are trusted
-    prod_points = [max(m.exponents for _, m in g.terms())
+    prod_points = [max(m for _, m in g.terms())
                    for g in ideal_product(I1, I2).generators]
     covolume = newton_covolume_2d(prod_points)
     stair_e_I2 = staircase_colength([(2, 0), (0, 3)], 2)
@@ -251,31 +244,14 @@ def test_acceptance_11_surface_solve():
     _record(11, "total transforms exact; positivity on chain matrices up to rank 8", ok)
 
 
-def _run_corpus(seed=None):
-    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
-    outputs = {}
-    codes = {}
-    for entry in manifest:
-        argv = list(entry["argv"])
-        argv[1] = str(CORPUS / argv[1])
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            codes[entry["golden"]] = cli.main(argv)
-        outputs[entry["golden"]] = buf.getvalue()
-    return outputs, codes
-
-
 def test_acceptance_12_determinism():
-    first, codes1 = _run_corpus()
-    second, codes2 = _run_corpus()
-    ok = first == second and codes1 == codes2
+    first = replay_corpus()
+    ok = replay_corpus() == first
 
-    reseeded, _ = _run_corpus(seed=777)
-    for name, text in first.items():
+    reseeded = replay_corpus("--seed", "777")
+    for (_, _, text), (_, _, again) in zip(first, reseeded):
         a = json.loads(text)["results"]
-        b = json.loads(reseeded[name])["results"]
+        b = json.loads(again)["results"]
         for key in ("e", "m", "chain", "value", "lhs", "terms", "binomial_sum",
                     "product_number", "holds", "equivalent", "chain_condition",
                     "whitney_sufficient", "verdict", "comparison"):

@@ -217,7 +217,7 @@ def test_product_formula_plane_pair(germ2, R2, cfg):
     assert res.verdict == "binomial"
     # oracle: covolume of the product monomial ideal
     prod = ideal_product(I1, I2)
-    pts = [max(m.exponents for _, m in g.terms()) for g in prod.generators]
+    pts = [max(m for _, m in g.terms()) for g in prod.generators]
     assert 2 * newton_covolume_2d([tuple(e) for e in pts]) == 11
 
 
@@ -295,6 +295,25 @@ def test_radical_sum_compare():
     assert radical_sum_compare(50, 8, 18, 2) == "eq"  # sqrt50 = 2sqrt2+3sqrt2
     assert radical_sum_compare(0, 0, 0, 2) == "eq"
     assert radical_sum_compare(5, 5, 0, 4) == "eq"
+
+
+def test_radical_sum_compare_refines_its_bracket(monkeypatch):
+    """Near equality one bracket at scale 2^8 does not separate the two
+    sides: both answers take a second, finer bracket (5 root calls become
+    8), and each agrees with the exact k = 2 rule, which compares
+    A - B - C with 2 sqrt(BC) by squaring."""
+    B, C = 2 * 10 ** 6, 3 * 10 ** 6
+    calls = []
+    real = criteria.integer_kth_root
+    monkeypatch.setattr(criteria, "integer_kth_root",
+                        lambda n, k: calls.append(n) or real(n, k))
+    for A, expected in ((9898979, "lt"), (9898980, "gt")):
+        calls.clear()
+        assert radical_sum_compare(A, B, C, 2) == expected
+        assert len(calls) == 8
+        d = A - B - C  # positive, so squaring keeps the order
+        assert d > 0
+        assert {1: "gt", -1: "lt"}[(d * d > 4 * B * C) - (d * d < 4 * B * C)] == expected
 
 
 def test_minkowski_plane_pair(germ2, R2, cfg):

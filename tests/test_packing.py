@@ -79,7 +79,7 @@ def test_int_keys_sort_as_the_order_keys(vectors):
 
 
 def _exponents(p):
-    return {m.exponents: c for c, m in p.terms()}
+    return {m: c for c, m in p.terms()}
 
 
 @hypothesis.settings(deadline=None)

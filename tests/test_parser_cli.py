@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
-import segrenum
 from segrenum import cli
 from segrenum.errors import InputSyntaxError
 from segrenum.parser import parse_input, serialize_document
 from segrenum.report import SCHEMA_VERSION, _exact
 
-CORPUS = Path(segrenum.__file__).parent / "corpus"
-GOLDEN = CORPUS / "golden"
+from conftest import CORPUS, GOLDEN, replay_corpus
 
 
 def run_cli(argv):
@@ -36,7 +34,7 @@ def test_parse_basic_document():
 def test_parse_rational_coefficient():
     doc = parse_input("ring x; ideal I = x^2 - 1/2*x;")
     (p,) = doc.ideals["I"]
-    assert {m.exponents: c for c, m in p.terms()}[(1,)] == Fraction(-1, 2)
+    assert {m: c for c, m in p.terms()}[(1,)] == Fraction(-1, 2)
 
 
 def test_parse_requires_ring_first():
@@ -98,12 +96,9 @@ def test_goldens_carry_the_current_schema():
 
 
 def test_golden_corpus():
-    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest, "empty corpus manifest"
-    for entry in manifest:
-        argv = list(entry["argv"])
-        argv[1] = str(CORPUS / argv[1])
-        code, out = run_cli(argv)
+    runs = replay_corpus()
+    assert runs, "empty corpus manifest"
+    for entry, code, out in runs:
         expected = (GOLDEN / entry["golden"]).read_text(encoding="utf-8")
         assert code == entry["exit"], entry
         assert out == expected, f"report drift for {entry['golden']}"
@@ -219,13 +214,12 @@ def test_number_past_the_digit_limit_at_printing_exits_1(tmp_path, capsys):
 
 def test_whitney_two_file_form(tmp_path):
     """`whitney F0 F1` on two files gives the results, verdicts and engine
-    counters of `whitney FILE f0 f1` on one.  Its echo names no ideal, and
-    the second file's [options] are not read."""
+    counters of `whitney FILE f0 f1` on one.  Its echo names no ideal."""
     a = tmp_path / "f0.poly"
     b = tmp_path / "f1.poly"
     pair = tmp_path / "pair.ideal"
     a.write_text("ring x, y; ideal f = x^2 + y^2;")
-    b.write_text("ring x, y; ideal f = x^2 + 2*y^2;\n[options]\nseed = 5\n")
+    b.write_text("ring x, y; ideal f = x^2 + 2*y^2;")
     pair.write_text("ring x, y; ideal f0 = x^2 + y^2; ideal f1 = x^2 + 2*y^2;")
     code, out = run_cli(["whitney", str(a), str(b)])
     assert code == 0
@@ -237,6 +231,47 @@ def test_whitney_two_file_form(tmp_path):
     for key in ("results", "verdicts", "engine", "options"):
         assert two_files[key] == one_file[key], key
     assert two_files["inputs"]["ideals"] == {}
+
+
+def test_whitney_refuses_options_in_the_second_file(tmp_path, capsys):
+    """Only the first file's [options] are read, so a second file with its
+    own is refused rather than silently ignored."""
+    a = tmp_path / "f0.poly"
+    b = tmp_path / "f1.poly"
+    a.write_text("ring x, y; ideal f = x^2 + y^2;")
+    b.write_text("ring x, y; ideal f = x^2 + 2*y^2;\n[options]\nseed = 5\n")
+    assert run_cli(["whitney", str(a), str(b)]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: {b} has an [options] block; only the first file's options are read\n")
+
+
+_CUSP = "ring x, y; ambient = x^2 - y^3; ideal I = y; ideal J = x;\n"
+
+
+def test_germ_with_an_ambient(tmp_path):
+    """On the cusp x^2 = y^3 the ambient is echoed, and (y) and (x) have
+    the multiplicities 2 and 3 of the curve's parametrisation (t^3, t^2)."""
+    doc = tmp_path / "cusp.ideal"
+    doc.write_text(_CUSP)
+    code, out = run_cli(["segre", str(doc), "I"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["inputs"]["ambient"] == ["-y^3 + x^2"]
+    assert (report["results"]["e"], report["results"]["m"]) == (["2"], ["2"])
+    code, out = run_cli(["compare", str(doc), "I", "J"])
+    results = json.loads(out)["results"]
+    assert code == 2
+    assert (results["left"]["e"], results["right"]["e"]) == (["2"], ["3"])
+
+
+def test_compare_with_powers():
+    """`--powers 1 1` probes I1^1 against I2^1: the plain compare's results
+    and exit code, with the powers echoed."""
+    argv = ["compare", str(CORPUS / "codim1_pair.ideal"), "I1", "I2"]
+    plain_code, plain = run_cli(argv)
+    code, out = run_cli(argv + ["--powers", "1", "1"])
+    assert code == plain_code
+    assert json.loads(out)["results"] == {**json.loads(plain)["results"], "powers": ["1", "1"]}
 
 
 def test_report_values_render_exactly():
@@ -290,3 +325,5 @@ def test_parser_negative_cases():
         parse_input("[surface]\n-2 1\nu = 1\nv = 1\nw = 1\n")  # non-square
     with pytest.raises(InputSyntaxError):
         parse_input("[options]\nwibble = 3\n")
+    with pytest.raises(InputSyntaxError, match="duplicate ambient block"):
+        parse_input(_CUSP + "ambient = x;\n")

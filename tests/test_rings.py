@@ -114,7 +114,7 @@ def test_order_axioms(order, triple):
 def test_serialization_deterministic(R3):
     x, y, z = R3.variables()
     p = 3 * x * y - z ** 2 + R3.poly({(0, 1, 0): Fraction(1, 2)})
-    q = R3.poly({m.exponents: c for c, m in reversed(p.terms())})
+    q = R3.poly({m: c for c, m in reversed(p.terms())})
     assert format_polynomial(p) == format_polynomial(q)
     assert format_polynomial(p) == "3*x*y - z^2 + 1/2*y"
     assert format_polynomial(R3.zero()) == "0"

@@ -1,15 +1,11 @@
-import contextlib
-import io
 import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import segrenum
-from segrenum import cli, segre
+from segrenum import segre
 from segrenum import (
     GenericityConfig,
     GermContext,
@@ -35,6 +31,7 @@ from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
+from conftest import replay_corpus
 from oracles import macaulay_colength_stable, milnor_sequence
 
 
@@ -111,6 +108,16 @@ def test_property_one_polar_subspaces(germ3, divisor_pair, cfg):
         sub = segre_on_subspace(germ3, I2, P, cfg)
         for i in range(1, germ3.n - j + 1):
             assert sub.e[i - 1] == chain.e[i + j - 1]
+
+
+def test_subspace_of_a_germ_with_an_ambient(R3, cfg):
+    """On the germ V(z), P = (y) cuts out the line V(y, z), not the plane
+    V(y): I = (x) induces on it the profile of that line."""
+    x, y, z = R3.variables()
+    germ = make_germ(R3, ideal(R3, z))
+    sub = segre_on_subspace(germ, ideal(R3, x), ideal(R3, y), cfg)
+    line = make_germ(R3, ideal(R3, z, y))
+    assert sub.e == segre_profile(line, ideal(R3, x), cfg).e == (1,)
 
 
 def test_property_one_identity_case(germ3, divisor_pair, cfg):
@@ -316,20 +323,13 @@ def _rational_rounds(seed, den=1):
 
 
 def _replay_corpus():
-    """Every manifest command run through the CLI: {golden: (exit code,
-    report without its engine counters)}."""
-    corpus = Path(segrenum.__file__).parent / "corpus"
-    manifest = json.loads((corpus / "golden" / "manifest.json").read_text(encoding="utf-8"))
-    out = {}
-    for entry in manifest:
-        argv = list(entry["argv"])
-        argv[1] = str(corpus / argv[1])
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv)
-        report = json.loads(buf.getvalue())
+    """Every manifest command run through the CLI: (exit code, report
+    without its engine counters) in manifest order."""
+    out = []
+    for _, code, text in replay_corpus():
+        report = json.loads(text)
         report.pop("engine")
-        out[entry["golden"]] = (code, report)
+        out.append((code, report))
     return out
 
 

@@ -82,6 +82,24 @@ def test_total_transform_examples():
         total_transform([[-2]], [0])
 
 
+@pytest.mark.parametrize("matrix, c, message", [
+    ([[-1, 2], [2, -1]], [1, 0], "matrix must be negative definite"),
+    ([[-1, 2], [2, -1]], [1], "matrix must be negative definite"),
+    ([[-2, 1], [0, -2]], [1, 0], "intersection matrix must be symmetric"),
+    ([[-2]], [1, 0], "vector/matrix dimensions differ"),
+    ([[-2, 1], [1, -2]], [1, -1], "intersection numbers must be nonnegative"),
+    ([[-2, 1], [1, -2]], [0, 0], "the zero vector is rejected"),
+    ([[-2, -1], [-1, -2]], [1, 0], "solution is not entrywise positive: invalid input data"),
+], ids=["not-negdef", "not-negdef-before-length", "not-symmetric", "length",
+        "negative-entry", "zero-vector", "not-positive"])
+def test_total_transform_refusals(matrix, c, message):
+    """Each refusal, with its message; a matrix that is not negative
+    definite is named before a vector of the wrong length."""
+    with pytest.raises(PreconditionError) as err:
+        total_transform(matrix, c)
+    assert str(err.value) == message
+
+
 def test_total_transform_positivity_on_chains():
     rng = random.Random(3307)
     for n in range(1, 9):
