@@ -37,7 +37,7 @@ from .segre import (
     mixed_segre,
     polar_chain,
 )
-from .surface import SurfaceResolutionData, e2_from_orders, lemma32_verify, negdef_check, total_transform
+from .surface import SurfaceResolutionData, e2_from_orders, lemma32_verify, total_transform
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -208,10 +208,11 @@ def _cmd_surface(doc, args, cfg):
     if doc.surface is None:
         raise PreconditionError("document has no [surface] block")
     block = doc.surface
+    # the construction refuses a matrix that is not negative definite
     orders = e2_from_orders(SurfaceResolutionData(block.matrix, block.u, block.v, block.w))
     gram = tuple(tuple(-x for x in row) for row in block.matrix)
     results = {
-        "negative_definite": negdef_check(block.matrix),
+        "negative_definite": True,
         **asdict(orders),
         "mixed_inequality_holds": orders.inequality_holds,
         "lemma32": asdict(lemma32_verify(gram, block.u, block.v, block.w)),

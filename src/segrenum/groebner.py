@@ -5,25 +5,26 @@ monomial ideal, which colength and dimension read.
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy, over
 the coefficient field of the ring (`PolynomialRing.modulus`).  All
-arithmetic is exact.  The raw layer works on coefficient vectors
-({packed monomial: int}, with the packing, guard bits and memoized order
-keys of `rings`) and returns the reduced basis as such vectors with
-their packed leading monomials.  A new term with an exponent past
-2^15 - 1 raises ResourceLimitError.  Over QQ the layer runs fraction-free on
-primitive integer vectors (content 1, positive leading coefficient);
-over GF(p) on monic vectors of residues, reducing each coefficient mod p
-when it is next used, so no number grows past a few machine words.  One
-kernel serves both: only the normalisation of a vector and of a popped
-coefficient depends on the field.  A `GroebnerBasis` keeps those rows,
-and every reduction against it uses them; its monic polynomials are
-built once, for callers.  Resource budgets turn runaway computations
-into reported failures: `MAX_BASIS` elements, and `MAX_DEGREE` for the
-leading degree of an element an S-pair adds.
+arithmetic is exact.  The raw layer works on rows: coefficient vectors
+{packed monomial: int}, with the packing, guard bits and memoized order
+keys of `rings`.  A new term with an exponent past 2^15 - 1 raises
+ResourceLimitError.  `_normalise` is the one place a coefficient dict
+becomes a row: over QQ the primitive integer vector with a positive
+leading entry, so the kernel runs fraction-free; over GF(p) the monic
+vector of residues, each coefficient reduced mod p when it is next used,
+so no number grows past a few machine words.  A completion normalises
+only the rows it keeps.  A `GroebnerBasis` holds the reduced basis as
+rows and as the monic polynomials they define; completions and their
+checks reduce against the rows, and `normal_form` against the monic
+polynomials, so its remainder is exact in either field.  Resource
+budgets turn runaway computations into reported failures: `MAX_BASIS`
+elements, and `MAX_DEGREE` for the leading degree of an element an
+S-pair adds.
 
 Within one completion the basis only grows by appending, so all its
 reductions share a memo of the first divisor found for each exponent,
 and the pending pairs wait in a heap ordered by their lcm.  Bases are
-cached by ring, order and the multiset of generators.  An
+cached by ring, order and the generators as given.  An
 elimination hands the basis elements free of the eliminated variables
 to that cache as the reduced grevlex basis of its result, so the
 multiplicity, dimension or colength of a saturation starts no second
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -184,11 +184,11 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The reduced basis, in descending order of leading terms: `basis[i]`
-    is `rows[i]` divided by its leading coefficient at the packed
-    monomial `leads[i]`.  Over QQ a row is a primitive integer vector with
-    positive leading coefficient; over GF(p) it is monic, and `basis[i]`
-    holds it as is."""
+    """The reduced basis, in descending order of leading terms: `rows[i]`
+    is a row as `_normalise` makes it, with its lead at the packed
+    monomial `leads[i]`, and `basis[i]` is the monic polynomial of that
+    row.  Over GF(p) the row is monic already, and `basis[i]` holds it as
+    is."""
 
     ring: PolynomialRing
     order: MonomialOrder
@@ -216,56 +216,36 @@ def _lcm(a, b, guard):
     return b ^ ((a ^ b) & mask)
 
 
-def _clear_denominators(d):
-    """(integer vector, positive integer) whose quotient is d."""
-    denom = 1
-    for c in d.values():
-        denom = lcm(denom, c.denominator)
-    return {e: c.numerator * (denom // c.denominator) for e, c in d.items()}, denom
-
-
-def _primitive_int(d, key, modulus=0):
-    """Over QQ: integer coefficient vector, content 1, positive leading
-    entry.  Over GF(p): the monic vector of residues.
-
-    The completion loop works fraction-free: every intermediate result
-    equals the exact one up to a nonzero scalar.
-    """
+def _normalise(d, key, modulus=0):
+    """The kernel row of a nonzero coefficient dict: over GF(p) the monic
+    vector of residues, over QQ the primitive integer vector with a
+    positive leading entry, any Fraction denominators cleared first."""
+    lead = d[max(d, key=key)]
     if modulus:
-        return _strip_content(d, key, modulus)
-    return _strip_content(_clear_denominators(d)[0], key)
-
-
-def _strip_content(d, key, modulus=0):
-    """d scaled to a primitive vector with positive leading entry, or over
-    GF(p) (entries nonzero mod p) to a monic vector of residues."""
-    if modulus:
-        inv = pow(d[max(d, key=key)], -1, modulus)
+        inv = pow(lead, -1, modulus)
         return {e: c * inv % modulus for e, c in d.items()}
-    content = 0
-    for c in d.values():
-        content = gcd(content, c)
-        if content == 1:
-            break
-    if d and d[max(d, key=key)] < 0:
+    denom = lcm(*(c.denominator for c in d.values()))
+    d = {e: c.numerator * (denom // c.denominator) for e, c in d.items()}
+    content = gcd(*d.values())
+    if lead < 0:
         content = -content
-    if content not in (0, 1):
-        return {e: c // content for e, c in d.items()}
-    return d
+    return d if content == 1 else {e: c // content for e, c in d.items()}
 
 
 _UNSCANNED = (-1, 0)
 
 
-def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modulus=0):
-    """Full pseudo-normal-form of p against an integer raw basis.
+def _reduce_raw(p, basis, lts, key, divisors=None, modulus=0):
+    """The remainder of p against a basis of rows: no term of it is
+    divisible by a lead in `lts`.
 
-    The result is the exact normal form times a positive integer; with
-    `track_multiplier` the scalar is returned so callers can undo it.
-    Over GF(p) the basis is monic, the multiplier stays 1, and a
-    coefficient is reduced mod p when it is popped: updates in between
-    add products of two residues, and a term whose sum is a nonzero
-    multiple of p is dropped then.
+    Over QQ the reduction is fraction-free: a lead coefficient other than
+    1 scales the remainder so far and the rest of the work by a positive
+    integer, so the result is the exact remainder times a positive
+    integer (the exact one for monic rows).  Over GF(p) the rows are
+    monic, and a coefficient is reduced mod p when it is popped: updates
+    in between add products of two residues, and a term whose sum is a
+    nonzero multiple of p is dropped then.
 
     Each term is reduced by the first basis element whose lead divides
     it.  `divisors` memoizes that search, {exponent: (first divisor index
@@ -275,7 +255,6 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
     """
     work = dict(p)
     remainder = {}
-    multiplier = 1
     nb = len(basis)
     if divisors is None:
         divisors = {}
@@ -312,7 +291,6 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
             scale = a // common
             c = c // common
             if scale != 1:
-                multiplier *= scale
                 for er in remainder:
                     remainder[er] *= scale
                 for ew in work:
@@ -334,18 +312,19 @@ def _reduce_raw(p, basis, lts, key, track_multiplier=False, divisors=None, modul
                     work[ee] = s
                 else:
                     del work[ee]
-    if track_multiplier:
-        return remainder, multiplier
-    return _strip_content(remainder, key, modulus) if remainder else remainder
+    return remainder
 
 
-def _spoly_raw(f, lt_f, g, lt_g, key, modulus=0):
+def _spoly_raw(f, lt_f, g, lt_g, key):
+    """The S-polynomial of two rows times the lcm of their leading
+    coefficients, so its coefficients are integers."""
     guard = key.__self__.guard
     L = _lcm(lt_f, lt_g, guard)
     sf = L - lt_f
     sg = L - lt_g
-    a_f = f[lt_f]
-    a_g = g[lt_g]
+    common = gcd(f[lt_f], g[lt_g])
+    a_f = f[lt_f] // common
+    a_g = g[lt_g] // common
     out = {e + sf: c * a_g for e, c in f.items()}
     for e, c in g.items():
         ee = e + sg
@@ -361,7 +340,7 @@ def _spoly_raw(f, lt_f, g, lt_g, key, modulus=0):
     for e in out:
         if e & guard:
             raise _overflow(key.__self__.unpack(e))
-    return _strip_content(out, key, modulus) if out else out
+    return out
 
 
 def _update_pairs(lts, mono_flags, pairs, t, key):
@@ -410,11 +389,11 @@ def _budget_check(G, deg):
 
 
 def _buchberger_raw(gens, key, *, modulus=0, known=0):
-    """Completion of primitive integer vectors, or over GF(`modulus`) of
-    monic residue vectors: returns (rows, leads), the unique reduced
-    basis as such vectors and their leading exponents, in descending
-    order of leading terms.  Exponents are packed, and `key` is the
-    `_memo_key` of the order.
+    """Completion of rows (see `_normalise`) over QQ, or over GF(`modulus`):
+    returns (rows, leads), the unique reduced basis as rows and their
+    leading exponents, in descending order of leading terms.  Exponents
+    are packed, and `key` is the `_memo_key` of the order.  Only the
+    rows the run keeps are normalised.
 
     The first `known` vectors must be a reduced Groebner basis for the
     order: each pair among them already has a standard representation,
@@ -452,20 +431,20 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     for d in gens[:known]:
         insert(d, paired=False)
     for d in gens[known:]:
-        r = _reduce_raw(d, G, lts, key, divisors=divisors, modulus=modulus) if G else d
+        r = _reduce_raw(d, G, lts, key, divisors=divisors, modulus=modulus)
         if r:
-            insert(r)
+            insert(_normalise(r, key, modulus))
 
     while queue:
         _, pair = heapq.heappop(queue)
         if pairs.pop(pair, None) is None:
             continue  # deleted by a later update
         i, j = pair
-        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key, modulus)
+        s = _spoly_raw(G[i], lts[i], G[j], lts[j], key)
         stats.spairs_reduced += 1
         r = _reduce_raw(s, G, lts, key, divisors=divisors, modulus=modulus)
         if r:
-            insert(r, grown=True)
+            insert(_normalise(r, key, modulus), grown=True)
 
     if len(G) > stats.max_basis_size:
         stats.max_basis_size = len(G)
@@ -483,12 +462,13 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     G_min = [G[i] for i in keep]
     lts_min = [lts[i] for i in keep]
 
-    # interreduce: no other lead divides lts_min[i], so it stays the lead
-    rows = [_reduce_raw(G_min[i], G_min[:i] + G_min[i + 1:],
-                        lts_min[:i] + lts_min[i + 1:], key, modulus=modulus)
-            for i in range(len(G_min))]
-    desc = sorted(range(len(rows)), key=lambda i: key(lts_min[i]), reverse=True)
-    return tuple(rows[i] for i in desc), tuple(lts_min[i] for i in desc)
+    # interreduce: no other lead divides lts_min[i], so it stays the lead;
+    # the kept leads ascend, so the reduced basis is the rows reversed
+    rows = [_normalise(_reduce_raw(G_min[i], G_min[:i] + G_min[i + 1:],
+                                   lts_min[:i] + lts_min[i + 1:], key, modulus=modulus),
+                       key, modulus)
+            for i in reversed(range(len(G_min)))]
+    return tuple(rows), tuple(reversed(lts_min))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +487,8 @@ def clear_caches():
 
 
 def _cache_key(I: Ideal, order: MonomialOrder):
-    """The ring, order and multiset of generators of a request."""
-    return I.ring, order, frozenset(Counter(I.generators).items())
+    """The ring, order and generators of a request, as given."""
+    return I.ring, order, I.generators
 
 
 def buchberger(I: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -531,7 +511,7 @@ def _completion(I: Ideal, order: MonomialOrder, known: int = 0) -> GroebnerBasis
 
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
-    gens = [_primitive_int(g.coeffs, key, m) for g in I.generators]
+    gens = [_normalise(g.coeffs, key, m) for g in I.generators]
     rows, leads = _buchberger_raw(gens, key, modulus=m, known=known)
     divisors = {}
     for d in gens:
@@ -553,21 +533,15 @@ def _monic(ring, rows, leads):
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of p modulo G: no term is divisible by a basis lead."""
+    """Remainder of p modulo G: no term is divisible by a basis lead.
+
+    p is reduced against the monic polynomials of `G.basis`, so the
+    remainder is exact in either field."""
     if p.ring != G.ring:
         raise RingMismatchError("polynomial and basis rings differ")
-    if p.is_zero or not G.basis:
-        return p
     key = _memo_key(G.order, G.ring.nvars)
-    m = G.ring.modulus
-    if m:
-        remainder = _reduce_raw(p.coeffs, G.rows, G.leads, key, track_multiplier=True,
-                                modulus=m)[0]
-        return Polynomial(p.ring, remainder)
-    scaled, denom = _clear_denominators(p.coeffs)
-    remainder, multiplier = _reduce_raw(scaled, G.rows, G.leads, key, track_multiplier=True)
-    scale = multiplier * denom
-    return Polynomial(p.ring, {e: Fraction(c, scale) for e, c in remainder.items()})
+    return Polynomial(p.ring, _reduce_raw(p.coeffs, [g.coeffs for g in G.basis], G.leads, key,
+                                          modulus=G.ring.modulus))
 
 
 def is_unit_ideal(I: Ideal) -> bool:
@@ -585,7 +559,7 @@ def verify_basis(G: GroebnerBasis) -> bool:
     rows, lts = G.rows, G.leads
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key, m)
+            s = _spoly_raw(rows[i], lts[i], rows[j], lts[j], key)
             if _reduce_raw(s, rows, lts, key, modulus=m):
                 return False
     return True

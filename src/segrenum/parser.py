@@ -87,9 +87,9 @@ def _tokenize(lines, start_line=1):
                 tokens.append(_Token("NAME", text[i:j], line_no, i + 1))
                 i = j
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 tokens.append(_Token("INT", text[i:j], line_no, i + 1))
                 i = j
@@ -246,6 +246,8 @@ def _parse_surface(lines, start_line) -> SurfaceBlock:
             key = key.strip()
             if key not in {"u", "v", "w", "c"}:
                 raise InputSyntaxError(f"unknown surface row {key!r}", line_no)
+            if key in vectors:
+                raise InputSyntaxError(f"duplicate surface row {key!r}", line_no)
             vectors[key] = _parse_vector(rest, line_no)
         else:
             try:
@@ -280,6 +282,8 @@ def _parse_options(lines, start_line) -> dict:
             key = key.strip()
             if not eq or key not in _OPTION_KEYS:
                 raise InputSyntaxError(f"unknown option {piece!r}", line_no)
+            if key in options:
+                raise InputSyntaxError(f"duplicate option {key!r}", line_no)
             try:
                 options[key] = int(value.strip())
             except ValueError:
@@ -302,13 +306,15 @@ def parse_input(text: str) -> InputDocument:
             sections[-1][2].append(raw)
 
     doc = InputDocument()
-    for name, start, body in sections:
+    seen = set()
+    for name, start, body in sections[1:]:
+        if name in seen:
+            raise InputSyntaxError(f"duplicate [{name}] block", start - 1)  # its header
+        seen.add(name)
         if name == "surface":
-            if doc.surface is not None:
-                raise InputSyntaxError("duplicate [surface] block", start)
             doc.surface = _parse_surface(body, start)
-        elif name == "options":
-            doc.options.update(_parse_options(body, start))
+        else:
+            doc.options = _parse_options(body, start)
 
     main = next(body for name, _, body in sections if name == "main")
     stream = _TokenStream(_tokenize(main))

@@ -60,7 +60,6 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
-    _clear_denominators,
     dimension,
     ideal_quotient,
     ideal_sum,
@@ -159,8 +158,8 @@ def _round_prime(seed: int, den: int = 1) -> int:
 
 def _denominator(*ideals) -> int:
     """The lcm of the denominators of the ideals' coefficients."""
-    return lcm(1, *(_clear_denominators(g.coeffs)[1]
-                    for I in ideals for g in I.generators))
+    return lcm(1, *(c.denominator for I in ideals for g in I.generators
+                    for c in g.coeffs.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from segrenum.groebner import (
     _cache_key,
     _extended_ring,
     _lift,
-    _primitive_int,
+    _normalise,
     _reduce_raw,
     clear_caches,
     groebner_fingerprint,
@@ -306,7 +306,7 @@ def test_equal_ideals_hash_equal(R2):
 
 def test_divisor_memo_matches_memo_free_reduction():
     """Reductions sharing one divisor memo while the basis grows by
-    appending give the remainder and multiplier of memo-free ones."""
+    appending give the remainder of memo-free ones."""
     rng = random.Random(5)
     key = _memo_key(GREVLEX, 3)
     pack = key.__self__.pack
@@ -328,9 +328,8 @@ def test_divisor_memo_matches_memo_free_reduction():
             lts.append(max(g, key=key))
             for _ in range(5):
                 p = vector(rng.randint(2, 8), 4)
-                shared = _reduce_raw(p, basis, lts, key, track_multiplier=True,
-                                     divisors=divisors)
-                assert shared == _reduce_raw(p, basis, lts, key, track_multiplier=True)
+                shared = _reduce_raw(p, basis, lts, key, divisors=divisors)
+                assert shared == _reduce_raw(p, basis, lts, key)
         assert divisors
 
 
@@ -402,15 +401,19 @@ def test_elimination_hands_its_grevlex_basis_to_the_cache(R3):
         assert (handed.rows, handed.leads) == (fresh.rows, fresh.leads)
 
 
-def test_cache_key_is_the_multiset_of_generators(R2):
+def test_cache_key_is_the_generator_tuple(R2):
+    """The same generators in the same order hit the cache; a permutation
+    or a repeated generator is a new request with the same basis."""
     x, y = R2.variables()
     clear_caches()
-    buchberger(ideal(R2, x ** 2 + y, x * y - 1))
+    first = buchberger(ideal(R2, x ** 2 + y, x * y - 1))
     runs = ENGINE_STATS.buchberger_runs
-    buchberger(ideal(R2, x * y - 1, x ** 2 + y))
+    assert buchberger(ideal(R2, x ** 2 + y, x * y - 1)) is first
     assert ENGINE_STATS.buchberger_runs == runs
-    buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
+    assert buchberger(ideal(R2, x * y - 1, x ** 2 + y)) == first
     assert ENGINE_STATS.buchberger_runs == runs + 1
+    buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
+    assert ENGINE_STATS.buchberger_runs == runs + 2
     assert _cache_key(ideal(R2, x, x), GREVLEX) != _cache_key(ideal(R2, x), GREVLEX)
 
 
@@ -447,6 +450,11 @@ def _random_ideal(rng, ring):
     return ideal(ring, *gens)
 
 
+def _sympy_expr(sympy, symbols, f):
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod([v ** k for v, k in zip(symbols, m)]) for c, m in f.terms())
+
+
 def test_gfp_bases_match_sympy():
     """Reduced grevlex bases over GF(p) equal sympy's on 30 seeded random
     ideals in 2-4 variables, up to the representative of each residue."""
@@ -460,14 +468,44 @@ def test_gfp_bases_match_sympy():
         I = _random_ideal(rng, ring)
         ours = {frozenset((m, c) for c, m in g.terms()) for g in buchberger(I).basis}
         symbols = sympy.symbols(names)
-        exprs = [sum(int(c) * sympy.prod([v ** k for v, k in zip(symbols, m)])
-                     for c, m in g.terms()) for g in I.generators]
+        exprs = [_sympy_expr(sympy, symbols, g) for g in I.generators]
         theirs = set()
         for poly in sympy.groebner(exprs, *symbols, order="grevlex", modulus=p).polys:
             terms = {e: int(c) % p for e, c in poly.terms()}
             inv = pow(terms[max(terms, key=GREVLEX.key_function(n))], -1, p)
             theirs.add(frozenset((e, c * inv % p) for e, c in terms.items()))
         assert ours == theirs, (case, I)
+
+
+def test_normal_form_matches_sympy_remainder():
+    """The remainder of a random polynomial modulo a reduced grevlex basis
+    equals sympy's remainder modulo its own basis, on 24 seeded random
+    ideals in 2-3 variables over QQ with fractional coefficients, GF(7)
+    and GF(2147483629)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    fractions = [Fraction(n, d) for n in (-5, -2, -1, 1, 3, 7) for d in (1, 2, 3)]
+    for case in range(24):
+        p = (0, 7, P31)[case % 3]
+        names = ["x", "y", "z"][:2 + case // 3 % 2]
+        ring = PolynomialRing(names)
+        I = _random_ideal(rng, ring)
+        I = ideal(ring, *(g * rng.choice(fractions) + rng.choice(fractions) * ring.variable(0)
+                          for g in I.generators)).over(p)
+        f = ring.poly({tuple(rng.randint(0, 3) for _ in names): rng.choice(fractions)
+                       for _ in range(5)}) + ring.constant(rng.choice(fractions))
+        f = ring.over(p).image(f)
+        ours = normal_form(f, buchberger(I))
+
+        symbols = sympy.symbols(names)
+        kwargs = {"modulus": p} if p else {}
+        G = sympy.groebner([_sympy_expr(sympy, symbols, g) for g in I.generators], *symbols,
+                           order="grevlex", **kwargs)
+        _, r = sympy.reduced(_sympy_expr(sympy, symbols, f), list(G.exprs), *symbols,
+                             order="grevlex", **kwargs)
+        theirs = {e: (Fraction(int(c.p), int(c.q)) if not p else int(c) % p)
+                  for e, c in sympy.Poly(r, *symbols).terms() if c}
+        assert {m: c for c, m in ours.terms()} == theirs, (case, I, f)
 
 
 def test_gfp_rings_keep_residues_and_their_field():
@@ -541,10 +579,10 @@ def test_seeded_saturation_equals_a_fresh_one(cfg):
         ext = _extended_ring(ring)
         key = _memo_key(ext.order, ext.nvars)
         m = ring.modulus
-        aux = _primitive_int((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key, m)
+        aux = _normalise((ext.variable(0) * _lift(g, ext) - ext.one()).coeffs, key, m)
         runs = []
         for known, start in ((0, gb.basis), (len(gb.basis), gb.basis), (0, I.generators)):
-            gens = [_primitive_int(_lift(f, ext).coeffs, key, m) for f in start] + [aux]
+            gens = [_normalise(_lift(f, ext).coeffs, key, m) for f in start] + [aux]
             ENGINE_STATS.reset()
             runs.append((_buchberger_raw(gens, key, modulus=m, known=known),
                          ENGINE_STATS.spairs_reduced))

@@ -201,6 +201,18 @@ def test_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
         " at line 2, column 11\n")
 
 
+def test_superscript_digit_is_an_unexpected_character(tmp_path, capsys):
+    """Only decimal digits make an integer literal: a superscript two is
+    refused at its column, while an Arabic-Indic three reads as 3."""
+    doc = tmp_path / "superscript.ideal"
+    doc.write_text("ring x, y;\nideal I = x^\u00b2 + y;", encoding="utf-8")
+    assert run_cli(["segre", str(doc), "I"]) == (1, "")
+    assert capsys.readouterr().err == "error: unexpected character '\u00b2' at line 2, column 13\n"
+    doc.write_text("ring x, y;\nideal I = x^\u0663 + y;", encoding="utf-8")
+    assert parse_input(doc.read_text(encoding="utf-8")).ideals == \
+        parse_input("ring x, y;\nideal I = x^3 + y;").ideals
+
+
 @needs_digit_limit
 def test_number_past_the_digit_limit_at_printing_exits_1(tmp_path, capsys):
     """3^9100 has 4342 digits: the chain is computed, and echoing the
@@ -327,3 +339,12 @@ def test_parser_negative_cases():
         parse_input("[options]\nwibble = 3\n")
     with pytest.raises(InputSyntaxError, match="duplicate ambient block"):
         parse_input(_CUSP + "ambient = x;\n")
+    surface = "[surface]\n-2\nu = 1\nv = 1\nw = 1\n"
+    repeats = [
+        ("[options]\nseed = 1\nseed = 2\n", "duplicate option 'seed' at line 4"),
+        ("[options]\nseed = 1\n[options]\nbound = 5\n", "duplicate \\[options\\] block at line 4"),
+        (surface + "u = 2\n", "duplicate surface row 'u' at line 7"),
+    ]
+    for text, message in repeats:
+        with pytest.raises(InputSyntaxError, match=message):
+            parse_input(_CUSP + text)

@@ -1,8 +1,12 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from segrenum import cli, surface
 from segrenum import (
     SurfaceResolutionData,
     e2_from_orders,
@@ -13,6 +17,8 @@ from segrenum import (
 )
 from segrenum.errors import PreconditionError
 from segrenum.surface import posdef_check
+
+from conftest import CORPUS
 
 
 def chain_matrix(n):
@@ -252,3 +258,22 @@ def test_resolution_data_validation():
         SurfaceResolutionData(((-2,),), (Fraction(-1),), (Fraction(1),), (Fraction(1),))
     with pytest.raises(PreconditionError):
         SurfaceResolutionData(((-2,),), (Fraction(1), Fraction(1)), (Fraction(1),), (Fraction(1),))
+
+
+def test_surface_command_eliminates_once_per_check(monkeypatch, tmp_path):
+    """One `surface` command runs Sylvester's elimination once for the
+    resolution data, once for Lemma 3.2's form and once for the total
+    transform when the block gives c; negative definiteness is read from
+    the first."""
+    calls = []
+    sylvester = surface._sylvester
+    monkeypatch.setattr(surface, "_sylvester", lambda rows: calls.append(1) or sylvester(rows))
+    no_c = tmp_path / "no_c.ideal"
+    no_c.write_text("[surface]\n-2 1\n1 -2\nu = 1, 0\nv = 0, 1\nw = 1, 1\n")
+    for path, expected in ((CORPUS / "surface_a2.ideal", 3), (no_c, 2)):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["surface", str(path)]) == 0
+        assert len(calls) == expected, path.name
+        assert json.loads(out.getvalue())["results"]["negative_definite"] is True
