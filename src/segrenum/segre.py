@@ -16,6 +16,14 @@ decomposition is ever needed.  Polar stages are saturated scheme
 ideals, not reduced varieties; for generic combinations the numbers
 agree.
 
+The last stage needs no saturation for its numbers.  The cut
+J = Q_{n-1} + (f_n) is 0-dimensional at the origin (or misses it), so a
+saturator g with g(0) = 0 is nilpotent in the local ring of J at 0:
+J : g^inf misses the origin, m_n = 0 and e_n = mult_0(J).  The rounds
+that return only numbers use this; the paths that read Q_n, and every
+round whose g has a constant term (the source ideal not inside m),
+still saturate stage n.
+
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
@@ -241,7 +249,7 @@ class GenericTuple:
 class StageRecord:
     k: int
     cut_ideal: Ideal | None      # Q_{k-1} + (f_k); None for stage 0
-    polar_ideal: Ideal           # saturated stage ideal Q_k
+    polar_ideal: Ideal | None    # saturated stage ideal Q_k; None if not built
     m: int                       # multiplicity of the polar stage at 0
     e: int | None                # Segre number; None for stage 0
 
@@ -345,21 +353,31 @@ def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal
     return Ideal(S.ring, tup.combinations)
 
 
-def _run_stages(germ: GermContext, cuts, saturator: Ideal):
+def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False):
     """The saturation-and-subtract recursion along the given cuts, each
     cut saturated by the principal `saturator`.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
-    failure that triggers a seed retry."""
+    failure that triggers a seed retry.
+
+    With `numbers_only`, stage n is not saturated when the saturator g
+    vanishes at 0: its cut J is 0-dimensional at the origin (or misses
+    it), so g is nilpotent in the local ring of J at 0, J : g^inf misses
+    the origin and m_n = 0; the record's polar ideal is None.  When
+    g(0) != 0 the argument fails and the stage is saturated."""
     ring = germ.ring
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
+    skip_last = numbers_only and passes_through_origin(saturator)
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J), germ.n - k, f"stage {k} cut")
-        Qk = saturate(J, saturator)
-        m_q = _contribution(multiplicity_at_origin(Qk), germ.n - k, f"stage {k} polar")
+        if skip_last and k == germ.n:
+            Qk, m_q = None, 0
+        else:
+            Qk = saturate(J, saturator)
+            m_q = _contribution(multiplicity_at_origin(Qk), germ.n - k, f"stage {k} polar")
         e = m_j - m_q
         if e < 0:
             raise DimensionAnomalyError(f"negative Segre contribution at stage {k}")
@@ -420,17 +438,18 @@ def _check_cosupport(germ: GermContext, I: Ideal):
         )
 
 
-def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int):
+def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
+                  numbers_only=False):
     """One run of the polar chain of I: the tuple of n combinations drawn
     from `seed`, and the stages it cuts, saturated by a generic element
     of I drawn from the same seed."""
     tup = generic_tuple(I, germ.n, cfg, seed=seed)
-    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed))
+    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed), numbers_only)
 
 
 def _chain_round(seed, cfg, round_idx, germ, I):
     """The numbers of a polar-chain round: (m_k, e_k) for each stage."""
-    return tuple((s.m, s.e) for s in _polar_stages(germ, I, cfg, seed)[1])
+    return tuple((s.m, s.e) for s in _polar_stages(germ, I, cfg, seed, numbers_only=True)[1])
 
 
 def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChain:
@@ -510,7 +529,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
         stages = _run_stages(germ, tup_h.combinations,
-                             _saturator(ideal_sum(I1, I2), cfg_b, seed))
+                             _saturator(ideal_sum(I1, I2), cfg_b, seed), numbers_only=True)
         return stages[k].e
 
     return _certified(cfg, run_once, germ, I1, I2)[0]

@@ -27,6 +27,7 @@ from segrenum import (
 )
 from segrenum.errors import DimensionAnomalyError, GenericityError, PreconditionError
 from segrenum.equising import FunctionGerm, contact_tangent_ideal, jacobian_ideal
+from segrenum.multiplicity import passes_through_origin
 from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
@@ -242,6 +243,83 @@ def test_truncation_check(germ2, germ3, R2, divisor_pair, cfg):
     assert truncation_check(germ2, ideal(R2, x ** 2, x * y, y ** 2), 1, cfg)
     # principal source: the truncation regenerates the ideal itself
     assert truncation_check(germ3, ideal(germ3.ring, germ3.ring.variable("z")), 1, cfg)
+
+
+def _random_ideal_in_m(R, rng):
+    """2-4 generators, each a sum of 2-4 monomials of degree 1-3 with
+    small coefficients, so no constant term."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        g = R.zero()
+        for _ in range(rng.randint(2, 4)):
+            term = R.one() * rng.choice([-3, -2, -1, 1, 2, 3])
+            for _ in range(rng.randint(1, 3)):
+                term = term * rng.choice(R.variables())
+            g = g + term
+        if not g.is_zero:
+            gens.append(g)
+    return Ideal(R, gens)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_unsaturated_last_stage_is_exact(R2, R3, rational):
+    """On seeded random ideals inside m, a number-only round, which does
+    not saturate stage n, gives the (m, e) of the full stage loop, whose
+    Q_n misses the origin: C^2, C^3 and a quadric cone in C^3 (n = 2)."""
+    x, y, z = R3.variables()
+    germs = [make_germ(R2), make_germ(R3), make_germ(R3, ideal(R3, x * y - z ** 2))]
+    cfg = GenericityConfig()
+    rng = random.Random(16)
+    top = 0
+    for case in range(36):
+        germ, I = germs[case % 3], _random_ideal_in_m(germs[case % 3].ring, rng)
+        seed = derive_seed(cfg.seed, case)
+        if not rational:
+            p = segre._round_prime(seed)
+            germ, I = germ.over(p), I.over(p)
+        full = segre._polar_stages(germ, I, cfg, seed)[1]
+        assert segre._chain_round(seed, cfg, 0, germ, I) == tuple((s.m, s.e) for s in full)
+        assert passes_through_origin(segre._saturator(I, cfg, seed))
+        assert full[-1].k == germ.n and full[-1].polar_ideal is not None
+        assert full[-1].m == 0
+        skipped = segre._polar_stages(germ, I, cfg, seed, numbers_only=True)[1]
+        assert skipped[-1].polar_ideal is None
+        top += full[-1].e > 0
+    assert top >= 24  # of 36 cases: the skipped stage carries a Segre number
+
+
+def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, divisor_pair,
+                                                              cfg, monkeypatch):
+    """A number-only round saturates stage n only when its saturator has
+    a constant term; `polar_chain`'s rerun over QQ, `truncation_check`
+    and mixed numbers with k < n saturate every stage."""
+    x, y = R2.variables()
+    I1, I2 = divisor_pair
+    rounds = cfg.verification_rounds
+    calls = []
+    real = segre.saturate
+
+    def spy(I, J):
+        calls.append(I)
+        return real(I, J)
+
+    monkeypatch.setattr(segre, "saturate", spy)
+
+    def saturations(run, *args):
+        calls.clear()
+        result = run(*args, cfg)
+        return len(calls), result
+
+    n, prof = saturations(segre_profile, germ2, ideal(R2, x + 1, y))
+    assert (n, prof.e) == (rounds * 2, (0, 0))
+    n, prof = saturations(segre_profile, germ3, I2)
+    assert (n, prof.e) == (rounds * 2, (1, 1, 2))
+    n, chain = saturations(polar_chain, germ3, I2)
+    assert n == rounds * 2 + 3 and chain.stages[3].polar_ideal is not None
+    m2 = ideal(R2, x ** 2, x * y, y ** 2)
+    assert saturations(truncation_check, germ2, m2, 2) == (rounds * 4, True)
+    assert saturations(mixed_segre, germ3, I1, I2, 2, 1, 1) == (rounds * 2, 0)
+    assert saturations(mixed_segre, germ2, ideal(R2, x ** 2, y ** 2), m2, 2, 1, 1) == (rounds, 4)
 
 
 def test_cosupport_precondition(R3, cfg):
