@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .criteria import (
@@ -43,12 +43,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FALSE = 2
 
-_DEFAULTS = GenericityConfig()
-_DEFAULT_OPTIONS = {
-    "seed": _DEFAULTS.seed,
-    "bound": _DEFAULTS.coefficient_bound,
-    "rounds": _DEFAULTS.verification_rounds,
-}
+# Each [options] key and flag, with the GenericityConfig field it sets,
+# in the order the report echoes them.
+_OPTION_FIELDS = {"seed": "seed", "bound": "coefficient_bound", "rounds": "verification_rounds"}
 
 
 def _log(message):
@@ -66,22 +63,12 @@ def _load_document(path):
     return parse_input(text)
 
 
-def _merge_options(doc, args):
-    options = dict(_DEFAULT_OPTIONS)
-    options.update(doc.options)
-    for key in ("seed", "bound", "rounds"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    return options
-
-
-def _config(options):
-    return GenericityConfig(
-        seed=options["seed"],
-        coefficient_bound=options["bound"],
-        verification_rounds=options["rounds"],
-    )
+def _config(doc, args):
+    """The defaults, overridden by the document's [options], overridden
+    by the flags; the config validates the result."""
+    flags = {key: getattr(args, key) for key in _OPTION_FIELDS if getattr(args, key) is not None}
+    layered = {_OPTION_FIELDS[key]: value for key, value in {**doc.options, **flags}.items()}
+    return replace(GenericityConfig(), **layered)
 
 
 def _germ(doc):
@@ -252,20 +239,6 @@ def _cmd_whitney(doc, args, cfg):
     return results, report.verdicts, (cfg.seed,), EXIT_OK if report.holds else EXIT_FALSE
 
 
-_HANDLERS = {
-    "segre": _cmd_segre,
-    "mixed": _cmd_mixed,
-    "compare": _cmd_compare,
-    "teissier": _cmd_teissier,
-    "rees": _cmd_rees,
-    "product-check": _cmd_product_check,
-    "minkowski": _cmd_minkowski,
-    "chain": _cmd_chain,
-    "surface": _cmd_surface,
-    "whitney": _cmd_whitney,
-}
-
-
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the genericity seed")
     sub.add_argument("--bound", type=int, default=None, help="coefficient bound")
@@ -281,11 +254,13 @@ def build_arg_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segre", help="Segre numbers e_k and polar multiplicities m_k")
+    p.set_defaults(handler=_cmd_segre)
     p.add_argument("file")
     p.add_argument("ideal")
     _add_common(p)
 
     p = sub.add_parser("mixed", help="one mixed Segre number e_k^(i,j)")
+    p.set_defaults(handler=_cmd_mixed)
     p.add_argument("file")
     p.add_argument("ideal1")
     p.add_argument("ideal2")
@@ -294,14 +269,15 @@ def build_arg_parser():
     p.add_argument("j", type=int)
     _add_common(p)
 
-    for name, extra in (
-        ("compare", "equality battery for coinciding integral closures"),
-        ("teissier", "mixed-multiplicity chain for m-primary ideals"),
-        ("rees", "profile comparison for nested ideals"),
-        ("product-check", "product formula for e_k(I1*I2)"),
-        ("minkowski", "Minkowski-type root inequality"),
+    for name, handler, extra in (
+        ("compare", _cmd_compare, "equality battery for coinciding integral closures"),
+        ("teissier", _cmd_teissier, "mixed-multiplicity chain for m-primary ideals"),
+        ("rees", _cmd_rees, "profile comparison for nested ideals"),
+        ("product-check", _cmd_product_check, "product formula for e_k(I1*I2)"),
+        ("minkowski", _cmd_minkowski, "Minkowski-type root inequality"),
     ):
         p = sub.add_parser(name, help=extra)
+        p.set_defaults(handler=handler)
         p.add_argument("file")
         p.add_argument("ideal1")
         p.add_argument("ideal2")
@@ -313,15 +289,18 @@ def build_arg_parser():
         _add_common(p)
 
     p = sub.add_parser("chain", help="Segre-cycle support chain condition")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("file")
     p.add_argument("ideal")
     _add_common(p)
 
     p = sub.add_parser("surface", help="intersection-form checks on a [surface] block")
+    p.set_defaults(handler=_cmd_surface)
     p.add_argument("file")
     _add_common(p)
 
     p = sub.add_parser("whitney", help="Whitney-family battery for two germs")
+    p.set_defaults(handler=_cmd_whitney)
     p.add_argument("file")
     p.add_argument("germ0")
     p.add_argument("germ1", nargs="?", default=None)
@@ -341,13 +320,13 @@ def main(argv=None) -> int:
     ENGINE_STATS.reset()
     try:
         doc = _load_document(args.file)
-        options = _merge_options(doc, args)
-        results, verdicts, seeds, code = _HANDLERS[args.command](doc, args, _config(options))
+        cfg = _config(doc, args)
+        results, verdicts, seeds, code = args.handler(doc, args, cfg)
         timing = (time.monotonic() - started) * 1000 if args.timing else None
         report = make_report(
             command=args.command,
             inputs=_inputs_echo(doc, args),
-            options=options,
+            options={key: getattr(cfg, name) for key, name in _OPTION_FIELDS.items()},
             seeds=seeds,
             results=results,
             verdicts=verdicts,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -81,27 +81,20 @@ MAX_BASIS = 5000
 MAX_DEGREE = 120
 
 
+@dataclass(slots=True)
 class EngineStats:
-    """Deterministic per-run counters (no wall-clock)."""
+    """Deterministic per-run counters (no wall-clock), in report order."""
 
-    __slots__ = ("buchberger_runs", "spairs_reduced", "max_basis_size", "max_lt_degree")
-
-    def __init__(self):
-        self.reset()
+    buchberger_runs: int = 0
+    spairs_reduced: int = 0
+    max_basis_size: int = 0
+    max_lt_degree: int = 0
 
     def reset(self):
-        self.buchberger_runs = 0
-        self.spairs_reduced = 0
-        self.max_basis_size = 0
-        self.max_lt_degree = 0
+        self.__init__()
 
     def snapshot(self):
-        return {
-            "buchberger_runs": self.buchberger_runs,
-            "spairs_reduced": self.spairs_reduced,
-            "max_basis_size": self.max_basis_size,
-            "max_lt_degree": self.max_lt_degree,
-        }
+        return asdict(self)
 
 
 ENGINE_STATS = EngineStats()

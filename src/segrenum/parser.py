@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputSyntaxError
-from .rings import Polynomial, PolynomialRing, format_polynomial
+from .rings import Polynomial, PolynomialRing
 
 
 @dataclass
@@ -363,30 +363,3 @@ def _parse_poly_list(stream, ring):
         polys.append(parser.parse())
     stream.expect("SYM", ";")
     return polys
-
-
-def serialize_document(doc: InputDocument) -> str:
-    """Canonical text form; reparses to an equal document."""
-    out = []
-    if doc.ring is not None:
-        out.append(f"ring {', '.join(doc.ring.variable_names)};")
-        if doc.ambient:
-            out.append("ambient = " + ", ".join(format_polynomial(p) for p in doc.ambient) + ";")
-        for name, polys in doc.ideals.items():
-            out.append(f"ideal {name} = " + ", ".join(format_polynomial(p) for p in polys) + ";")
-    if doc.surface is not None:
-        out.append("")
-        out.append("[surface]")
-        for row in doc.surface.matrix:
-            out.append(" ".join(str(x) for x in row))
-        for key in ("u", "v", "w"):
-            vec = getattr(doc.surface, key)
-            out.append(f"{key} = " + ", ".join(str(x) for x in vec))
-        if doc.surface.c is not None:
-            out.append("c = " + ", ".join(str(x) for x in doc.surface.c))
-    if doc.options:
-        out.append("")
-        out.append("[options]")
-        for key in sorted(doc.options):
-            out.append(f"{key} = {doc.options[key]}")
-    return "\n".join(out) + "\n"

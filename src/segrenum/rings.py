@@ -203,9 +203,6 @@ class PolynomialRing:
     def nvars(self):
         return len(self.variable_names)
 
-    def with_order(self, order):
-        return PolynomialRing(self.variable_names, order, self.modulus)
-
     def over(self, modulus):
         """This ring with its coefficients in GF(modulus), or QQ for 0."""
         if modulus == self.modulus:

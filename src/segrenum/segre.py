@@ -193,19 +193,12 @@ class GenericityConfig:
 @dataclass(frozen=True)
 class GermContext:
     """Ambient germ (X, 0): defining ideal, ring, its dimension n at 0 and
-    its multiplicity at 0, which is computed at construction when it is
-    not given (`make_germ` gives it)."""
+    its multiplicity at 0; `make_germ` builds it."""
 
     ring: PolynomialRing
     ambient: Ideal
     n: int
-    multiplicity: int | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.multiplicity is None:
-            mult = 1 if self.ambient.is_zero else \
-                multiplicity_at_origin(self.ambient).multiplicity
-            object.__setattr__(self, "multiplicity", mult)
+    multiplicity: int = field(compare=False)
 
     def over(self, modulus: int) -> "GermContext":
         """The germ with its ideal mapped into GF(modulus); n and the
@@ -504,24 +497,23 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
 
     The stage cuts are generic combinations of i generic elements of I1
     and j generic elements of I2; saturation is with respect to I1 + I2.
-    Boundary conventions: e_k^{k,0} = e_k(I1) and e_k^{0,k} = e_k(I2).
+    Boundary conventions: e_k^{k,0} = e_k(I1) and e_k^{0,k} = e_k(I2);
+    both ideals must have Segre data there too.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
     if i < 0 or j < 0 or (i == 0 and j == 0):
         raise PreconditionError("need i, j >= 0 and not both zero")
-    if j == 0:
-        if i != k:
-            raise PreconditionError("the boundary convention needs i == k when j == 0")
-        return segre_profile(germ, I1, cfg).e[k - 1]
-    if i == 0:
-        if j != k:
-            raise PreconditionError("the boundary convention needs j == k when i == 0")
-        return segre_profile(germ, I2, cfg).e[k - 1]
+    if j == 0 and i != k:
+        raise PreconditionError("the boundary convention needs i == k when j == 0")
+    if i == 0 and j != k:
+        raise PreconditionError("the boundary convention needs j == k when i == 0")
     if i + j < k:
         raise PreconditionError("need i + j >= k combinations to cut k times")
     _check_cosupport(germ, I1)
     _check_cosupport(germ, I2)
+    if i == 0 or j == 0:
+        return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
 
     def run_once(seed, cfg_b, round_idx, germ, I1, I2):
         tup_f = generic_tuple(I1, i, cfg_b, seed=derive_seed(seed, 1))

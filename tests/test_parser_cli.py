@@ -4,15 +4,17 @@ import contextlib
 import errno
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from segrenum import cli
+from segrenum import GenericityConfig, cli
 from segrenum.errors import InputSyntaxError
-from segrenum.parser import parse_input, serialize_document
+from segrenum.parser import _OPTION_KEYS, parse_input
 from segrenum.report import SCHEMA_VERSION, _exact
+from segrenum.rings import format_polynomial
 
 from conftest import CORPUS, GOLDEN, replay_corpus
 
@@ -64,19 +66,16 @@ def test_parse_parentheses_and_signs():
 
 
 def test_round_trip_documents():
-    for name in ("codim1_pair.ideal", "plane_pair.ideal", "surface_a2.ideal",
-                 "whitney_cusp.ideal"):
-        text = (CORPUS / name).read_text(encoding="utf-8")
-        doc = parse_input(text)
-        canonical = serialize_document(doc)
-        again = parse_input(canonical)
-        assert serialize_document(again) == canonical
-        assert again.ideals.keys() == doc.ideals.keys()
-        for key in doc.ideals:
-            assert again.ideals[key] == doc.ideals[key]
-        if doc.surface is not None:
-            assert again.surface == doc.surface
-        assert again.options == doc.options
+    """Every polynomial of each corpus document with a ring reparses from
+    its canonical text to an equal polynomial."""
+    for path in sorted(CORPUS.glob("*.ideal")):
+        doc = parse_input(path.read_text(encoding="utf-8"))
+        if doc.ring is None:
+            continue
+        header = f"ring {', '.join(doc.ring.variable_names)}; ideal P = "
+        for polys in filter(None, (doc.ambient, *doc.ideals.values())):
+            text = ", ".join(format_polynomial(p) for p in polys)
+            assert parse_input(header + text + ";").ideals["P"] == polys, path.name
 
 
 def test_options_block_parsing():
@@ -144,7 +143,8 @@ def test_exit_code_on_error(tmp_path):
     ("", ["--rounds", "0"], "at least one round is required"),
     ("", ["--bound", "0"], "coefficient bound must be positive"),
     ("[options]\nrounds = 0\n", [], "at least one round is required"),
-], ids=["rounds-flag", "bound-flag", "rounds-option"])
+    ("[options]\nbound = 0\n", [], "coefficient bound must be positive"),
+], ids=["rounds-flag", "bound-flag", "rounds-option", "bound-option"])
 def test_bad_genericity_options_exit_1(tmp_path, capsys, options, flags, message):
     doc = tmp_path / "plane.ideal"
     doc.write_text("ring x, y; ideal I = x, y;\n" + options)
@@ -322,6 +322,40 @@ def test_cli_flag_overrides_document_option(tmp_path):
     doc.write_text("ring x, y; ideal I = x, y;\n[options]\nseed = 4242\n")
     _, out = run_cli(["segre", str(doc), "I", "--seed", "7"])
     assert json.loads(out)["options"]["seed"] == "7"
+
+
+def test_options_layer_defaults_document_and_flags(tmp_path):
+    """The seed comes from the default, the bound from [options] and the
+    rounds from a flag; the echo lists them in the order seed, bound,
+    rounds."""
+    doc = tmp_path / "layered.ideal"
+    doc.write_text("ring x, y; ideal I = x, y;\n[options]\nbound = 31\n")
+    _, out = run_cli(["segre", str(doc), "I", "--rounds", "3"])
+    options = json.loads(out)["options"]
+    assert list(options.items()) == [
+        ("seed", str(GenericityConfig().seed)), ("bound", "31"), ("rounds", "3")]
+
+
+def test_option_names_are_config_fields():
+    """The parser accepts exactly the options the CLI maps, and each sets
+    a GenericityConfig field."""
+    assert _OPTION_KEYS == set(cli._OPTION_FIELDS)
+    assert set(cli._OPTION_FIELDS.values()) <= {f.name for f in fields(GenericityConfig)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["I", "Z", "2", "2", "0"], "the zero ideal has dense co-support"),
+    (["Z", "I", "2", "0", "2"], "the zero ideal has dense co-support"),
+    (["I", "U", "2", "2", "0"], "the unit ideal has no Segre data"),
+    (["I", "Z", "1", "1", "1"], "the zero ideal has dense co-support"),
+], ids=["zero-boundary", "zero-boundary-swapped", "unit-boundary", "zero-interior"])
+def test_mixed_refuses_a_partner_without_segre_data(tmp_path, capsys, argv, message):
+    """A boundary number e_k^{k,0} is e_k(I1), and still the other ideal
+    must have Segre data, as it must off the boundary."""
+    doc = tmp_path / "plane.ideal"
+    doc.write_text("ring x, y; ideal I = x, y; ideal Z = 0; ideal U = 1;")
+    assert run_cli(["mixed", str(doc), *argv]) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parser_negative_cases():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from segrenum import (
     GREVLEX,
     LEX,
+    PolynomialRing,
     block_order,
     format_polynomial,
 )
@@ -49,7 +50,7 @@ def test_leading_term_examples(R2):
     x, y = R2.variables()
     assert (x ** 2 * y + x ** 3).leading_item() == ((3, 0), 1)
     assert x.leading_item() == ((1, 0), 1)
-    xl, yl = R2.with_order(LEX).variables()
+    xl, yl = PolynomialRing(R2.variable_names, LEX).variables()
     assert (xl + yl ** 2).leading_item() == ((1, 0), 1)
     with pytest.raises(ZeroPolynomialError):
         R2.zero().leading_item()
