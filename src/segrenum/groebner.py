@@ -1,6 +1,7 @@
 """Groebner bases and the ideal toolbox: normal forms, elimination,
 saturation, quotients, radical membership, and the Hilbert series of a
-monomial ideal, which colength and dimension read.
+monomial ideal, which colength and dimension read and which steers
+completions given a lower bound.
 
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy, over
@@ -33,6 +34,18 @@ completion.
 A completion may start from a known reduced basis, which forms no pairs
 within itself: the saturation of a homogeneous ideal starts from its
 grevlex basis, cached when its multiplicity was read, plus t g - 1.
+
+A completion of homogeneous rows under an order that compares total
+degree first may be given a lower bound B on the Hilbert series of its
+quotient.  Its pairs come in increasing degree, each new lead lowers the
+leads' Hilbert function in its degree D by one, and that function never
+falls below HF(I, D) >= B(D).  So once it reaches B(D), the leads span
+the initial ideal in degree D and the remaining pairs of that degree
+reduce to zero: they are dropped unreduced (Traverso, "Hilbert functions
+and the Buchberger algorithm", JSC 22, 1996).  The basis is the same
+unique reduced basis.  Hilbert series of monomial ideals are memoised
+by their sorted exponents beside the basis cache; `clear_caches`
+empties both.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ import heapq
 import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import (
     PreconditionError,
@@ -51,6 +64,7 @@ from .errors import (
 )
 from .rings import (
     GREVLEX,
+    TANGENT_CONE,
     _KEY_MEMO,
     W,
     MonomialOrder,
@@ -381,7 +395,7 @@ def _budget_check(G, deg):
         )
 
 
-def _buchberger_raw(gens, key, *, modulus=0, known=0):
+def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
     """Completion of rows (see `_normalise`) over QQ, or over GF(`modulus`):
     returns (rows, leads), the unique reduced basis as rows and their
     leading exponents, in descending order of leading terms.  Exponents
@@ -397,11 +411,22 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     is skipped when it comes up.  G and lts only grow by appending, so
     every reduction of the run shares one divisor memo.
 
+    `bound`, a series (P, d) as `hilbert_series` gives it, must be a
+    lower bound on the Hilbert series of k[x] modulo the ideal, for
+    homogeneous rows under an order that compares total degree first
+    (`_completion` checks both; see the module docstring).  At the first
+    pair of each degree D the deficit HF(leads, D) - bound(D) is taken,
+    each new lead lowers it by one, and at 0 the remaining pairs of
+    degree D are dropped unreduced and uncounted in `spairs_reduced`.  A
+    negative deficit means a bound above the true series:
+    ConsistencyError.
+
     Every element counts against `MAX_BASIS`; the leads that S-pair
     reductions add also against `MAX_DEGREE`.
     """
     stats = ENGINE_STATS
     stats.buchberger_runs += 1
+    unpack = key.__self__.unpack
     guard = key.__self__.guard
     G = []
     lts = []
@@ -412,7 +437,7 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
 
     def insert(r, paired=True, grown=False):
         lt = max(r, key=key)
-        _budget_check(G, sum(key.__self__.unpack(lt)) if grown else 0)
+        _budget_check(G, sum(unpack(lt)) if grown else 0)
         G.append(r)
         lts.append(lt)
         mono_flags.append(len(r) == 1)
@@ -428,21 +453,36 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
         if r:
             insert(_normalise(r, key, modulus))
 
+    degree = deficit = None
     while queue:
         _, pair = heapq.heappop(queue)
-        if pairs.pop(pair, None) is None:
+        L = pairs.pop(pair, None)
+        if L is None:
             continue  # deleted by a later update
+        if bound is not None:
+            D = sum(unpack(L))
+            if D != degree:
+                exps = [unpack(e) for e in lts]
+                degree = D
+                deficit = (hilbert_function(*hilbert_series(exps, len(exps[0])), D)
+                           - hilbert_function(*bound, D))
+                if deficit < 0:
+                    raise ConsistencyError(f"Hilbert bound exceeds the leads' function in degree {D}")
+            if not deficit:
+                continue  # degree D is complete: the pair reduces to zero
         i, j = pair
         s = _spoly_raw(G[i], lts[i], G[j], lts[j], key)
         stats.spairs_reduced += 1
         r = _reduce_raw(s, G, lts, key, divisors=divisors, modulus=modulus)
         if r:
             insert(_normalise(r, key, modulus), grown=True)
+            if deficit is not None:
+                deficit -= 1
 
     if len(G) > stats.max_basis_size:
         stats.max_basis_size = len(G)
     if lts:
-        top = max(sum(key.__self__.unpack(e)) for e in lts)
+        top = max(sum(unpack(e)) for e in lts)
         if top > stats.max_lt_degree:
             stats.max_lt_degree = top
 
@@ -452,16 +492,20 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
     for i in order_idx:
         if all((lts[i] - lts[j]) & guard for j in keep):
             keep.append(i)
-    G_min = [G[i] for i in keep]
-    lts_min = [lts[i] for i in keep]
 
-    # interreduce: no other lead divides lts_min[i], so it stays the lead;
-    # the kept leads ascend, so the reduced basis is the rows reversed
-    rows = [_normalise(_reduce_raw(G_min[i], G_min[:i] + G_min[i + 1:],
-                                   lts_min[:i] + lts_min[i + 1:], key, modulus=modulus),
-                       key, modulus)
-            for i in reversed(range(len(G_min)))]
-    return tuple(rows), tuple(reversed(lts_min))
+    # interreduce in ascending lead order: a lead dividing a tail term of
+    # a row is below the row's lead, so each row reduces against the rows
+    # already reduced, which grow by appending and share a divisor memo.
+    # No other lead divides the row's lead, so it stays the lead, and a
+    # remainder with lead coefficient 1 is a normalised row already.
+    rows, leads, divisors = [], [], {}
+    for i in keep:
+        r = _reduce_raw(G[i], rows, leads, key, divisors=divisors, modulus=modulus)
+        if r[lts[i]] != 1:
+            r = _normalise(r, key, modulus)
+        rows.append(r)
+        leads.append(lts[i])
+    return tuple(reversed(rows)), tuple(reversed(leads))
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +514,13 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0):
 
 _GB_CACHE: dict = {}
 _GB_LOCK = threading.Lock()
+_SERIES_MEMO: dict = {}  # hilbert_series by (sorted lead exponents, nvars)
 
 
 def clear_caches():
     with _GB_LOCK:
         _GB_CACHE.clear()
+        _SERIES_MEMO.clear()
     for memo in list(_KEY_MEMO.values()):
         memo.clear()  # live rings hold these memos too
 
@@ -493,19 +539,25 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     return _completion(I, order or I.ring.order)
 
 
-def _completion(I: Ideal, order: MonomialOrder, known: int = 0) -> GroebnerBasis:
+def _completion(I: Ideal, order: MonomialOrder, known: int = 0, bound=None) -> GroebnerBasis:
     """`buchberger`, told that the first `known` generators of I are a
-    reduced Groebner basis for `order` (see `_buchberger_raw`)."""
+    reduced Groebner basis for `order`, and given a lower bound on the
+    Hilbert series of its quotient (see `_buchberger_raw`).  A bound
+    needs homogeneous generators and an order that compares total
+    degree first."""
     ck = _cache_key(I, order)
     with _GB_LOCK:
         hit = _GB_CACHE.get(ck)
     if hit is not None:
         return hit
+    if bound is not None and (order not in (GREVLEX, TANGENT_CONE)
+                              or not all(g.is_homogeneous for g in I.generators)):
+        raise PreconditionError("a Hilbert bound needs homogeneous generators and a degree order")
 
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
     gens = [_normalise(g.coeffs, key, m) for g in I.generators]
-    rows, leads = _buchberger_raw(gens, key, modulus=m, known=known)
+    rows, leads = _buchberger_raw(gens, key, modulus=m, known=known, bound=bound)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
@@ -748,31 +800,46 @@ def _numerator(gens):
 
 def hilbert_series(lead_exps, nvars):
     """(P, d) with Hilbert series P(z) / (1 - z)^d of k[x_1..x_nvars]
-    modulo the monomial ideal of `lead_exps`, and P(1) != 0.
+    modulo the monomial ideal of `lead_exps`, and P(1) != 0; P is a tuple.
 
     d is the Krull dimension of the quotient and P(1) its degree
-    (Bayer-Stillman); the unit ideal gives ([], -1).
+    (Bayer-Stillman); the unit ideal gives ((), -1).  Answers are
+    memoised by the sorted exponents and nvars until `clear_caches`.
     """
-    P = _numerator(list(lead_exps)) if lead_exps else [1]
+    mk = (tuple(sorted(map(tuple, lead_exps))), nvars)
+    hit = _SERIES_MEMO.get(mk)
+    if hit is not None:
+        return hit
+    P = _numerator(mk[0]) if mk[0] else [1]
     while P and not P[-1]:
         P.pop()
-    if not P:
-        return [], -1
-    d = nvars
-    while sum(P) == 0:
+    d = nvars if P else -1
+    while P and sum(P) == 0:
         # divide by (1 - z): the quotient's coefficients are prefix sums
         acc, quotient = 0, []
         for c in P[:-1]:
             acc += c
             quotient.append(acc)
         P, d = quotient, d - 1
-    return P, d
+    _SERIES_MEMO[mk] = out = (tuple(P), d)
+    return out
 
 
-def _global_series(I: Ideal):
+def hilbert_function(P, d, D):
+    """The coefficient of z^D in P(z) / (1 - z)^d for d >= 0, so the
+    Hilbert function at D of a quotient with series (P, d); 0 for the
+    unit ideal's ((), -1)."""
+    if d <= 0:
+        return P[D] if 0 <= D < len(P) else 0
+    return sum(c * comb(D - j + d - 1, d - 1) for j, c in enumerate(P[:D + 1]))
+
+
+def _global_series(I: Ideal, bound=None):
+    """The Hilbert series of k[x]/in_grevlex(I); `bound`, a lower bound
+    on it, may steer a completion that runs (see `_buchberger_raw`)."""
     if I.is_zero:
-        return [1], I.ring.nvars
-    lead = buchberger(I, GREVLEX).leading_exponents()
+        return (1,), I.ring.nvars
+    lead = _completion(I, GREVLEX, bound=bound).leading_exponents()
     return hilbert_series(lead, I.ring.nvars)
 
 

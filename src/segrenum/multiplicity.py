@@ -11,6 +11,17 @@ exactly (Bayer-Stillman; Greuel-Pfister, sections 1.7 and 5.5).  For a
 scheme that is zero-dimensional at the origin the multiplicity is the
 local colength.
 
+A cut J = Q + (f) of the polar recursion comes with a lower bound on
+its series before its completion starts.  With A = k[x]/Q, the exact
+sequence A(-deg f) -> A -> A/fA -> 0 (the first map multiplication by
+f) gives HS(A/fA) >= (1 - z^deg f) HS(A), with equality when f is a
+nonzerodivisor on A, as a generic cut of a saturated Q is.
+`multiplicity_at_origin(J, prefix=Q)` hands the bound, divided by
+(1 - z) on the tangent-cone path, to the completion, which then skips
+the S-pairs it proves reduce to zero (see `groebner`).  A polar ideal,
+given by its reduced grevlex basis, is its own prefix, and its bound is
+exact.
+
 Assumption (classical, used throughout): the multiplicity of a cycle at
 0 equals the Hilbert-Samuel multiplicity of the corresponding scheme
 ideal, additively over top-dimensional components with their lengths
@@ -20,9 +31,9 @@ ideal, additively over top-dimensional components with their lengths
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .groebner import Ideal, _global_series, buchberger, hilbert_series
+from .errors import PreconditionError
+from .groebner import Ideal, _completion, _global_series, hilbert_function, hilbert_series
 from .rings import MAX_EXPONENT, TANGENT_CONE, W, Polynomial, PolynomialRing, _overflow
 
 _HOMOGENIZER = "@h"
@@ -52,25 +63,48 @@ def _homogenize(I: Ideal) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _local_series(I: Ideal):
+def _cut_bound(I: Ideal, Q: Ideal):
+    """A lower bound (P, d) on the Hilbert series a completion of I reads,
+    for I generated by Q's generators and at most one more, f: the
+    series of k[x]/in_grevlex(Q) times (1 - z^deg f), by the exact
+    sequence of the module docstring when I is homogeneous.
+
+    On the tangent-cone path the homogenized generators of I lie in
+    Q^h + (f^h), Q^h the homogenization of Q.  The homogenizing variable
+    is a nonzerodivisor on k[t, x]/Q^h, with quotient k[x] modulo the
+    top-degree forms of Q, whose series is that of k[x]/in_grevlex(Q),
+    so the bound divided by (1 - z) bounds that series.  It is exact
+    when f^h is a nonzerodivisor and Q's generators are a grevlex basis,
+    whose homogenizations generate Q^h."""
+    q = Q.generators
+    if I.generators[:len(q)] != q or len(I.generators) > len(q) + 1:
+        raise PreconditionError("a cut's generators are its prefix's and at most one more")
+    P, d = _global_series(Q)
+    if len(I.generators) > len(q):
+        shift = (0,) * I.generators[-1].total_degree
+        P = tuple(a - b for a, b in zip(P + shift, shift + P))
+    return P, d
+
+
+def _local_series(I: Ideal, prefix: Ideal | None = None):
     """(P, d): the Hilbert series P(z) / (1 - z)^d of the tangent cone of
-    I at the origin; ([], -1) when I misses the origin.
+    I at the origin; ((), -1) when I misses the origin.
 
     When every generator is homogeneous, homogenizing changes nothing and
     the tangent-cone order restricts to grevlex, so the basis is the
     grevlex basis of I itself (shared with colength and dimension).
+    With a `prefix` (see `_cut_bound`) the completion is given a lower
+    bound on its series and skips pairs that reduce to zero.
     """
     if not passes_through_origin(I):
-        return [], -1
+        return (), -1
+    bound = None if prefix is None else _cut_bound(I, prefix)
     if all(g.is_homogeneous for g in I.generators):
-        return _global_series(I)
-    lead = [e[1:] for e in buchberger(_homogenize(I), TANGENT_CONE).leading_exponents()]
-    return hilbert_series(lead, I.ring.nvars)
-
-
-def _samuel_value(P, d, N):
-    """Coefficient of z^(N-1) in P(z) / (1 - z)^(d+1)."""
-    return sum(c * comb(N - 1 - j + d, d) for j, c in enumerate(P[:N]))
+        return _global_series(I, bound)
+    if bound is not None:
+        bound = (bound[0], bound[1] + 1)
+    gb = _completion(_homogenize(I), TANGENT_CONE, bound=bound)
+    return hilbert_series([e[1:] for e in gb.leading_exponents()], I.ring.nvars)
 
 
 def hilbert_samuel(I: Ideal, N: int) -> int:
@@ -78,7 +112,7 @@ def hilbert_samuel(I: Ideal, N: int) -> int:
     if N < 1:
         raise ValueError("hilbert_samuel needs N >= 1")
     P, d = _local_series(I)
-    return _samuel_value(P, d, N)
+    return hilbert_function(P, d + 1, N - 1)
 
 
 @dataclass(frozen=True)
@@ -92,16 +126,21 @@ class LocalMultiplicityResult:
         return self.local_dimension < 0
 
 
-def multiplicity_at_origin(I: Ideal) -> LocalMultiplicityResult:
+def multiplicity_at_origin(I: Ideal, *, prefix: Ideal | None = None) -> LocalMultiplicityResult:
     """Multiplicity and local dimension of the scheme of I at the origin.
 
     A scheme missing the origin reports multiplicity 0 with local
     dimension -1 and no samples.  Otherwise `samples` holds the exact
     Hilbert-Samuel values for N = 1 .. deg P + d + 2, which reach past
     the point where the function becomes a polynomial in N.
+
+    `prefix`, an ideal Q whose generators begin I's, with at most one
+    more generator f after them, only saves work: it gives the
+    completion a lower bound on its series (`_cut_bound`), with which it
+    skips S-pairs that reduce to zero.
     """
-    P, d = _local_series(I)
+    P, d = _local_series(I, prefix)
     if d < 0:
         return LocalMultiplicityResult(0, -1, ())
-    samples = tuple(_samuel_value(P, d, N) for N in range(1, len(P) + d + 2))
+    samples = tuple(hilbert_function(P, d + 1, N - 1) for N in range(1, len(P) + d + 2))
     return LocalMultiplicityResult(sum(P), d, samples)

@@ -358,19 +358,23 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False):
     vanishes at 0: its cut J is 0-dimensional at the origin (or misses
     it), so g is nilpotent in the local ring of J at 0, J : g^inf misses
     the origin and m_n = 0; the record's polar ideal is None.  When
-    g(0) != 0 the argument fails and the stage is saturated."""
+    g(0) != 0 the argument fails and the stage is saturated.
+
+    Each multiplicity names its prefix: Q_{k-1} for the cut, Q_k itself
+    for the polar stage, so its completion gets a lower bound on its
+    Hilbert series (see `multiplicity`)."""
     ring = germ.ring
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
     skip_last = numbers_only and passes_through_origin(saturator)
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
-        m_j = _contribution(multiplicity_at_origin(J), germ.n - k, f"stage {k} cut")
+        m_j = _contribution(multiplicity_at_origin(J, prefix=Q), germ.n - k, f"stage {k} cut")
         if skip_last and k == germ.n:
             Qk, m_q = None, 0
         else:
             Qk = saturate(J, saturator)
-            m_q = _contribution(multiplicity_at_origin(Qk), germ.n - k, f"stage {k} polar")
+            m_q = _contribution(multiplicity_at_origin(Qk, prefix=Qk), germ.n - k, f"stage {k} polar")
         e = m_j - m_q
         if e < 0:
             raise DimensionAnomalyError(f"negative Segre contribution at stage {k}")

@@ -11,7 +11,9 @@ code and stdout must equal the entry's.  For example, from the checkout:
         python -m segrenum.cli
 
 Needs only the standard library, so any supported interpreter can run
-it; exits 1 when a golden is not reproduced.
+it; exits 1 when a golden is not reproduced.  A report that differs from
+its golden only in the `engine` counters prints each changed counter as
+old -> new.
 """
 
 import importlib.util
@@ -19,6 +21,23 @@ import json
 import pathlib
 import subprocess
 import sys
+
+
+def _engine_drift(golden, report):
+    """The changed engine counters, as lines "name: old -> new", when the
+    two reports hold the same keys in the same order with the same values
+    apart from their `engine` blocks; else None."""
+    try:
+        old, new = json.loads(golden), json.loads(report)
+    except ValueError:
+        return None
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return None
+    before, after = old.pop("engine", {}), new.pop("engine", {})
+    if json.dumps(old) != json.dumps(new):
+        return None
+    return [f"  {k}: {before.get(k)} -> {after.get(k)}"
+            for k in dict.fromkeys([*before, *after]) if before.get(k) != after.get(k)] or None
 
 
 def main(argv):
@@ -30,9 +49,13 @@ def main(argv):
         args = list(entry["argv"])
         args[1] = str(corpus / args[1])
         run = subprocess.run(command + args, capture_output=True)
-        if (run.returncode, run.stdout) != (entry["exit"], (golden / entry["golden"]).read_bytes()):
+        expected = (golden / entry["golden"]).read_bytes()
+        if (run.returncode, run.stdout) != (entry["exit"], expected):
             failed.append(entry["golden"])
             print(f"{entry['golden']}: exit {run.returncode}", run.stderr.decode(), sep="\n")
+            drift = _engine_drift(expected, run.stdout)
+            if drift is not None and run.returncode == entry["exit"]:
+                print("only the engine counters differ:", *drift, sep="\n")
     print(f"{len(manifest) - len(failed)} of {len(manifest)} goldens reproduced")
     return 1 if failed else 0
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from segrenum import segre
+from segrenum import groebner, segre
 from segrenum import (
     FunctionGerm,
     buchberger,
@@ -122,8 +122,10 @@ def test_whitney_battery_three_variables(R3, cfg):
 
 def test_whitney_corank_work(R3, cfg, monkeypatch):
     """The battery's number-only rounds leave stage 3 unsaturated: 20
-    saturations and 272 reduced S-pairs from cold caches, against 28 and
-    672 when every round saturated it, with the same numbers."""
+    saturations from cold caches, against 28 when every round saturated
+    it, with the same numbers.  Hilbert-bounded multiplicity completions
+    reduce 188 S-pairs, against 272 without the bound and 672 with
+    stage 3 saturated too."""
     x, y, z = R3.variables()
     calls = []
     real = segre.saturate
@@ -137,7 +139,31 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (20, 272)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (20, 188)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
+
+
+def test_series_memo_does_not_change_the_battery(R3, cfg):
+    """The Hilbert-series memo outlives a Groebner cache reset: the
+    battery gives equal numbers and equal engine counters from cold
+    caches and after an unrelated battery has filled the memo."""
+    x, y, z = R3.variables()
+    pair = FunctionGerm(x ** 2 + y ** 2 + z ** 2), FunctionGerm(x ** 2 + y ** 2 + z ** 3)
+
+    def run():
+        with groebner._GB_LOCK:
+            groebner._GB_CACHE.clear()
+        ENGINE_STATS.reset()
+        report = whitney_battery(*pair, cfg)
+        return report, ENGINE_STATS.snapshot()
+
+    clear_caches()
+    cold = run()
+    clear_caches()
+    whitney_battery(FunctionGerm(x ** 3 + y ** 3 + z ** 3),
+                    FunctionGerm(x ** 2 + y ** 2 + 2 * z ** 2), cfg)
+    assert groebner._SERIES_MEMO
+    assert run() == cold
+    assert run() == cold  # the memo now holds this battery's own lead sets

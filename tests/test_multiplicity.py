@@ -1,15 +1,37 @@
+import random
+
+import pytest
+
 from segrenum import (
+    GREVLEX,
     Ideal,
+    buchberger,
     hilbert_samuel,
     ideal,
     ideal_power,
+    ideal_quotient,
     ideal_sum,
     multiplicity_at_origin,
     passes_through_origin,
     colength,
 )
+from segrenum.errors import ConsistencyError, PreconditionError
+from segrenum.groebner import (
+    ENGINE_STATS,
+    _buchberger_raw,
+    _completion,
+    _global_series,
+    _normalise,
+    clear_caches,
+    hilbert_function,
+    hilbert_series,
+)
+from segrenum.multiplicity import _cut_bound, _homogenize
+from segrenum.rings import LEX, TANGENT_CONE, PolynomialRing, _memo_key
 
 from oracles import macaulay_colength_stable, vanishing_order
+
+P31 = 2147483629  # a prime just below 2^31
 
 
 def power_of_maximal(ring, N):
@@ -156,3 +178,157 @@ def test_passes_through_origin(R2):
     assert passes_through_origin(ideal(R2, x, y))
     assert passes_through_origin(ideal(R2, x * (x - 1)))
 
+
+# -- the Hilbert bound of a cut ----------------------------------------------
+
+def _random_form(rng, ring, homogeneous):
+    """Two to four terms with small coefficients, of one degree from 1 to
+    3 or each of its own degree from 1 to 3."""
+    n = ring.nvars
+    degree = rng.randint(1, 3)
+    coeffs = {}
+    for _ in range(rng.randint(2, 4)):
+        e = [0] * n
+        for _ in range(degree if homogeneous else rng.randint(1, 3)):
+            e[rng.randrange(n)] += 1
+        coeffs[tuple(e)] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 11))
+    return ring.poly(coeffs)
+
+
+def _completion_series(J, homogeneous):
+    """The ideal and order of the completion that reads J's series, and
+    that series."""
+    H, order = (J, GREVLEX) if homogeneous else (_homogenize(J), TANGENT_CONE)
+    gb = _completion(H, order)
+    return H, order, hilbert_series(gb.leading_exponents(), H.ring.nvars)
+
+
+def _coefficients(series, top):
+    return [hilbert_function(*series, D) for D in range(top)]
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["grevlex", "tangent-cone"])
+def test_hilbert_bound_keeps_every_row(homogeneous):
+    """On 24 seeded cuts Q + (f) on C^3 and C^4, over QQ and GF(p), with
+    Q given by its reduced grevlex basis (as a polar ideal is) or by two
+    random generators: the bound is at most the series the completion
+    reads, and equal to it when f is a nonzerodivisor modulo Q (on the
+    tangent-cone path, for Q given by its basis); the bounded and the
+    plain completion give the same rows and leads, and the bounded one
+    never reduces more S-pairs, also when `multiplicity_at_origin` runs
+    it."""
+    rng = random.Random(5)
+    saved = exact = 0
+    for case in range(24):
+        ring = PolynomialRing(["x", "y", "z", "w"][:3 + case % 2]).over((0, P31)[case // 2 % 2])
+        Q = ideal(ring, *(_random_form(rng, ring, homogeneous) for _ in range(2)))
+        polar = case // 4 % 2
+        if polar:
+            Q = Ideal(ring, buchberger(Q, GREVLEX).basis)
+        f = _random_form(rng, ring, homogeneous)
+        J = ideal_sum(Q, ideal(ring, f))
+        P, d = _cut_bound(J, Q)
+        bound = (P, d if homogeneous else d + 1)
+        H, order, series = _completion_series(J, homogeneous)
+        top = max(len(series[0]), len(P)) + 4
+        below = _coefficients(bound, top)
+        assert all(b <= s for b, s in zip(below, _coefficients(series, top))), case
+        if (homogeneous or polar) and ideal_quotient(Q, ideal(ring, f)) == Q:
+            assert below == _coefficients(series, top), case
+            exact += 1
+
+        key = _memo_key(order, H.ring.nvars)
+        gens = [_normalise(g.coeffs, key, ring.modulus) for g in H.generators]
+        runs = []
+        for b in (None, bound):
+            ENGINE_STATS.reset()
+            runs.append((_buchberger_raw(gens, key, modulus=ring.modulus, bound=b),
+                         ENGINE_STATS.spairs_reduced))
+        (plain, plain_pairs), (bounded, bounded_pairs) = runs
+        assert bounded == plain, case
+        assert bounded_pairs <= plain_pairs, case
+        saved += plain_pairs - bounded_pairs
+
+        clear_caches()
+        _global_series(Q)
+        ENGINE_STATS.reset()
+        cut = multiplicity_at_origin(J, prefix=Q)
+        assert ENGINE_STATS.spairs_reduced == bounded_pairs, case
+        clear_caches()
+        assert cut == multiplicity_at_origin(J), case
+    assert saved and exact >= 6
+
+
+def test_cut_bound_is_exact_for_a_nonzerodivisor(R2, R3):
+    """The bound equals the series when f is a nonzerodivisor modulo Q,
+    and stays below it when f = x is a zero divisor modulo (xy); for a
+    polar ideal (Q's generators its grevlex basis) the bound of Q itself
+    is its series on both paths."""
+    x, y = R2.variables()
+    Q = ideal(R2, x * y)
+    zero_divisor = ideal_sum(Q, ideal(R2, x))
+    assert _coefficients(_cut_bound(zero_divisor, Q), 6) == [1, 1, 0, 0, 0, 0]
+    assert _coefficients(_global_series(zero_divisor), 6) == [1, 1, 1, 1, 1, 1]
+    regular = ideal_sum(Q, ideal(R2, x + y))
+    assert _coefficients(_cut_bound(regular, Q), 6) == _coefficients(_global_series(regular), 6)
+
+    a, b, c = R3.variables()
+    polar = Ideal(R3, buchberger(ideal(R3, a * b - c ** 3, a * c - b ** 2), GREVLEX).basis)
+    cut = ideal_sum(polar, ideal(R3, a + b ** 2 + c))
+    for J, Q in ((cut, polar), (polar, polar)):
+        P, d = _cut_bound(J, Q)
+        assert _coefficients((P, d + 1), 12) == _coefficients(_completion_series(J, False)[2], 12)
+
+
+def test_a_bound_above_the_series_raises():
+    """A twisted cubic cut by a hyperplane: its leads reach the bound in
+    degree 3 before any pair of that degree, so the exact bound reduces
+    neither of the two pairs and keeps the basis, and a bound one higher
+    in degree 3 is refused."""
+    R = PolynomialRing(["x", "y", "z", "w"])
+    x, y, z, w = R.variables()
+    Q = ideal(R, x * z - y ** 2, x * w - y * z, y * w - z ** 2)
+    J = ideal_sum(Q, ideal(R, x + y + z + w))
+    P, d = _cut_bound(J, Q)
+    assert _coefficients((P, d), 6) == [1, 3, 3, 3, 3, 3]
+    key = _memo_key(GREVLEX, 4)
+    gens = [_normalise(g.coeffs, key) for g in J.generators]
+    ENGINE_STATS.reset()
+    plain = _buchberger_raw(gens, key)
+    assert ENGINE_STATS.spairs_reduced == 2
+    ENGINE_STATS.reset()
+    assert _buchberger_raw(gens, key, bound=(P, d)) == plain
+    assert ENGINE_STATS.spairs_reduced == 0
+    assert d == 2  # P(z) = (1 + 2z)(1 - z): the bound is not reduced
+    high = tuple(a + b for a, b in zip(P + (0,) * 3, (0, 0, 0, 1, -2, 1)))
+    assert _coefficients((high, d), 6) == [1, 3, 3, 4, 3, 3]
+    with pytest.raises(ConsistencyError, match="degree 3"):
+        _buchberger_raw(gens, key, bound=(high, d))
+
+
+def test_bound_preconditions(R2):
+    """A bound needs homogeneous generators and a degree order, and a
+    prefix must begin the cut's generators with at most one more."""
+    x, y = R2.variables()
+    with pytest.raises(PreconditionError):
+        _completion(ideal(R2, x ** 2 - y ** 3), GREVLEX, bound=((1,), 2))
+    with pytest.raises(PreconditionError):
+        _completion(ideal(R2, x * y), LEX, bound=((1,), 2))
+    with pytest.raises(PreconditionError):
+        multiplicity_at_origin(ideal(R2, x, y), prefix=ideal(R2, y))
+    with pytest.raises(PreconditionError):
+        multiplicity_at_origin(ideal(R2, x, y, x * y), prefix=ideal(R2, x))
+
+
+def test_series_memo_hands_out_immutable_answers():
+    """Equal lead sets in any order share one memo entry, and a returned
+    series cannot be changed in place, so no caller sees another's edit."""
+    leads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    first = hilbert_series(leads, 3)
+    assert first == ((1, 3, 3, 1), 0)
+    with pytest.raises(TypeError):
+        first[0][0] += 1
+    P, d = first
+    P += (5,)  # rebinds the caller's name only
+    assert hilbert_series(reversed(leads), 3) is first
+    assert first == ((1, 3, 3, 1), 0)

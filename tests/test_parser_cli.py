@@ -17,6 +17,7 @@ from segrenum.report import SCHEMA_VERSION, _exact
 from segrenum.rings import format_polynomial
 
 from conftest import CORPUS, GOLDEN, replay_corpus
+from replay_goldens import _engine_drift
 
 
 def run_cli(argv):
@@ -101,6 +102,20 @@ def test_golden_corpus():
         expected = (GOLDEN / entry["golden"]).read_text(encoding="utf-8")
         assert code == entry["exit"], entry
         assert out == expected, f"report drift for {entry['golden']}"
+
+
+def test_replay_names_engine_only_drift():
+    """The replay script lists the counters of a report that differs from
+    its golden only in its `engine` block, and nothing for other drift."""
+    golden = (GOLDEN / "rees_pair.json").read_bytes()
+    report = json.loads(golden)
+    report["engine"]["spairs_reduced"] = "7"
+    assert _engine_drift(golden, json.dumps(report).encode()) == ["  spairs_reduced: 6 -> 7"]
+    report["results"] = {}
+    assert _engine_drift(golden, json.dumps(report).encode()) is None
+    reordered = dict(reversed(json.loads(golden).items()))
+    assert _engine_drift(golden, json.dumps(reordered).encode()) is None
+    assert _engine_drift(golden, b"Traceback") is None
 
 
 def test_reports_are_byte_deterministic():

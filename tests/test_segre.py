@@ -604,25 +604,30 @@ def test_milnor_sequence_oracle(R3):
     assert milnor_sequence(x ** 3 + y ** 3 + z ** 4 + 2 * x * y ** 2 * z) == (1, 2, 4, 12)
 
 
-@pytest.mark.parametrize("n, f", [
-    (3, lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2),                 # D4: (1, 1, 2, 4)
-    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 2),                     # E6: (1, 1, 2, 6)
-    (3, lambda x, y, z: x ** 3 + y ** 3 + z ** 3),                     # (1, 2, 4, 8)
-    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 5),                     # (1, 2, 6, 24)
-    (3, lambda x, y, z: x ** 3 + x * y ** 3 + z ** 2),                 # E7: (1, 1, 2, 7)
-    (4, lambda x, y, z, w: x ** 2 + y ** 2 + z ** 2 + w ** 3),         # (1, 1, 1, 1, 2), e_4 = 17
-    (4, lambda x, y, z, w: x ** 3 + y ** 3 + z ** 3 + w ** 3),         # (1, 2, 4, 8, 16), e_4 = 81
-], ids=["D4", "E6", "x3+y3+z3", "x3+y4+z5", "E7", "x2+y2+z2+w3", "x3+y3+z3+w3"])
-def test_teissier_formula_for_contact_tangent_ideals(n, f):
+@pytest.mark.parametrize("n, f, polar", [
+    (3, lambda x, y, z: x ** 2 * y + y ** 3 + z ** 2, (1, 2, 5)),               # D4: (1, 1, 2, 4)
+    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 2, (1, 2, 5)),                   # E6: (1, 1, 2, 6)
+    (3, lambda x, y, z: x ** 3 + y ** 3 + z ** 3, (1, 3, 9)),                   # (1, 2, 4, 8)
+    (3, lambda x, y, z: x ** 3 + y ** 4 + z ** 5, (1, 3, 11)),                  # (1, 2, 6, 24)
+    (3, lambda x, y, z: x ** 3 + x * y ** 3 + z ** 2, (1, 2, 5)),               # E7: (1, 1, 2, 7)
+    (4, lambda x, y, z, w: x ** 2 + y ** 2 + z ** 2 + w ** 3, (1, 2, 4, 8)),    # (1, 1, 1, 1, 2), e_4 = 17
+    (4, lambda x, y, z, w: x ** 3 + y ** 3 + z ** 3 + w ** 3, (1, 3, 9, 27)),   # (1, 2, 4, 8, 16), e_4 = 81
+    (4, lambda x, y, z, w: x ** 2 * y + y ** 3 + z ** 2 + w ** 2, (1, 2, 4, 9)),  # (1, 1, 1, 2, 4), e_4 = 23
+], ids=["D4", "E6", "x3+y3+z3", "x3+y4+z5", "E7", "x2+y2+z2+w3", "x3+y3+z3+w3", "x2y+y3+z2+w2"])
+def test_teissier_formula_for_contact_tangent_ideals(n, f, polar):
     """Teissier: e_n of the contact tangent ideal m J(f) + (f) is
     sum C(n, i) mu^(i), and mu^(i) is the mixed multiplicity of n - i
-    generic linear forms with i generic partials of f."""
+    generic linear forms with i generic partials of f.  The ideal is
+    m-primary, so e_1 .. e_{n-1} vanish; the polar multiplicities are
+    pinned.  The last row is non-homogeneous on C^4, where the Hilbert
+    bound of the tangent-cone completions skips the most S-pairs."""
     R = PolynomialRing(["x", "y", "z", "w"][:n])
     germ_f = FunctionGerm(f(*R.variables()))
     mu = milnor_sequence(germ_f.poly)
     germ, cfg = make_germ(R), GenericityConfig(seed=7)
     prof = segre_profile(germ, contact_tangent_ideal(germ_f), cfg)
-    assert prof.e[n - 1] == sum(math.comb(n, i) * mu[i] for i in range(n + 1))
+    teissier = sum(math.comb(n, i) * mu[i] for i in range(n + 1))
+    assert (prof.e, prof.m) == ((0,) * (n - 1) + (teissier,), polar)
     m, J = ideal(R, *R.variables()), jacobian_ideal(germ_f)
     assert [mixed_multiplicity_primary(germ, m, J, n - i, cfg) for i in range(n + 1)] == list(mu)
 
