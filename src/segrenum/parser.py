@@ -19,8 +19,13 @@ ambient block, an optional [surface] block and an [options] block.
     bound = 997
     rounds = 2
 
-Comments run from '#' to end of line.  Polynomials use +, -, *, ^ and
-rational literals like 1/2; syntax errors carry line and column.
+One tokenizer reads the whole document; comments run from '#' to end
+of line, and a line that begins with '[' is a section header.
+Polynomials use +, -, *, ^ and rational literals like 1/2.  A section
+number is [sign] digits, with "/" digits where a rational is allowed
+(the u, v, w and c vectors); the commas between the numbers of a matrix
+row or vector are optional.  0.5, 1e3 and 1_000 are refused, and every
+syntax error carries line and column.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import InputSyntaxError
 from .rings import Polynomial, PolynomialRing
@@ -53,7 +60,7 @@ class InputDocument:
 
 # -- tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = set(",;=+-*^()/")
+_SYMBOLS = set(",;=+-*^()/[]")
 
 
 @dataclass(frozen=True)
@@ -64,16 +71,10 @@ class _Token:
     column: int
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
-def _tokenize(lines, start_line=1):
+def _tokenize(text: str):
     tokens = []
-    for offset, raw in enumerate(lines):
-        line_no = start_line + offset
-        text = _strip_comment(raw)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        text = raw.partition("#")[0]
         i = 0
         while i < len(text):
             ch = text[i]
@@ -146,6 +147,31 @@ class _TokenStream:
         return False
 
 
+def _number(stream, rational=False):
+    """`[sign] INT`, or the Fraction `[sign] INT [/ INT]` where a rational
+    is allowed.  Polynomial constants and every section read numbers here."""
+    sign = -1 if stream.accept_sym("-") else 1
+    if sign == 1:
+        stream.accept_sym("+")
+    value = sign * _int(stream.expect("INT"))
+    if not (rational and stream.accept_sym("/")):
+        return Fraction(value) if rational else value
+    tok = stream.expect("INT")
+    den = _int(tok)
+    if den == 0:
+        raise InputSyntaxError("zero denominator", tok.line, tok.column)
+    return Fraction(value, den)
+
+
+def _numbers(stream, rational=False):
+    """`number {[,] number}` to the end of a line."""
+    values = [_number(stream, rational)]
+    while stream.peek().kind != "EOF":
+        stream.accept_sym(",")
+        values.append(_number(stream, rational))
+    return tuple(values)
+
+
 # -- polynomial expression parser ---------------------------------------------
 
 class _PolyParser:
@@ -187,15 +213,7 @@ class _PolyParser:
     def _atom(self):
         tok = self.s.peek()
         if tok.kind == "INT":
-            self.s.next()
-            num = _int(tok)
-            if self.s.accept_sym("/"):
-                den_tok = self.s.expect("INT")
-                den = _int(den_tok)
-                if den == 0:
-                    raise InputSyntaxError("zero denominator", den_tok.line, den_tok.column)
-                return self.ring.constant(Fraction(num, den))
-            return self.ring.constant(num)
+            return self.ring.constant(_number(self.s, rational=True))
         if tok.kind == "NAME":
             self.s.next()
             if tok.text not in self.ring.variable_names:
@@ -217,107 +235,84 @@ _KEYWORDS = {"ring", "ambient", "ideal"}
 _OPTION_KEYS = {"seed", "bound", "rounds"}
 
 
-def _parse_rational(text: str, line_no: int) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputSyntaxError(f"bad rational {text.strip()!r}: {exc}", line_no)
-
-
-def _parse_vector(text: str, line_no: int):
-    return tuple(_parse_rational(part, line_no) for part in text.split(","))
-
-
-def _content_lines(lines, start_line):
-    """(line number, text) of each line that is not blank once its
-    comment is stripped."""
-    for line_no, raw in enumerate(lines, start=start_line):
-        text = _strip_comment(raw).strip()
-        if text:
-            yield line_no, text
-
-
-def _parse_surface(lines, start_line) -> SurfaceBlock:
-    matrix_rows = []
-    vectors = {}
-    for line_no, text in _content_lines(lines, start_line):
-        if "=" in text:
-            key, _, rest = text.partition("=")
-            key = key.strip()
-            if key not in {"u", "v", "w", "c"}:
-                raise InputSyntaxError(f"unknown surface row {key!r}", line_no)
-            if key in vectors:
-                raise InputSyntaxError(f"duplicate surface row {key!r}", line_no)
-            vectors[key] = _parse_vector(rest, line_no)
-        else:
-            try:
-                row = tuple(int(part) for part in text.replace(",", " ").split())
-            except ValueError:
-                raise InputSyntaxError(f"bad matrix row {text!r}", line_no)
-            matrix_rows.append(row)
+def _parse_surface(lines, head) -> SurfaceBlock:
+    matrix_rows, vectors, keys = [], {}, {}
+    for line in lines:
+        stream = _TokenStream(line)
+        key = line[0]
+        if key.kind != "NAME":
+            matrix_rows.append(_numbers(stream))
+            continue
+        stream.next()
+        if key.text not in {"u", "v", "w", "c"}:
+            raise InputSyntaxError(f"unknown surface row {key.text!r}", key.line, key.column)
+        if key.text in vectors:
+            raise InputSyntaxError(f"duplicate surface row {key.text!r}", key.line, key.column)
+        stream.expect("SYM", "=")
+        keys[key.text] = key
+        vectors[key.text] = _numbers(stream, rational=True)
     if not matrix_rows:
-        raise InputSyntaxError("surface block has no matrix rows", start_line)
+        raise InputSyntaxError("surface block has no matrix rows", head.line, head.column)
     r = len(matrix_rows)
     if any(len(row) != r for row in matrix_rows):
-        raise InputSyntaxError("intersection matrix must be square", start_line)
+        raise InputSyntaxError("intersection matrix must be square", head.line, head.column)
     missing = {"u", "v", "w"} - set(vectors)
     if missing:
-        raise InputSyntaxError(f"surface block lacks rows: {sorted(missing)}", start_line)
+        raise InputSyntaxError(f"surface block lacks rows: {sorted(missing)}",
+                               head.line, head.column)
     # u, v and w in the order given, then c
-    for key, vec in sorted(vectors.items(), key=lambda item: item[0] == "c"):
+    for name, vec in sorted(vectors.items(), key=lambda item: item[0] == "c"):
         if len(vec) != r:
-            raise InputSyntaxError(f"vector {key} has length {len(vec)}, expected {r}", start_line)
+            raise InputSyntaxError(f"vector {name} has length {len(vec)}, expected {r}",
+                                   keys[name].line, keys[name].column)
     return SurfaceBlock(tuple(matrix_rows), vectors["u"], vectors["v"], vectors["w"],
                         vectors.get("c"))
 
 
-def _parse_options(lines, start_line) -> dict:
+def _parse_options(lines) -> dict:
     options = {}
-    for line_no, text in _content_lines(lines, start_line):
-        for piece in text.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, eq, value = piece.partition("=")
-            key = key.strip()
-            if not eq or key not in _OPTION_KEYS:
-                raise InputSyntaxError(f"unknown option {piece!r}", line_no)
-            if key in options:
-                raise InputSyntaxError(f"duplicate option {key!r}", line_no)
-            try:
-                options[key] = int(value.strip())
-            except ValueError:
-                raise InputSyntaxError(f"option {key} needs an integer", line_no)
+    for line in lines:
+        stream = _TokenStream(line)
+        while stream.peek().kind != "EOF":
+            key = stream.next()
+            if key.text not in _OPTION_KEYS:
+                raise InputSyntaxError(f"unknown option {key.text!r}", key.line, key.column)
+            if key.text in options:
+                raise InputSyntaxError(f"duplicate option {key.text!r}", key.line, key.column)
+            stream.expect("SYM", "=")
+            options[key.text] = _number(stream)
+            if stream.peek().kind != "EOF":
+                stream.expect("SYM", ",")
     return options
 
 
 def parse_input(text: str) -> InputDocument:
     """Parse a document; raises InputSyntaxError with position info."""
-    lines = text.splitlines()
-    sections = [("main", 1, [])]
-    for idx, raw in enumerate(lines, start=1):
-        stripped = _strip_comment(raw).strip()
-        if stripped.startswith("["):
-            name = stripped.strip("[]").strip().lower()
-            if name not in {"surface", "options"}:
-                raise InputSyntaxError(f"unknown section [{name}]", idx)
-            sections.append((name, idx + 1, []))
-        else:
-            sections[-1][2].append(raw)
+    main = lines = []
+    sections = {}                  # name -> (header token, its token lines)
+    for _, group in groupby(_tokenize(text), key=attrgetter("line")):
+        line = list(group)
+        head = line[0]
+        if head.text != "[":
+            lines.append(line)
+            continue
+        name = line[1].text.lower() if len(line) == 3 and line[2].text == "]" else ""
+        if name not in {"surface", "options"}:
+            raise InputSyntaxError(f"unknown section {''.join(tok.text for tok in line)}",
+                                   head.line, head.column)
+        if name in sections:
+            raise InputSyntaxError(f"duplicate [{name}] block", head.line, head.column)
+        lines = []
+        sections[name] = head, lines
 
     doc = InputDocument()
-    seen = set()
-    for name, start, body in sections[1:]:
-        if name in seen:
-            raise InputSyntaxError(f"duplicate [{name}] block", start - 1)  # its header
-        seen.add(name)
+    for name, (head, lines) in sections.items():
         if name == "surface":
-            doc.surface = _parse_surface(body, start)
+            doc.surface = _parse_surface(lines, head)
         else:
-            doc.options = _parse_options(body, start)
+            doc.options = _parse_options(lines)
 
-    main = next(body for name, _, body in sections if name == "main")
-    stream = _TokenStream(_tokenize(main))
+    stream = _TokenStream([tok for line in main for tok in line])
     while stream.peek().kind != "EOF":
         tok = stream.peek()
         if tok.kind != "NAME" or tok.text not in _KEYWORDS:

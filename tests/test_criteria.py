@@ -295,6 +295,12 @@ def test_radical_sum_compare():
     assert radical_sum_compare(50, 8, 18, 2) == "eq"  # sqrt50 = 2sqrt2+3sqrt2
     assert radical_sum_compare(0, 0, 0, 2) == "eq"
     assert radical_sum_compare(5, 5, 0, 4) == "eq"
+    # 1400-digit sides a bracket at scale 2^4096 does not separate
+    p, q = 10 ** 1400 + 7, 10 ** 1400 + 3
+    A, B, C = 2 * (p + q) ** 2, 2 * p ** 2, 2 * q ** 2
+    assert radical_sum_compare(A + 1, B, C, 2) == "gt"
+    assert radical_sum_compare(A - 1, B, C, 2) == "lt"
+    assert radical_sum_compare(A, B, C, 2) == "eq"
 
 
 def test_radical_sum_compare_refines_its_bracket(monkeypatch):

@@ -3,12 +3,15 @@ import json
 import contextlib
 import errno
 import os
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrenum import GenericityConfig, cli
 from segrenum.errors import InputSyntaxError
@@ -397,3 +400,96 @@ def test_parser_negative_cases():
     for text, message in repeats:
         with pytest.raises(InputSyntaxError, match=message):
             parse_input(_CUSP + text)
+
+
+@st.composite
+def _section_blocks(draw):
+    """A well-formed [surface] block and [options] block in any spelling
+    the grammar allows, with the values written into them."""
+    ints = st.integers(-10 ** 30, 10 ** 30)
+
+    def pick(*choices):
+        return draw(st.sampled_from(choices))
+
+    def integer(n):
+        return ("-" + pick("", " ") + str(-n)) if n < 0 else pick("", "+") + str(n)
+
+    def numbers(values):
+        return "".join(pick(" ", "  ", ",", ", ", " , ") * bool(i) + text
+                       for i, text in enumerate(values))
+
+    def line(body):
+        comment = pick("", " ", "  # 0.5 1e3 [x]")
+        return pick("", "  ") + body + comment + "\n" * draw(st.integers(1, 3))
+
+    r = draw(st.integers(1, 3))
+    matrix = tuple(tuple(draw(st.lists(ints, min_size=r, max_size=r))) for _ in range(r))
+    keys = draw(st.permutations("uvw")) + pick([], ["c"])
+    vectors = {key: draw(st.lists(st.tuples(ints, st.integers(1, 10 ** 6)), min_size=r, max_size=r))
+               for key in keys}
+    surface = [line(numbers([integer(a) for a in row])) for row in matrix]
+    for key, vec in vectors.items():
+        written = [integer(a) if b == 1 and pick(True, False)
+                   else integer(a) + pick("/", " / ") + str(b) for a, b in vec]
+        surface.insert(draw(st.integers(0, len(surface))),
+                       line(key + pick("=", " = ", " =") + numbers(written)))
+    options = draw(st.dictionaries(st.sampled_from(sorted(_OPTION_KEYS)), ints))
+    items = [key + pick("=", " = ") + integer(value) for key, value in options.items()]
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, max(len(items) - 1, 1))))), len(items)]
+    option_lines = [line(", ".join(items[a:b]) + pick("", ",")) for a, b in zip(cuts, cuts[1:])
+                    if items[a:b]]
+    blocks = [line(pick("[surface]", "[SURFACE]", "[ Surface ]")) + "".join(surface),
+              line(pick("[options]", "[Options]")) + "".join(option_lines)]
+    if pick(True, False):
+        blocks.reverse()
+    text = pick("", "# a comment\n", "ring x; ideal I = x;\n") + "".join(blocks)
+    expected = {key: tuple(Fraction(a, b) for a, b in vec) for key, vec in vectors.items()}
+    return text, matrix, expected, options
+
+
+@settings(deadline=None)
+@given(_section_blocks())
+def test_sections_parse_to_the_values_written(block):
+    text, matrix, vectors, options = block
+    doc = parse_input(text)
+    surface = doc.surface
+    assert surface.matrix == matrix
+    assert (surface.u, surface.v, surface.w, surface.c) == (
+        vectors["u"], vectors["v"], vectors["w"], vectors.get("c"))
+    assert doc.options == options
+
+
+_VECTOR_U = "[surface]\n-2\nu = {}\nv = 1\nw = 1\n"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    (_VECTOR_U.format("0.5"), "unexpected character '.'", 3, 6),
+    (_VECTOR_U.format("1e3"), "expected 'INT', found 'e3'", 3, 6),
+    ("[options]\nseed = 1_000\n", "expected ',', found '_000'", 2, 9),
+    ("[options]\nbound = 1e3\n", "expected ',', found 'e3'", 2, 10),
+    (_VECTOR_U.format("1/0"), "zero denominator", 3, 7),
+    pytest.param("[options]\nseed = " + "9" * 5000 + "\n",
+                 "integer literal of 5000 digits exceeds the limit", 2, 8, marks=needs_digit_limit),
+    (_VECTOR_U.format("1e80000000"), "expected 'INT', found 'e80000000'", 3, 6),
+    ("[options]\nseed = 1 rounds = 2\n", "expected ',', found 'rounds'", 2, 10),
+    ("[surface]\n-2 1.\n", "unexpected character '.'", 2, 5),
+    ("# header\n  [ surface ]\n-2 1\nu = 1\nv = 1\nw = 1\n",
+     "intersection matrix must be square", 2, 3),
+    (_VECTOR_U.format("1, 2"), "vector u has length 2, expected 1", 3, 1),
+    ("[Surface]x\n", "unknown section [Surface]x", 1, 1),
+], ids=["decimal", "exponent", "underscore", "option-exponent", "zero-denominator",
+        "long-option", "huge-exponent", "missing-comma", "matrix-decimal", "block", "length",
+        "header"])
+def test_section_refusals_carry_line_and_column(text, message, line, column):
+    with pytest.raises(InputSyntaxError, match=re.escape(message)) as err:
+        parse_input(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_surface_with_an_exponent_literal_exits_1(tmp_path, capsys):
+    """`1e80000000` is a number followed by a name, refused before any
+    value is built."""
+    doc = tmp_path / "exponent.ideal"
+    doc.write_text("[surface]\n-2 1\n1 -2\nu = 1e80000000, 0\nv = 0, 1\nw = 1, 1\n")
+    assert run_cli(["surface", str(doc)]) == (1, "")
+    assert capsys.readouterr().err == "error: expected 'INT', found 'e80000000' at line 4, column 6\n"

@@ -85,11 +85,63 @@ def test_profile_cusp(germ2, R2, cfg):
     assert prof.e == (2, 0)
 
 
-def test_closure_invariant_profiles(germ2, R2, cfg):
+def test_closure_invariant_profiles(germ2, R2, germ3, R3, cfg):
     x, y = R2.variables()
     a = segre_profile(germ2, ideal(R2, x ** 2, y ** 2), cfg)
     b = segre_profile(germ2, ideal(R2, x ** 2, x * y, y ** 2), cfg)
     assert a.e == b.e == (0, 4)
+    x, y, z = R3.variables()
+    a = segre_profile(germ3, ideal(R3, x ** 2 * z, y ** 2 * z), cfg)
+    b = segre_profile(germ3, ideal(R3, x ** 2 * z, y ** 2 * z, x * y * z), cfg)
+    assert a.e == b.e == (1, 6, 0)
+
+
+def _substitute(f, images):
+    """f with its i-th variable replaced by images[i]."""
+    out = f.ring.zero()
+    for c, mono in f.terms():
+        term = f.ring.constant(c)
+        for image, k in zip(images, mono):
+            term = term * image ** k
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("text, e, m", [
+    ("ring x, y; ideal I = x^2, y^3;", (0, 6), (1, 2)),
+    ("ring x, y; ideal I = x^2 - y^3;", (2, 0), (1, 0)),
+    ("ring x, y, z; ideal I = x*z, y*z, z^2;", (1, 1, 2), (1, 1, 1)),
+    ("ring x, y, z; ideal I = z;", (1, 0, 0), (1, 0, 0)),
+    ("ring x, y, z; ideal I = x*y, y*z, z*x;", (0, 3, 2), (1, 2, 1)),
+    ("ring x, y, z; ambient = x*y - z^2; ideal I = x, z;", (1, 1), (2, 1)),
+    ("ring x, y, z; ambient = x^2 + y^3 + z^5; ideal I = x, y;", (0, 5), (2, 2)),
+], ids=["x2-y3", "cusp", "axes", "plane", "three-lines", "cone", "e8-surface"])
+def test_profiles_are_invariant_under_coordinate_and_generator_changes(text, e, m):
+    """e and m stay the same when the generators are reversed and
+    unimodularly recombined, and when ideal and ambient go through a
+    linear change of coordinates or a triangular automorphism fixing 0.
+    The automorphisms make homogeneous inputs non-homogeneous, so those
+    runs take the tangent-cone path."""
+    doc = parse_input(text)
+    R = doc.ring
+    v = R.variables()
+    x, y = v[:2]
+    maps = [v, (x + 2 * y, *v[1:]), (x + y ** 2, *v[1:])]
+    if len(v) == 3:
+        maps.append((x, y, v[2] + x * y))
+    cfg = GenericityConfig(seed=7)
+
+    def profile(images, recombine=False):
+        ambient = [_substitute(g, images) for g in doc.ambient]
+        gens = [_substitute(g, images) for g in doc.ideals["I"]]
+        if recombine:
+            gens.reverse()
+            gens[0] = gens[0] + gens[1] if len(gens) > 1 else -gens[0]
+        germ = make_germ(R, ideal(R, *ambient)) if ambient else make_germ(R)
+        return segre_profile(germ, ideal(R, *gens), cfg)
+
+    for prof in [profile(v, recombine=True)] + [profile(images) for images in maps]:
+        assert (prof.e, prof.m) == (e, m)
 
 
 def test_m_primary_collapse(germ2, R2, cfg):
