@@ -22,7 +22,6 @@ from .segre import (
     SegreProfile,
     mixed_multiplicity_primary,
     mixed_segre,
-    require_m_primary,
     segre_profile,
 )
 
@@ -90,7 +89,6 @@ class MixedNumberCache:
         self.cfg = cfg
         self._profiles = {}
         self._mixed = {}
-        self._table = {}
 
     def profile(self, which: int) -> SegreProfile:
         if which not in self._profiles:
@@ -101,29 +99,24 @@ class MixedNumberCache:
     def e(self, which: int, k: int) -> int:
         return self.profile(which).e[k - 1]
 
-    def mixed(self, k: int, i: int, j: int, swap: bool = False) -> int:
-        """e_k^{i,j} of (I1, I2), or of (I2, I1) when swapped.
-
-        The definition is symmetric (i elements of I1, j of I2, saturated
-        by I1 + I2), so e_k^{i,j}(I2, I1) is e_k^{j,i}(I1, I2); only the
-        unswapped requests enter `table()`.
-        """
-        key = (k, j, i) if swap else (k, i, j)
+    def mixed(self, k: int, i: int, j: int) -> int:
+        """e_k^{i,j} of (I1, I2): i elements of I1 and j of I2."""
+        key = (k, i, j)
         value = self._mixed.get(key)
         if value is None:
-            if key[2] == 0:
+            if j == 0:
                 value = self.e(1, k)
-            elif key[1] == 0:
+            elif i == 0:
                 value = self.e(2, k)
             else:
-                value = mixed_segre(self.germ, self.I1, self.I2, *key, self.cfg)
+                value = mixed_segre(self.germ, self.I1, self.I2, k, i, j, self.cfg)
             self._mixed[key] = value
-        if not swap:
-            self._table[key] = value
         return value
 
-    def table(self) -> MixedSegreTable:
-        return MixedSegreTable(self.germ.n, dict(self._table))
+    def table(self, keys=None) -> MixedSegreTable:
+        """The mixed numbers asked for so far, or only those in `keys`."""
+        entries = self._mixed if keys is None else {key: self._mixed[key] for key in keys}
+        return MixedSegreTable(self.germ.n, dict(entries))
 
 
 def _chain_verdict(criterion_id: str, labels, values) -> CriterionVerdict:
@@ -224,10 +217,14 @@ def _lower_codim_hypothesis(cache: MixedNumberCache, k: int) -> bool:
 def _product_preamble(germ: GermContext, I1: Ideal, I2: Ideal, k: int,
                       cfg: GenericityConfig):
     """(cache, hypothesis, e_k(I1*I2)) for the product formula and the
-    Minkowski check; the hypothesis is None at k = n."""
+    Minkowski check; the hypothesis is None at k = n.  Both profiles come
+    first, so an ideal the germ refuses is refused before the product's
+    larger computation starts."""
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
     cache = MixedNumberCache(germ, I1, I2, cfg)
+    cache.profile(1)
+    cache.profile(2)
     hypothesis = _lower_codim_hypothesis(cache, k) if k < germ.n else None
     return cache, hypothesis, segre_profile(germ, ideal_product(I1, I2), cfg).e[k - 1]
 
@@ -271,22 +268,23 @@ def product_formula_check(germ: GermContext, I1: Ideal, I2: Ideal, k: int,
 # -- exact k-th root comparison ----------------------------------------------
 
 def integer_kth_root(x: int, k: int) -> int:
-    """floor(x^(1/k)) for nonnegative integers, exactly."""
+    """floor(x^(1/k)) for nonnegative integers, exactly.
+
+    Newton's integer step from any r above the root never falls below
+    it (AM-GM, and nested floors) and is strictly smaller while r^k > x,
+    so the iteration stops exactly at the root."""
     if x < 0 or k < 1:
         raise ValueError("integer_kth_root needs x >= 0, k >= 1")
+    if k == 2:
+        return math.isqrt(x)
     if x in (0, 1) or k == 1:
         return x
     r = 1 << (-(-x.bit_length() // k))
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def _perfect_kth_power(x: int, k: int):
@@ -364,17 +362,14 @@ def mixed_inequality_check(germ: GermContext, I1: Ideal, I2: Ideal,
     equality hypotheses."""
     out = []
     n = germ.n
-    primary = True
     try:
-        require_m_primary(germ, I1, "first")
-        require_m_primary(germ, I2, "second")
+        chain = teissier_criterion(germ, I1, I2, cfg).values["chain"]
     except PreconditionError:
-        primary = False
-    if primary:
-        eI1 = mixed_multiplicity_primary(germ, I1, I2, n, cfg)
-        eI2 = mixed_multiplicity_primary(germ, I1, I2, 0, cfg)
+        chain = ()  # not an m-primary pair
+    if chain:
+        eI1, eI2 = chain[0], chain[n]
         for i in range(1, n):
-            m = mixed_multiplicity_primary(germ, I1, I2, i, cfg)
+            m = chain[n - i]
             holds = m ** n <= eI1 ** i * eI2 ** (n - i)
             out.append(InequalityVerdict(
                 f"e_({i},{n - i})^n <= e(I1)^{i} * e(I2)^{n - i}",

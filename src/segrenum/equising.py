@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import ComparisonReport, MixedNumberCache, _chain_verdict
+from .criteria import ComparisonReport, MixedNumberCache, _chain_verdict, _sides
 from .errors import PreconditionError, RingMismatchError
 from .groebner import Ideal
 from .rings import Polynomial
@@ -71,20 +71,19 @@ def whitney_battery(f0: FunctionGerm, f1: FunctionGerm,
     T0 = contact_tangent_ideal(f0)
     T1 = contact_tangent_ideal(f1)
     cache = MixedNumberCache(germ, T0, T1, cfg)
-    verdicts = []
+    verdicts, keys = [], []
     for k in range(2, ring.nvars + 1):
+        left, right = _sides(cache, k)
         fwd_labels = [f"e_{k}(T0)", f"e_{k}^{{{k - 1},1}}(T0,T1)", f"e_{k}^{{{k - 2},2}}(T0,T1)"]
-        fwd = [cache.e(1, k), cache.mixed(k, k - 1, 1), cache.mixed(k, k - 2, 2)]
-        verdicts.append(_chain_verdict(f"k={k} forward", fwd_labels, fwd))
+        verdicts.append(_chain_verdict(f"k={k} forward", fwd_labels, left))
         rev_labels = [f"e_{k}(T1)", f"e_{k}^{{{k - 1},1}}(T1,T0)", f"e_{k}^{{{k - 2},2}}(T1,T0)"]
-        rev = [cache.e(2, k), cache.mixed(k, k - 1, 1, swap=True),
-               cache.mixed(k, k - 2, 2, swap=True)]
-        verdicts.append(_chain_verdict(f"k={k} reverse", rev_labels, rev))
+        verdicts.append(_chain_verdict(f"k={k} reverse", rev_labels, right[::-1]))
+        keys += [(k, k - 1, 1), (k, k - 2, 2)]
     report = ComparisonReport(
         verdicts=tuple(verdicts),
         left_profile=cache.profile(1),
         right_profile=cache.profile(2),
-        mixed=cache.table(),
+        mixed=cache.table(keys),
         values={
             "tangent_ideal_0": T0,
             "tangent_ideal_1": T1,

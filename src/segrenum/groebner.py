@@ -24,12 +24,13 @@ S-pair adds.
 
 Within one completion the basis only grows by appending, so all its
 reductions share a memo of the first divisor found for each exponent,
-and the pending pairs wait in a heap ordered by their lcm.  Bases are
-cached by ring, order and the generators as given.  An
-elimination hands the basis elements free of the eliminated variables
-to that cache as the reduced grevlex basis of its result, so the
-multiplicity, dimension or colength of a saturation starts no second
-completion.
+and the pending pairs wait in a heap ordered by their lcm.  Every
+completion, saturations, intersections and multiplicities included, is
+a `buchberger` call, which caches bases by ring, order and the
+generators as given.  An elimination hands the basis elements free of
+the eliminated variables to that cache as the reduced grevlex basis of
+its result, so the multiplicity, dimension or colength of a saturation
+starts no second completion.
 
 A completion may start from a known reduced basis, which forms no pairs
 within itself: the saturation of a homogeneous ideal starts from its
@@ -414,7 +415,7 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
     `bound`, a series (P, d) as `hilbert_series` gives it, must be a
     lower bound on the Hilbert series of k[x] modulo the ideal, for
     homogeneous rows under an order that compares total degree first
-    (`_completion` checks both; see the module docstring).  At the first
+    (`buchberger` checks both; see the module docstring).  At the first
     pair of each degree D the deficit HF(leads, D) - bound(D) is taken,
     each new lead lowers it by one, and at 0 the remaining pairs of
     degree D are dropped unreduced and uncounted in `spairs_reduced`.  A
@@ -525,27 +526,20 @@ def clear_caches():
         memo.clear()  # live rings hold these memos too
 
 
-def _cache_key(I: Ideal, order: MonomialOrder):
-    """The ring, order and generators of a request, as given."""
-    return I.ring, order, I.generators
-
-
-def buchberger(I: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of I under the given order.
+def buchberger(I: Ideal, order: MonomialOrder | None = None, *, known: int = 0,
+               bound=None) -> GroebnerBasis:
+    """Reduced Groebner basis of I under the given order (the ring's by
+    default), cached by ring, order and the generators as given.
 
     Every input generator is verified to reduce to zero against the
-    result (ideal-membership sanity check).
+    result (ideal-membership sanity check).  Two expert arguments only
+    save work (see `_buchberger_raw`): the first `known` generators of I
+    are a reduced Groebner basis for the order, and `bound` is a lower
+    bound on the Hilbert series of the quotient, which needs homogeneous
+    generators and an order that compares total degree first.
     """
-    return _completion(I, order or I.ring.order)
-
-
-def _completion(I: Ideal, order: MonomialOrder, known: int = 0, bound=None) -> GroebnerBasis:
-    """`buchberger`, told that the first `known` generators of I are a
-    reduced Groebner basis for `order`, and given a lower bound on the
-    Hilbert series of its quotient (see `_buchberger_raw`).  A bound
-    needs homogeneous generators and an order that compares total
-    degree first."""
-    ck = _cache_key(I, order)
+    order = order or I.ring.order
+    ck = I.ring, order, I.generators
     with _GB_LOCK:
         hit = _GB_CACHE.get(ck)
     if hit is not None:
@@ -587,14 +581,6 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     key = _memo_key(G.order, G.ring.nvars)
     return Polynomial(p.ring, _reduce_raw(p.coeffs, [g.coeffs for g in G.basis], G.leads, key,
                                           modulus=G.ring.modulus))
-
-
-def is_unit_ideal(I: Ideal) -> bool:
-    if I.is_zero:
-        return False
-    if any(g.total_degree == 0 for g in I.generators):
-        return True
-    return buchberger(I).is_unit
 
 
 def verify_basis(G: GroebnerBasis) -> bool:
@@ -654,9 +640,9 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     leads = tuple(gb.leads[i] >> shift for i in free)
     basis = _monic(ring, rows, leads)
     result = Ideal(ring, basis)
-    ck = _cache_key(result, GREVLEX)
+    gb = GroebnerBasis(ring, GREVLEX, basis, rows, leads)
     with _GB_LOCK:
-        _GB_CACHE[ck] = GroebnerBasis(ring, GREVLEX, basis, rows, leads)
+        _GB_CACHE[ring, GREVLEX, result.generators] = gb
     return result
 
 
@@ -670,7 +656,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     t = ext.variable(0)
     gens = [t * _lift(f, ext) for f in I.generators]
     gens += [(ext.one() - t) * _lift(g, ext) for g in J.generators]
-    return _eliminated(_completion(Ideal(ext, gens), ext.order), 1, I.ring)
+    return _eliminated(buchberger(Ideal(ext, gens)), 1, I.ring)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
@@ -702,7 +688,7 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         known = buchberger(I, GREVLEX).basis
     gens = [_lift(f, ext) for f in known or I.generators]
     gens.append(ext.variable(0) * _lift(g, ext) - ext.one())
-    return _eliminated(_completion(Ideal(ext, gens), ext.order, len(known)), 1, I.ring)
+    return _eliminated(buchberger(Ideal(ext, gens), known=len(known)), 1, I.ring)
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
@@ -763,7 +749,7 @@ def radical_membership(p: Polynomial, I: Ideal) -> bool:
         raise RingMismatchError("radical membership needs a shared ring")
     if p.is_zero:
         return True
-    return is_unit_ideal(saturate(I, Ideal(I.ring, (p,))))
+    return buchberger(saturate(I, Ideal(I.ring, (p,)))).is_unit
 
 
 def _numerator(gens):
@@ -839,7 +825,7 @@ def _global_series(I: Ideal, bound=None):
     on it, may steer a completion that runs (see `_buchberger_raw`)."""
     if I.is_zero:
         return (1,), I.ring.nvars
-    lead = _completion(I, GREVLEX, bound=bound).leading_exponents()
+    lead = buchberger(I, GREVLEX, bound=bound).leading_exponents()
     return hilbert_series(lead, I.ring.nvars)
 
 

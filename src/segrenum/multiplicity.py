@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .groebner import Ideal, _completion, _global_series, hilbert_function, hilbert_series
+from .groebner import Ideal, _global_series, buchberger, hilbert_function, hilbert_series
 from .rings import MAX_EXPONENT, TANGENT_CONE, W, Polynomial, PolynomialRing, _overflow
 
 _HOMOGENIZER = "@h"
@@ -103,7 +103,7 @@ def _local_series(I: Ideal, prefix: Ideal | None = None):
         return _global_series(I, bound)
     if bound is not None:
         bound = (bound[0], bound[1] + 1)
-    gb = _completion(_homogenize(I), TANGENT_CONE, bound=bound)
+    gb = buchberger(_homogenize(I), TANGENT_CONE, bound=bound)
     return hilbert_series([e[1:] for e in gb.leading_exponents()], I.ring.nvars)
 
 

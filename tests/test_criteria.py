@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrenum import (
     TupleTriple,
@@ -149,10 +151,11 @@ def test_battery_table_boundaries(germ3, divisor_pair, cfg):
             assert entries[(k, 0, k)] == rep.right_profile.e[k - 1]
 
 
-def test_swapped_mixed_request_reads_the_mirrored_entry(germ3, divisor_pair, cfg,
-                                                        monkeypatch):
-    """e_k^{i,j}(I2, I1) = e_k^{j,i}(I1, I2): a swapped request computes
-    no mixed Segre number of its own and stays out of the table."""
+def test_table_lists_the_requested_keys(germ3, divisor_pair, cfg, monkeypatch):
+    """The Whitney battery's reverse chain is the closure battery's right
+    chain reversed, so a mirrored request computes no mixed Segre number
+    of its own; `table()` lists every entry asked for, `table(keys)` only
+    `keys`."""
     calls = []
 
     def fake_mixed_segre(germ, I1, I2, k, i, j, cfg_):
@@ -162,13 +165,16 @@ def test_swapped_mixed_request_reads_the_mirrored_entry(germ3, divisor_pair, cfg
     monkeypatch.setattr(criteria, "mixed_segre", fake_mixed_segre)
     A, B = divisor_pair
     cache = MixedNumberCache(germ3, A, B, cfg)
-    assert cache.mixed(3, 1, 2, swap=True) == 7
-    assert calls == [(A, B, 3, 2, 1)]
-    assert cache.mixed(3, 2, 1) == 7
-    assert cache.mixed(3, 1, 2, swap=True) == 7
-    assert len(calls) == 1
-    assert cache.mixed(2, 0, 2, swap=True) == cache.e(1, 2)
-    assert cache.table().entries == {(3, 2, 1): 7}
+    left, right = criteria._sides(cache, 3)
+    assert calls == [(A, B, 3, 2, 1), (A, B, 3, 1, 2)]
+    assert left[1:] == right[:2] == [7, 7]
+    assert right[::-1] == [cache.e(2, 3), cache.mixed(3, 1, 2), cache.mixed(3, 2, 1)]
+    assert len(calls) == 2
+    assert cache.mixed(2, 0, 2) == cache.e(2, 2)
+    assert len(calls) == 2
+    forward = [(3, 2, 1), (2, 0, 2)]
+    assert cache.table(forward).entries == {(3, 2, 1): 7, (2, 0, 2): cache.e(2, 2)}
+    assert set(cache.table().entries) == {(3, 2, 1), (3, 1, 2), (2, 0, 2)}
 
 
 # -- Rees test -------------------------------------------------------------------
@@ -272,6 +278,23 @@ def test_codim_two_formulas_recorded_on_divisor_pair(germ3, divisor_pair, cfg):
     assert mk1.comparison == "eq"
 
 
+def test_product_checks_refuse_a_unit_ideal_before_the_product(germ3, R3, cfg, monkeypatch):
+    """Both profiles come before the product's: when I1 is the unit ideal
+    the product formula and the Minkowski check refuse it without asking
+    for the profile of I1*I2."""
+    x, y, z = R3.variables()
+    U, I = ideal(R3, R3.one(), x), ideal(R3, x * y, y * z, z * x)
+    requested = []
+    real = criteria.segre_profile
+    monkeypatch.setattr(criteria, "segre_profile",
+                        lambda germ, J, cfg_: requested.append(J) or real(germ, J, cfg_))
+    for check in (product_formula_check, minkowski_check):
+        requested.clear()
+        with pytest.raises(PreconditionError, match="unit ideal has no Segre data"):
+            check(germ3, U, I, 3, cfg)
+        assert requested == [U]
+
+
 # -- exact root comparison --------------------------------------------------------
 
 def test_integer_kth_root():
@@ -283,6 +306,13 @@ def test_integer_kth_root():
     big = 12345678901234567890
     r = integer_kth_root(big, 4)
     assert r ** 4 <= big < (r + 1) ** 4
+
+
+@settings(deadline=None)
+@given(x=st.integers(min_value=0, max_value=1 << 4000), k=st.integers(min_value=1, max_value=6))
+def test_integer_kth_root_brackets_x(x, k):
+    r = integer_kth_root(x, k)
+    assert r ** k <= x < (r + 1) ** k
 
 
 def test_radical_sum_compare():
@@ -297,6 +327,12 @@ def test_radical_sum_compare():
     assert radical_sum_compare(5, 5, 0, 4) == "eq"
     # 1400-digit sides a bracket at scale 2^4096 does not separate
     p, q = 10 ** 1400 + 7, 10 ** 1400 + 3
+    A, B, C = 2 * (p + q) ** 2, 2 * p ** 2, 2 * q ** 2
+    assert radical_sum_compare(A + 1, B, C, 2) == "gt"
+    assert radical_sum_compare(A - 1, B, C, 2) == "lt"
+    assert radical_sum_compare(A, B, C, 2) == "eq"
+    # and 5000-digit sides
+    p, q = 10 ** 5000 + 7, 10 ** 5000 + 3
     A, B, C = 2 * (p + q) ** 2, 2 * p ** 2, 2 * q ** 2
     assert radical_sum_compare(A + 1, B, C, 2) == "gt"
     assert radical_sum_compare(A - 1, B, C, 2) == "lt"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from segrenum import groebner
 from segrenum.groebner import (
     ENGINE_STATS,
     _buchberger_raw,
-    _cache_key,
     _extended_ring,
     _lift,
     _normalise,
@@ -414,7 +414,10 @@ def test_cache_key_is_the_generator_tuple(R2):
     assert ENGINE_STATS.buchberger_runs == runs + 1
     buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
     assert ENGINE_STATS.buchberger_runs == runs + 2
-    assert _cache_key(ideal(R2, x, x), GREVLEX) != _cache_key(ideal(R2, x), GREVLEX)
+    single = buchberger(ideal(R2, x))
+    assert ENGINE_STATS.buchberger_runs == runs + 3
+    assert buchberger(ideal(R2, x, x)) == single
+    assert ENGINE_STATS.buchberger_runs == runs + 4
 
 
 def test_cached_basis_keeps_the_ring_of_the_request():
@@ -534,7 +537,10 @@ def test_gfp_rings_keep_residues_and_their_field():
     G5 = F.over(5)
     u, v, _ = G5.variables()
     assert buchberger(ideal(G5, u * v - 1, u ** 2 + v)).ring == G5
-    assert _cache_key(ideal(F, x), GREVLEX) != _cache_key(ideal(G5, u), GREVLEX)
+    buchberger(ideal(R, R.variable(0)))  # the same generator over QQ, then GF(5)
+    runs = ENGINE_STATS.buchberger_runs
+    assert buchberger(ideal(G5, u)).ring == G5
+    assert ENGINE_STATS.buchberger_runs == runs + 1
 
 
 def _random_homogeneous_ideal(rng, ring):
@@ -593,3 +599,46 @@ def test_seeded_saturation_equals_a_fresh_one(cfg):
         assert groebner_fingerprint(saturate(I, ideal(ring, g))) == \
             groebner_fingerprint(expected), (case, I)
     assert grew
+
+
+def test_every_raw_run_lies_inside_a_buchberger_call(R2, R3, germ2, cfg, monkeypatch):
+    """Every completion is a `buchberger` call: with both names wrapped at
+    every binding in segrenum's modules, as a tracer outside the package
+    wraps them, no `_buchberger_raw` run starts outside a `buchberger`
+    call, through a closure battery, a Whitney battery and the `segre`
+    and `chain` commands."""
+    from conftest import CORPUS
+    from segrenum import cli, closure_battery
+    from segrenum.equising import FunctionGerm, whitney_battery
+
+    real_gb, real_raw = groebner.buchberger, groebner._buchberger_raw
+    depth, runs = [0], []
+
+    def traced_gb(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_gb(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def traced_raw(*args, **kwargs):
+        runs.append(depth[0])
+        return real_raw(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "segrenum" or name.startswith("segrenum.")):
+            for attr, obj in list(vars(mod).items()):
+                if obj is real_gb:
+                    monkeypatch.setattr(mod, attr, traced_gb)
+                elif obj is real_raw:
+                    monkeypatch.setattr(mod, attr, traced_raw)
+
+    clear_caches()
+    x, y = R2.variables()
+    closure_battery(germ2, ideal(R2, x ** 2, y ** 2), ideal(R2, x ** 2, x * y, y ** 3), cfg)
+    u, v, w = R3.variables()
+    whitney_battery(FunctionGerm(u ** 2 + v ** 2 + w ** 2),
+                    FunctionGerm(u ** 2 + v ** 2 + w ** 3), cfg)
+    for argv in (["segre", "codim1_pair.ideal", "I1"], ["chain", "codim1_pair.ideal", "I2"]):
+        assert cli.main([argv[0], str(CORPUS / argv[1]), argv[2]]) == 0
+    assert runs and 0 not in runs

@@ -19,7 +19,6 @@ from segrenum.errors import ConsistencyError, PreconditionError
 from segrenum.groebner import (
     ENGINE_STATS,
     _buchberger_raw,
-    _completion,
     _global_series,
     _normalise,
     clear_caches,
@@ -199,7 +198,7 @@ def _completion_series(J, homogeneous):
     """The ideal and order of the completion that reads J's series, and
     that series."""
     H, order = (J, GREVLEX) if homogeneous else (_homogenize(J), TANGENT_CONE)
-    gb = _completion(H, order)
+    gb = buchberger(H, order)
     return H, order, hilbert_series(gb.leading_exponents(), H.ring.nvars)
 
 
@@ -311,9 +310,9 @@ def test_bound_preconditions(R2):
     prefix must begin the cut's generators with at most one more."""
     x, y = R2.variables()
     with pytest.raises(PreconditionError):
-        _completion(ideal(R2, x ** 2 - y ** 3), GREVLEX, bound=((1,), 2))
+        buchberger(ideal(R2, x ** 2 - y ** 3), GREVLEX, bound=((1,), 2))
     with pytest.raises(PreconditionError):
-        _completion(ideal(R2, x * y), LEX, bound=((1,), 2))
+        buchberger(ideal(R2, x * y), LEX, bound=((1,), 2))
     with pytest.raises(PreconditionError):
         multiplicity_at_origin(ideal(R2, x, y), prefix=ideal(R2, y))
     with pytest.raises(PreconditionError):
