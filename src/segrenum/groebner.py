@@ -30,7 +30,9 @@ a `buchberger` call, which caches bases by ring, order and the
 generators as given.  An elimination hands the basis elements free of
 the eliminated variables to that cache as the reduced grevlex basis of
 its result, so the multiplicity, dimension or colength of a saturation
-starts no second completion.
+starts no second completion; `_basis_ideal` is that one way to publish
+a reduced grevlex basis as an ideal, which `segre` also takes for a
+saturation it proves trivial.
 
 A completion may start from a known reduced basis, which forms no pairs
 within itself: the saturation of a homogeneous ideal starts from its
@@ -638,11 +640,15 @@ def _eliminated(gb: GroebnerBasis, split: int, ring: PolynomialRing) -> Ideal:
     free = [i for i, lt in enumerate(gb.leads) if not lt & ((1 << shift) - 1)]
     rows = tuple({e >> shift: c for e, c in gb.rows[i].items()} for i in free)
     leads = tuple(gb.leads[i] >> shift for i in free)
-    basis = _monic(ring, rows, leads)
-    result = Ideal(ring, basis)
-    gb = GroebnerBasis(ring, GREVLEX, basis, rows, leads)
+    return _basis_ideal(GroebnerBasis(ring, GREVLEX, _monic(ring, rows, leads), rows, leads))
+
+
+def _basis_ideal(gb: GroebnerBasis) -> Ideal:
+    """The ideal generated by a reduced grevlex basis, with `gb` cached as
+    its own basis, so `buchberger(result, GREVLEX)` runs nothing."""
+    result = Ideal(gb.ring, gb.basis)
     with _GB_LOCK:
-        _GB_CACHE[ring, GREVLEX, result.generators] = gb
+        _GB_CACHE[gb.ring, GREVLEX, result.generators] = gb
     return result
 
 

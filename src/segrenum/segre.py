@@ -24,6 +24,26 @@ that return only numbers use this; the paths that read Q_n, and every
 round whose g has a constant term (the source ideal not inside m),
 still saturate stage n.
 
+Most other stages need no saturation either, and that is proven, not
+computed.  On C^n, while every earlier stage was left unchanged, the cut
+is J = (f_1, ..., f_k) exactly, and:
+
+    every minimal prime of J has height at most k (Krull), so if
+    dim J = n - k they all have height k, J is a complete intersection,
+    and it has no embedded primes (Macaulay: Matsumura, Thm 17.6);
+    hence J : g^inf = J iff g lies in no minimal prime of J,
+    iff dim(J + (g)) < n - k.
+
+The argument holds over any field, GF(p) or QQ.  A stage that passes
+takes as Q_k J's reduced grevlex basis, the bytes the elimination
+returns, and m_k = mult_0(J), so neither the elimination nor the polar
+completion runs.  The test is tried only at k < c, c = n - dim V(S) the
+codimension of the source S's zero set: since V(S) lies in V(J + (g)),
+it must fail from k = c on, and below c generic cuts pass it.  The
+first stage that fails, every stage after it, and every stage on a germ
+with an ambient (whose unmixedness would need the ambient to be
+Cohen-Macaulay) go to `saturate`.
+
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
@@ -58,6 +78,7 @@ from the origin and has no operation here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import lcm
 
 from .errors import (
@@ -67,7 +88,11 @@ from .errors import (
     PreconditionError,
 )
 from .groebner import (
+    GREVLEX,
     Ideal,
+    _basis_ideal,
+    _global_series,
+    buchberger,
     dimension,
     ideal_quotient,
     ideal_sum,
@@ -76,6 +101,7 @@ from .groebner import (
 from .linalg import rank
 from .multiplicity import (
     LocalMultiplicityResult,
+    _cut_bound,
     multiplicity_at_origin,
     passes_through_origin,
 )
@@ -346,13 +372,37 @@ def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal
     return Ideal(S.ring, tup.combinations)
 
 
-def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False):
+def _saturation_is_trivial(J: Ideal, saturator: Ideal, k: int) -> bool:
+    """Whether J : g^inf = J is proven for a cut J = (f_1, ..., f_k) of
+    C^n: J has dimension n - k, so it is a complete intersection with no
+    embedded primes, and J + (g) has smaller dimension, so g lies in none
+    of J's minimal primes.  For a homogeneous J + (g) the completion gets
+    the bound of `_cut_bound`, exact when g is a nonzerodivisor."""
+    expected = J.ring.nvars - k
+    if dimension(J) != expected:
+        return False
+    Jg = ideal_sum(J, saturator)
+    bound = _cut_bound(Jg, J) if all(g.is_homogeneous for g in Jg.generators) else None
+    return _global_series(Jg, bound)[1] < expected
+
+
+def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False, codim=0):
     """The saturation-and-subtract recursion along the given cuts, each
     cut saturated by the principal `saturator`.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
     failure that triggers a seed retry.
+
+    On C^n, a stage k below `codim` is first offered to
+    `_saturation_is_trivial`.  While every stage so far passed, the cut
+    is (f_1, ..., f_k) exactly; a stage that passes takes as Q_k the
+    cut's reduced grevlex basis, the bytes `saturate` returns, and
+    m_k = mult_0 of the cut, so e_k = 0.  The first stage that fails, and
+    every stage after it, is saturated.  `codim` is at most the
+    codimension of the zero set of the ideal g is drawn from, which lies
+    in V(J + (g)), so the test must fail from there on and is not tried;
+    0, the default, saturates every stage.
 
     With `numbers_only`, stage n is not saturated when the saturator g
     vanishes at 0: its cut J is 0-dimensional at the origin (or misses
@@ -367,11 +417,15 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False):
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
     skip_last = numbers_only and passes_through_origin(saturator)
+    certify = germ.ambient.is_zero
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J, prefix=Q), germ.n - k, f"stage {k} cut")
+        certify = certify and k < codim and _saturation_is_trivial(J, saturator, k)
         if skip_last and k == germ.n:
             Qk, m_q = None, 0
+        elif certify:
+            Qk, m_q = _basis_ideal(buchberger(J, GREVLEX)), m_j
         else:
             Qk = saturate(J, saturator)
             m_q = _contribution(multiplicity_at_origin(Qk, prefix=Qk), germ.n - k, f"stage {k} polar")
@@ -420,7 +474,9 @@ def _certified(cfg: GenericityConfig, run_once, germ: GermContext, *ideals: Idea
     raise GenericityError(f"seed disagreement persists after bound escalation: {results}")
 
 
-def _check_cosupport(germ: GermContext, I: Ideal):
+def _check_cosupport(germ: GermContext, I: Ideal) -> int:
+    """Refuse an ideal without Segre data on the germ; else return
+    n - dim V(I + X), on C^n the codimension of V(I)."""
     if I.is_zero:
         raise PreconditionError("the zero ideal has dense co-support")
     total = ideal_sum(I, germ.ambient)
@@ -433,20 +489,23 @@ def _check_cosupport(germ: GermContext, I: Ideal):
         raise PreconditionError(
             "ideal does not have nowhere-dense co-support on the germ"
         )
+    return germ.n - d
 
 
 def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
-                  numbers_only=False):
+                  numbers_only=False, codim=0):
     """One run of the polar chain of I: the tuple of n combinations drawn
     from `seed`, and the stages it cuts, saturated by a generic element
-    of I drawn from the same seed."""
+    of I drawn from the same seed (`codim` as in `_run_stages`)."""
     tup = generic_tuple(I, germ.n, cfg, seed=seed)
-    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed), numbers_only)
+    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed),
+                            numbers_only, codim)
 
 
-def _chain_round(seed, cfg, round_idx, germ, I):
+def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
     """The numbers of a polar-chain round: (m_k, e_k) for each stage."""
-    return tuple((s.m, s.e) for s in _polar_stages(germ, I, cfg, seed, numbers_only=True)[1])
+    stages = _polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
+    return tuple((s.m, s.e) for s in stages)
 
 
 def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChain:
@@ -454,9 +513,9 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     multiplicities m_k and Segre numbers e_k, and the cut and polar
     ideals over QQ of one rerun of round 0's seed, which must give the
     certified numbers."""
-    _check_cosupport(germ, I)
-    numbers, seeds, cfg_b = _certified(cfg, _chain_round, germ, I)
-    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
+    codim = _check_cosupport(germ, I)
+    numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
+    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0], codim=codim)
     exact = tuple((s.m, s.e) for s in stages)
     if exact != numbers:
         raise GenericityError(
@@ -468,8 +527,8 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
 def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegreProfile:
     """The certified Segre numbers and polar multiplicities of I; unlike
     `polar_chain`, it makes no rerun over QQ."""
-    _check_cosupport(germ, I)
-    numbers, _, _ = _certified(cfg, _chain_round, germ, I)
+    codim = _check_cosupport(germ, I)
+    numbers, _, _ = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
     return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
 
@@ -514,8 +573,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         raise PreconditionError("the boundary convention needs j == k when i == 0")
     if i + j < k:
         raise PreconditionError("need i + j >= k combinations to cut k times")
-    _check_cosupport(germ, I1)
-    _check_cosupport(germ, I2)
+    codim = max(_check_cosupport(germ, I1), _check_cosupport(germ, I2))
     if i == 0 or j == 0:
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
 
@@ -525,7 +583,8 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
         stages = _run_stages(germ, tup_h.combinations,
-                             _saturator(ideal_sum(I1, I2), cfg_b, seed), numbers_only=True)
+                             _saturator(ideal_sum(I1, I2), cfg_b, seed), numbers_only=True,
+                             codim=codim)
         return stages[k].e
 
     return _certified(cfg, run_once, germ, I1, I2)[0]
@@ -579,10 +638,10 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
     containment is decided as a germ condition: the closure of
     |L_{k+1}| minus |L_k| must miss the origin.
     """
-    _check_cosupport(germ, I)
+    codim = _check_cosupport(germ, I)
 
     def run_once(seed, cfg_b, round_idx, germ, I):
-        _, stages = _polar_stages(germ, I, cfg_b, seed)
+        _, stages = _polar_stages(germ, I, cfg_b, seed, codim=codim)
         supports = [saturate(s.cut_ideal, _saturator(s.polar_ideal, cfg_b, seed, 1, s.k))
                     for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]

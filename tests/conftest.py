@@ -12,13 +12,16 @@ CORPUS = Path(segrenum.__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
 
 
-def replay_corpus(*flags):
+def replay_corpus(*flags, inputs=None):
     """Every command of the golden manifest run in-process through
     `cli.main`, with `flags` appended: a list of (manifest entry, exit
-    code, report text)."""
+    code, report text).  `inputs`, a collection of corpus file names,
+    keeps only the commands that read one of them."""
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
     runs = []
     for entry in manifest:
+        if inputs is not None and entry["argv"][1] not in inputs:
+            continue
         argv = list(entry["argv"])
         argv[1] = str(CORPUS / argv[1])
         buf = io.StringIO()

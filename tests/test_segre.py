@@ -31,7 +31,7 @@ from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
-from conftest import replay_corpus
+from conftest import GOLDEN, replay_corpus
 from oracles import macaulay_colength_stable, milnor_sequence
 
 
@@ -343,10 +343,50 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
                                                               cfg, monkeypatch):
     """A number-only round saturates stage n only when its saturator has
     a constant term; `polar_chain`'s rerun over QQ, `truncation_check`
-    and mixed numbers with k < n saturate every stage."""
+    and mixed numbers with k < n saturate every stage not certified
+    trivial, and only a stage below the codimension of the source's zero
+    set is certified."""
     x, y = R2.variables()
     I1, I2 = divisor_pair
     rounds = cfg.verification_rounds
+    calls = _saturate_spy(monkeypatch)
+
+    def saturations(run, *args):
+        calls.clear()
+        result = run(*args, cfg)
+        return len(calls), result
+
+    # (x + 1, y) vanishes only off 0, so stage 1 is certified trivial
+    n, prof = saturations(segre_profile, germ2, ideal(R2, x + 1, y))
+    assert (n, prof.e) == (rounds, (0, 0))
+    n, prof = saturations(segre_profile, germ3, I2)
+    assert (n, prof.e) == (rounds * 2, (1, 1, 2))
+    n, chain = saturations(polar_chain, germ3, I2)
+    assert n == rounds * 2 + 3 and chain.stages[3].polar_ideal is not None
+    m2 = ideal(R2, x ** 2, x * y, y ** 2)
+    assert saturations(truncation_check, germ2, m2, 2) == (rounds * 4, True)
+    assert saturations(mixed_segre, germ3, I1, I2, 2, 1, 1) == (rounds * 2, 0)
+    # both sources are m-primary: stage 1 is certified, stage 2 skipped
+    assert saturations(mixed_segre, germ2, ideal(R2, x ** 2, y ** 2), m2, 2, 1, 1) == (0, 4)
+
+
+def _certificate_spy(monkeypatch, verdict=None):
+    """Record each (cut, saturator, stage, verdict) of the trivial-
+    saturation test; `verdict(k)`, when given, overrides the test."""
+    seen = []
+    real = segre._saturation_is_trivial
+
+    def spy(J, g, k):
+        ok = real(J, g, k) if verdict is None else verdict(k)
+        seen.append((J, g, k, ok))
+        return ok
+
+    monkeypatch.setattr(segre, "_saturation_is_trivial", spy)
+    return seen
+
+
+def _saturate_spy(monkeypatch):
+    """Record the ideal of each `saturate` call the stage loop makes."""
     calls = []
     real = segre.saturate
 
@@ -355,22 +395,75 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
         return real(I, J)
 
     monkeypatch.setattr(segre, "saturate", spy)
+    return calls
 
-    def saturations(run, *args):
-        calls.clear()
-        result = run(*args, cfg)
-        return len(calls), result
 
-    n, prof = saturations(segre_profile, germ2, ideal(R2, x + 1, y))
-    assert (n, prof.e) == (rounds * 2, (0, 0))
-    n, prof = saturations(segre_profile, germ3, I2)
-    assert (n, prof.e) == (rounds * 2, (1, 1, 2))
-    n, chain = saturations(polar_chain, germ3, I2)
-    assert n == rounds * 2 + 3 and chain.stages[3].polar_ideal is not None
-    m2 = ideal(R2, x ** 2, x * y, y ** 2)
-    assert saturations(truncation_check, germ2, m2, 2) == (rounds * 4, True)
-    assert saturations(mixed_segre, germ3, I1, I2, 2, 1, 1) == (rounds * 2, 0)
-    assert saturations(mixed_segre, germ2, ideal(R2, x ** 2, y ** 2), m2, 2, 1, 1) == (rounds, 4)
+@pytest.mark.parametrize("rational", [False, True])
+def test_certified_saturations_are_exact(R3, rational, monkeypatch):
+    """On seeded random C^3 ideals of codimension at least 2 and the D4
+    contact tangent ideal, each stage certified trivial holds the bytes
+    `saturate` returns for its cut, over GF(p) and over QQ, and the
+    round's (m, e) and polar ideals are those of a run that saturates
+    every stage."""
+    x, y, z = R3.variables()
+    rng = random.Random(21)
+    ideals = []
+    while len(ideals) < 4:
+        I = _random_ideal_in_m(R3, rng)
+        if segre.dimension(I) <= 1:
+            ideals.append(I)
+    ideals.append(contact_tangent_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2)))
+    cfg = GenericityConfig()
+    seen = _certificate_spy(monkeypatch)
+    counts = []
+    for case, I in enumerate(ideals):
+        germ = make_germ(R3)
+        codim = segre._check_cosupport(germ, I)
+        assert codim >= 2
+        seed = derive_seed(cfg.seed, case)
+        if not rational:
+            p = segre._round_prime(seed)
+            germ, I = germ.over(p), I.over(p)
+        seen.clear()
+        stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
+        certified = [(J, g, k) for J, g, k, ok in seen if ok]
+        assert [k for _, _, k in certified] == list(range(1, len(certified) + 1))
+        for J, g, k in certified:
+            assert stages[k].cut_ideal.generators == J.generators
+            assert segre.saturate(J, g).generators == stages[k].polar_ideal.generators
+            assert stages[k].e == 0
+        saturated = segre._polar_stages(germ, I, cfg, seed, numbers_only=True)[1]
+        assert [(s.m, s.e) for s in stages] == [(s.m, s.e) for s in saturated]
+        assert [s.polar_ideal.generators for s in stages[:-1]] == \
+            [s.polar_ideal.generators for s in saturated[:-1]]
+        counts.append(len(certified))
+    assert counts == [1, 2, 2, 1, 2]  # the last, D4's, certifies stages 1 .. n - 1
+
+
+def test_certificate_gate_and_fallback(germ3, R3, cfg, monkeypatch):
+    """No stage is certified on a germ with an ambient; the corpus's
+    codimension-1 sources run no trivial-saturation test and keep their
+    golden engine counters; and the first stage that fails the test
+    sends every later stage to `saturate`."""
+    x, y, z = R3.variables()
+    seen = _certificate_spy(monkeypatch)
+    saturated = _saturate_spy(monkeypatch)
+    assert segre_profile(make_germ(R3, ideal(R3, z)), ideal(R3, x), cfg).e == (1, 0)
+    assert seen == [] and saturated
+
+    runs = replay_corpus(inputs=("codim1_pair.ideal", "axis_pair.ideal"))
+    assert len(runs) == 6 and seen == []
+    for entry, code, out in runs:
+        golden = json.loads((GOLDEN / entry["golden"]).read_text(encoding="utf-8"))
+        assert json.loads(out)["engine"] == golden["engine"], entry["golden"]
+
+    seen = _certificate_spy(monkeypatch, verdict=lambda k: k != 1)
+    saturated.clear()
+    m2 = ideal_power(ideal(R3, x, y, z), 2)
+    stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, numbers_only=True, codim=3)[1]
+    assert [k for _, _, k, _ in seen] == [1]
+    assert [s.cut_ideal for s in stages[1:3]] == saturated
+    assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
 
 
 def test_cosupport_precondition(R3, cfg):
