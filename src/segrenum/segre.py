@@ -26,23 +26,26 @@ still saturate stage n.
 
 Most other stages need no saturation either, and that is proven, not
 computed.  On C^n, while every earlier stage was left unchanged, the cut
-is J = (f_1, ..., f_k) exactly, and:
+is J = (f_1, ..., f_k) exactly, and with S the source ideal:
 
-    every minimal prime of J has height at most k (Krull), so if
-    dim J = n - k they all have height k, J is a complete intersection,
-    and it has no embedded primes (Macaulay: Matsumura, Thm 17.6);
-    hence J : g^inf = J iff g lies in no minimal prime of J,
-    iff dim(J + (g)) < n - k.
+    if dim J = n - k, J is a complete intersection of height k, so it is
+    unmixed (Macaulay: Matsumura, Thm 17.6): every associated prime P
+    has dim V(P) = n - k.  If also dim V(S) < n - k, S lies in no such P
+    (else V(P) would lie in V(S)), so by prime avoidance some element of
+    S is a nonzerodivisor on k[x]/J, and J : S^inf = J.
 
-The argument holds over any field, GF(p) or QQ.  A stage that passes
-takes as Q_k J's reduced grevlex basis, the bytes the elimination
-returns, and m_k = mult_0(J), so neither the elimination nor the polar
-completion runs.  The test is tried only at k < c, c = n - dim V(S) the
-codimension of the source S's zero set: since V(S) lies in V(J + (g)),
-it must fail from k = c on, and below c generic cuts pass it.  The
-first stage that fails, every stage after it, and every stage on a germ
-with an ambient (whose unmixedness would need the ambient to be
-Cohen-Macaulay) go to `saturate`.
+The argument holds over any field, GF(p) or QQ, and both dimensions are
+taken over the round's own field: a prime can raise dim V(S) above its
+value over QQ.  A stage that passes takes as Q_k J's reduced grevlex
+basis, the bytes the elimination by a generic g returns, and
+m_k = mult_0(J), so neither the elimination nor the polar completion
+runs.  The proof does not look at g, so a degenerate g cannot spoil a
+certified stage.  The test is tried only at k < c, c = n - dim V(S) over
+QQ, the codimension of the source's zero set; this keeps sources of
+codimension 1 from paying for it.  The first stage that fails, every
+stage after it, and every stage on a germ with an ambient (whose
+unmixedness would need the ambient to be Cohen-Macaulay) go to
+`saturate`.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -91,7 +94,6 @@ from .groebner import (
     GREVLEX,
     Ideal,
     _basis_ideal,
-    _global_series,
     buchberger,
     dimension,
     ideal_quotient,
@@ -101,7 +103,6 @@ from .groebner import (
 from .linalg import rank
 from .multiplicity import (
     LocalMultiplicityResult,
-    _cut_bound,
     multiplicity_at_origin,
     passes_through_origin,
 )
@@ -372,37 +373,35 @@ def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal
     return Ideal(S.ring, tup.combinations)
 
 
-def _saturation_is_trivial(J: Ideal, saturator: Ideal, k: int) -> bool:
-    """Whether J : g^inf = J is proven for a cut J = (f_1, ..., f_k) of
-    C^n: J has dimension n - k, so it is a complete intersection with no
-    embedded primes, and J + (g) has smaller dimension, so g lies in none
-    of J's minimal primes.  For a homogeneous J + (g) the completion gets
-    the bound of `_cut_bound`, exact when g is a nonzerodivisor."""
+def _saturation_is_trivial(J: Ideal, S: Ideal, k: int) -> bool:
+    """Whether J : S^inf = J is proven for a cut J = (f_1, ..., f_k) of
+    C^n: J has dimension n - k, so it is a complete intersection whose
+    associated primes all have dimension n - k, and V(S) has smaller
+    dimension, so S lies in none of them.  Both dimensions are taken
+    over J's own field."""
     expected = J.ring.nvars - k
-    if dimension(J) != expected:
-        return False
-    Jg = ideal_sum(J, saturator)
-    bound = _cut_bound(Jg, J) if all(g.is_homogeneous for g in Jg.generators) else None
-    return _global_series(Jg, bound)[1] < expected
+    return dimension(S) < expected and dimension(J) == expected
 
 
-def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False, codim=0):
+def _run_stages(germ: GermContext, cuts, source: Ideal, saturator: Ideal,
+                numbers_only=False, codim=0):
     """The saturation-and-subtract recursion along the given cuts, each
-    cut saturated by the principal `saturator`.
+    cut saturated with respect to the `source` ideal S, by the principal
+    `saturator` (g), drawn from it.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
     failure that triggers a seed retry.
 
     On C^n, a stage k below `codim` is first offered to
-    `_saturation_is_trivial`.  While every stage so far passed, the cut
-    is (f_1, ..., f_k) exactly; a stage that passes takes as Q_k the
-    cut's reduced grevlex basis, the bytes `saturate` returns, and
-    m_k = mult_0 of the cut, so e_k = 0.  The first stage that fails, and
-    every stage after it, is saturated.  `codim` is at most the
-    codimension of the zero set of the ideal g is drawn from, which lies
-    in V(J + (g)), so the test must fail from there on and is not tried;
-    0, the default, saturates every stage.
+    `_saturation_is_trivial`, with S.  While every stage so far passed,
+    the cut is (f_1, ..., f_k) exactly; a stage that passes takes as Q_k
+    the cut's reduced grevlex basis, which is J : S^inf and, for a
+    generic g, the bytes `saturate` returns, and m_k = mult_0 of the cut,
+    so e_k = 0.  The first stage that fails, and every stage after it, is
+    saturated by g.  `codim` is at most n - dim V(S) over QQ, a cheap
+    filter: from there on the test fails over QQ, and a codimension-1
+    source runs no test at all; 0, the default, saturates every stage.
 
     With `numbers_only`, stage n is not saturated when the saturator g
     vanishes at 0: its cut J is 0-dimensional at the origin (or misses
@@ -421,7 +420,7 @@ def _run_stages(germ: GermContext, cuts, saturator: Ideal, numbers_only=False, c
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J, prefix=Q), germ.n - k, f"stage {k} cut")
-        certify = certify and k < codim and _saturation_is_trivial(J, saturator, k)
+        certify = certify and k < codim and _saturation_is_trivial(J, source, k)
         if skip_last and k == germ.n:
             Qk, m_q = None, 0
         elif certify:
@@ -498,7 +497,7 @@ def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
     from `seed`, and the stages it cuts, saturated by a generic element
     of I drawn from the same seed (`codim` as in `_run_stages`)."""
     tup = generic_tuple(I, germ.n, cfg, seed=seed)
-    return tup, _run_stages(germ, tup.combinations, _saturator(I, cfg, seed),
+    return tup, _run_stages(germ, tup.combinations, I, _saturator(I, cfg, seed),
                             numbers_only, codim)
 
 
@@ -582,9 +581,9 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
         pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
         tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        stages = _run_stages(germ, tup_h.combinations,
-                             _saturator(ideal_sum(I1, I2), cfg_b, seed), numbers_only=True,
-                             codim=codim)
+        S = ideal_sum(I1, I2)
+        stages = _run_stages(germ, tup_h.combinations, S, _saturator(S, cfg_b, seed),
+                             numbers_only=True, codim=codim)
         return stages[k].e
 
     return _certified(cfg, run_once, germ, I1, I2)[0]
@@ -678,8 +677,8 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
         truncated = Ideal(germ.ring, tup.combinations)
-        full = _run_stages(germ, cuts, _saturator(I, cfg_b, seed))[k]
-        trunc = _run_stages(germ, cuts, _saturator(truncated, cfg_b, seed, 1))[k]
+        full = _run_stages(germ, cuts, I, _saturator(I, cfg_b, seed))[k]
+        trunc = _run_stages(germ, cuts, truncated, _saturator(truncated, cfg_b, seed, 1))[k]
         return full.polar_ideal == trunc.polar_ideal and full.e == trunc.e
 
     return _certified(cfg, run_once, germ, I)[0]

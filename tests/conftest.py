@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import segrenum
-from segrenum import GenericityConfig, PolynomialRing, cli, ideal, make_germ
+from segrenum import GenericityConfig, PolynomialRing, cli, ideal, make_germ, segre
 
 CORPUS = Path(segrenum.__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
@@ -29,6 +29,19 @@ def replay_corpus(*flags, inputs=None):
             code = cli.main(argv + list(flags))
         runs.append((entry, code, buf.getvalue()))
     return runs
+
+
+def saturate_spy(monkeypatch):
+    """Record the ideal of each `saturate` call the stage loop makes."""
+    calls = []
+    real = segre.saturate
+
+    def spy(I, J):
+        calls.append(I)
+        return real(I, J)
+
+    monkeypatch.setattr(segre, "saturate", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Replay the golden corpus through a command line and compare its bytes.
 
-    python tests/replay_goldens.py GOLDEN_DIR COMMAND...
+    python tests/replay_goldens.py [--write] GOLDEN_DIR COMMAND...
 
 For each entry of GOLDEN_DIR/manifest.json, runs COMMAND followed by the
 entry's argv, whose input file is taken from the corpus of the `segrenum`
@@ -14,6 +14,10 @@ Needs only the standard library, so any supported interpreter can run
 it; exits 1 when a golden is not reproduced.  A report that differs from
 its golden only in the `engine` counters prints each changed counter as
 old -> new.
+
+With --write, such a report replaces its golden, and the golden counts as
+reproduced.  Any other difference (another key, the exit code) is refused:
+its golden is left as it is, and the exit status is 1.
 """
 
 import importlib.util
@@ -41,7 +45,8 @@ def _engine_drift(golden, report):
 
 
 def main(argv):
-    golden, command = pathlib.Path(argv[0]), argv[1:]
+    write = argv[0] == "--write"
+    golden, command = pathlib.Path(argv[write]), argv[write + 1:]
     corpus = pathlib.Path(importlib.util.find_spec("segrenum").origin).parent / "corpus"
     manifest = json.loads((golden / "manifest.json").read_text(encoding="utf-8"))
     failed = []
@@ -51,16 +56,22 @@ def main(argv):
         run = subprocess.run(command + args, capture_output=True)
         expected = (golden / entry["golden"]).read_bytes()
         if (run.returncode, run.stdout) != (entry["exit"], expected):
-            failed.append(entry["golden"])
             print(f"{entry['golden']}: exit {run.returncode}", run.stderr.decode(), sep="\n")
             drift = _engine_drift(expected, run.stdout)
             if drift is not None and run.returncode == entry["exit"]:
                 print("only the engine counters differ:", *drift, sep="\n")
+                if write:
+                    (golden / entry["golden"]).write_bytes(run.stdout)
+                    print(f"rewrote {entry['golden']}")
+                    continue
+            elif write:
+                print(f"refused to rewrite {entry['golden']}: it differs outside `engine`")
+            failed.append(entry["golden"])
     print(f"{len(manifest) - len(failed)} of {len(manifest)} goldens reproduced")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 3:
+    if len(sys.argv) < 3 + (sys.argv[1:2] == ["--write"]):
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1:]))

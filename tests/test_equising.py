@@ -2,18 +2,24 @@ import random
 
 import pytest
 
-from segrenum import groebner, segre
+from segrenum import groebner
 from segrenum import (
     FunctionGerm,
+    PolynomialRing,
     buchberger,
+    closure_battery,
     contact_tangent_ideal,
     ideal,
+    ideal_power,
     jacobian_ideal,
+    make_germ,
     normal_form,
     whitney_battery,
 )
 from segrenum.errors import PreconditionError
 from segrenum.groebner import ENGINE_STATS, clear_caches, groebner_fingerprint
+
+from conftest import saturate_spy
 
 
 def test_function_germ_validation(R2):
@@ -124,26 +130,40 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     """The battery's number-only rounds certify stages 1 and 2 trivial
     and leave stage 3 unsaturated: no saturation from cold caches,
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
-    was too, with the same numbers.  The completions reduce 176 S-pairs,
-    against 188 with stages 1 and 2 saturated, 272 without the Hilbert
-    bound and 672 with stage 3 saturated as well."""
+    was too, with the same numbers.  The completions reduce 80 S-pairs,
+    against 176 when each certificate also completed J + (g), 188 with
+    stages 1 and 2 saturated, 272 without the Hilbert bound and 672 with
+    stage 3 saturated as well."""
     x, y, z = R3.variables()
-    calls = []
-    real = segre.saturate
-
-    def spy(I, J):
-        calls.append(I)
-        return real(I, J)
-
-    monkeypatch.setattr(segre, "saturate", spy)
+    calls = saturate_spy(monkeypatch)
     clear_caches()
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 176)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 80)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
+
+
+def test_closure_battery_work(cfg, monkeypatch):
+    """The closure battery of (x^2, y^2, z^2, w^2) against m^2 on C^4,
+    from cold caches: both sources are m-primary, so every stage k < 4
+    is certified from dim V(S) = 0, stage 4 needs no saturation, and
+    none is saturated.  The
+    Groebner work is pinned: 64 completions reducing 104 S-pairs, against
+    104 completions and 256 S-pairs when each certificate also completed
+    J + (g)."""
+    R4 = PolynomialRing(["x", "y", "z", "w"])
+    m = ideal(R4, *R4.variables())
+    calls = saturate_spy(monkeypatch)
+    clear_caches()
+    ENGINE_STATS.reset()
+    report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
+                             ideal_power(m, 2), cfg)
+    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
+        (0, 64, 104)
+    assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 
 def test_series_memo_does_not_change_the_battery(R3, cfg):

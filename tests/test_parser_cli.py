@@ -20,6 +20,7 @@ from segrenum.report import SCHEMA_VERSION, _exact
 from segrenum.rings import format_polynomial
 
 from conftest import CORPUS, GOLDEN, replay_corpus
+import replay_goldens
 from replay_goldens import _engine_drift
 
 
@@ -121,6 +122,32 @@ def test_replay_names_engine_only_drift():
     reordered = dict(reversed(json.loads(golden).items()))
     assert _engine_drift(golden, json.dumps(reordered).encode()) is None
     assert _engine_drift(golden, b"Traceback") is None
+
+
+def test_replay_write_rewrites_only_engine_drift(tmp_path, monkeypatch, capsys):
+    """`replay_goldens.py --write` replaces a golden whose report moved only
+    in its `engine` block, and refuses one that moved outside it: that
+    golden keeps its bytes and the exit status is 1."""
+    names = ["codim1_segre_I1.json", "codim1_segre_I2.json"]
+    manifest = [e for e in json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+                if e["golden"] in names]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    true = {name: (GOLDEN / name).read_bytes() for name in names}
+    engine_only, elsewhere = (json.loads(true[name]) for name in names)
+    engine_only["engine"]["spairs_reduced"] += "0"
+    elsewhere["results"]["e"][0] += "0"
+    for name, report in zip(names, (engine_only, elsewhere)):
+        (tmp_path / name).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    stale = (tmp_path / names[1]).read_bytes()
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-m", "segrenum.cli"]
+    assert replay_goldens.main(["--write", str(tmp_path), *command]) == 1
+    out = capsys.readouterr().out
+    assert f"rewrote {names[0]}" in out and f"refused to rewrite {names[1]}" in out
+    assert (tmp_path / names[0]).read_bytes() == true[names[0]]
+    assert (tmp_path / names[1]).read_bytes() == stale
+    assert replay_goldens.main([str(tmp_path), *command]) == 1
+    assert "1 of 2 goldens reproduced" in capsys.readouterr().out
 
 
 def test_reports_are_byte_deterministic():

@@ -31,7 +31,7 @@ from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
-from conftest import GOLDEN, replay_corpus
+from conftest import GOLDEN, replay_corpus, saturate_spy
 from oracles import macaulay_colength_stable, milnor_sequence
 
 
@@ -349,7 +349,7 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
     x, y = R2.variables()
     I1, I2 = divisor_pair
     rounds = cfg.verification_rounds
-    calls = _saturate_spy(monkeypatch)
+    calls = saturate_spy(monkeypatch)
 
     def saturations(run, *args):
         calls.clear()
@@ -371,31 +371,18 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
 
 
 def _certificate_spy(monkeypatch, verdict=None):
-    """Record each (cut, saturator, stage, verdict) of the trivial-
+    """Record each (cut, source, stage, verdict) of the trivial-
     saturation test; `verdict(k)`, when given, overrides the test."""
     seen = []
     real = segre._saturation_is_trivial
 
-    def spy(J, g, k):
-        ok = real(J, g, k) if verdict is None else verdict(k)
-        seen.append((J, g, k, ok))
+    def spy(J, S, k):
+        ok = real(J, S, k) if verdict is None else verdict(k)
+        seen.append((J, S, k, ok))
         return ok
 
     monkeypatch.setattr(segre, "_saturation_is_trivial", spy)
     return seen
-
-
-def _saturate_spy(monkeypatch):
-    """Record the ideal of each `saturate` call the stage loop makes."""
-    calls = []
-    real = segre.saturate
-
-    def spy(I, J):
-        calls.append(I)
-        return real(I, J)
-
-    monkeypatch.setattr(segre, "saturate", spy)
-    return calls
 
 
 @pytest.mark.parametrize("rational", [False, True])
@@ -426,9 +413,11 @@ def test_certified_saturations_are_exact(R3, rational, monkeypatch):
             germ, I = germ.over(p), I.over(p)
         seen.clear()
         stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
-        certified = [(J, g, k) for J, g, k, ok in seen if ok]
+        certified = [(J, S, k) for J, S, k, ok in seen if ok]
         assert [k for _, _, k in certified] == list(range(1, len(certified) + 1))
-        for J, g, k in certified:
+        g = segre._saturator(I, cfg, seed)
+        for J, S, k in certified:
+            assert S == I
             assert stages[k].cut_ideal.generators == J.generators
             assert segre.saturate(J, g).generators == stages[k].polar_ideal.generators
             assert stages[k].e == 0
@@ -447,7 +436,7 @@ def test_certificate_gate_and_fallback(germ3, R3, cfg, monkeypatch):
     sends every later stage to `saturate`."""
     x, y, z = R3.variables()
     seen = _certificate_spy(monkeypatch)
-    saturated = _saturate_spy(monkeypatch)
+    saturated = saturate_spy(monkeypatch)
     assert segre_profile(make_germ(R3, ideal(R3, z)), ideal(R3, x), cfg).e == (1, 0)
     assert seen == [] and saturated
 
@@ -464,6 +453,62 @@ def test_certificate_gate_and_fallback(germ3, R3, cfg, monkeypatch):
     assert [k for _, _, k, _ in seen] == [1]
     assert [s.cut_ideal for s in stages[1:3]] == saturated
     assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
+
+
+def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monkeypatch):
+    """The certificate proves J : S^inf = J from S itself, so a saturator
+    that is no generic element of S, here the round's own first cut f_1,
+    changes no certified stage: m^2 on C^3 keeps its true numbers, where
+    saturating by (f_1) would give stage 1 multiplicity 0."""
+    x, y, z = R3.variables()
+    m2 = ideal_power(ideal(R3, x, y, z), 2)
+
+    def first_cut(S, cfg, seed, *where):
+        return Ideal(S.ring, generic_tuple(S, germ3.n, cfg, seed=seed).combinations[:1])
+
+    monkeypatch.setattr(segre, "_saturator", first_cut)
+    saturated = saturate_spy(monkeypatch)
+    stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, numbers_only=True, codim=3)[1]
+    assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
+    assert saturated == []
+
+
+def test_certificate_gate_is_per_field(R3, monkeypatch):
+    """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 is (x^3 + y^3 + z^3),
+    of dimension 2 against 0 over QQ: with every round on GF(3) the test
+    runs below the codimension over QQ and certifies no stage."""
+    x, y, z = R3.variables()
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 2)
+    monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
+    seen = _certificate_spy(monkeypatch)
+    segre_profile(make_germ(R3), T, GenericityConfig())
+    assert seen and all(S.ring.modulus == 3 and not ok for _, S, _, ok in seen)
+
+
+def test_mixed_certificate_is_exact(germ3, R3, cfg, monkeypatch):
+    """On seeded C^3 pairs whose sources have codimension at least 2,
+    `mixed_segre` certifies stages from S = I1 + I2 and gives the numbers
+    of runs that saturate every stage."""
+    rng = random.Random(22)
+    pairs = []
+    while len(pairs) < 3:
+        I1, I2 = _random_ideal_in_m(R3, rng), _random_ideal_in_m(R3, rng)
+        if segre.dimension(I1) <= 1 and segre.dimension(I2) <= 1:
+            pairs.append((I1, I2))
+    requests = [(2, 1, 1), (3, 2, 1), (3, 1, 2)]
+    seen = _certificate_spy(monkeypatch)
+    certified = []
+    for I1, I2 in pairs:
+        seen.clear()
+        certified.append([mixed_segre(germ3, I1, I2, *r, cfg) for r in requests])
+        assert any(ok for _, _, _, ok in seen)
+        for _, S, _, _ in seen:
+            p = S.ring.modulus
+            assert S.generators == segre.ideal_sum(I1.over(p), I2.over(p)).generators
+    _certificate_spy(monkeypatch, verdict=lambda k: False)
+    saturated = [[mixed_segre(germ3, I1, I2, *r, cfg) for r in requests] for I1, I2 in pairs]
+    assert certified == saturated
 
 
 def test_cosupport_precondition(R3, cfg):
