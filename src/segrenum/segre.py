@@ -20,9 +20,10 @@ The last stage needs no saturation for its numbers.  The cut
 J = Q_{n-1} + (f_n) is 0-dimensional at the origin (or misses it), so a
 saturator g with g(0) = 0 is nilpotent in the local ring of J at 0:
 J : g^inf misses the origin, m_n = 0 and e_n = mult_0(J).  The rounds
-that return only numbers use this; the paths that read Q_n, and every
-round whose g has a constant term (the source ideal not inside m),
-still saturate stage n.
+that return only numbers use this whenever the source ideal lies in m,
+so that every g drawn from it vanishes at 0; the paths that read Q_n,
+and every round whose source ideal does not lie in m, still saturate
+stage n.
 
 Most other stages need no saturation either, and that is proven, not
 computed.  On C^n, while every earlier stage was left unchanged, the cut
@@ -47,13 +48,22 @@ stage after it, and every stage on a germ with an ambient (whose
 unmixedness would need the ambient to be Cohen-Macaulay) go to
 `saturate`.
 
+A mixed Segre number e_k^{i,j}(I1, I2) with i, j >= 1 and k below
+c = max(c1, c2), the larger codimension of the two zero sets, needs no
+round at all: it is 0.  Every component of a k-fold cut through the
+origin has dimension at least n - k, more than dim V(I1 + I2) <= n - c,
+so none lies in V(I1 + I2), saturation keeps each one, and the stage
+multiplicity in dimension n - k is unchanged.  The closure criteria read
+such numbers at every level below c.
+
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
-of finitely many proper subspaces.  A bad g only removes more
-components, those where g vanishes; when one of them passes through the
-origin the round's multiplicities drop, and the independent round, with
-its own g, disagrees.
+of finitely many proper subspaces.  The draw is lazy: a round whose
+stages are all certified, or skipped as the last stage, draws no g.  A
+bad g only removes more components, those where g vanishes; when one of
+them passes through the origin the round's multiplicities drop, and the
+independent round, with its own g, disagrees.
 
 Genericity over the rationals is probabilistic: coefficients are drawn
 from a seeded generator, every certified number is recomputed under
@@ -316,6 +326,21 @@ class MixedSegreTable:
 # generic combinations
 # ---------------------------------------------------------------------------
 
+def _combination(ring: PolynomialRing, row, gens) -> Polynomial:
+    """sum(c * g) over the row's integer coefficients c and the
+    generators g, accumulated in one dict: Fractions over QQ, residues
+    reduced once at the end over GF(p)."""
+    out = {}
+    for c, g in zip(row, gens):
+        if c:
+            for e, v in g.coeffs.items():
+                out[e] = out.get(e, 0) + c * v
+    m = ring.modulus
+    if m:
+        return Polynomial(ring, {e: v % m for e, v in out.items() if v % m})
+    return Polynomial(ring, {e: v for e, v in out.items() if v})
+
+
 def generic_tuple(I: Ideal, count: int, cfg: GenericityConfig,
                   seed: int | None = None) -> GenericTuple:
     """`count` combinations with seeded integer coefficients; the
@@ -337,13 +362,7 @@ def generic_tuple(I: Ideal, count: int, cfg: GenericityConfig,
             continue
         if rank(matrix) != min(count, len(gens)):
             continue
-        combos = []
-        for row in matrix:
-            p = I.ring.zero()
-            for c, g in zip(row, gens):
-                if c:
-                    p = p + g * c
-            combos.append(p)
+        combos = [_combination(I.ring, row, gens) for row in matrix]
         if any(p.is_zero for p in combos):
             continue
         return GenericTuple(tuple(combos), matrix)
@@ -383,11 +402,14 @@ def _saturation_is_trivial(J: Ideal, S: Ideal, k: int) -> bool:
     return dimension(S) < expected and dimension(J) == expected
 
 
-def _run_stages(germ: GermContext, cuts, source: Ideal, saturator: Ideal,
+def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
                 numbers_only=False, codim=0):
     """The saturation-and-subtract recursion along the given cuts, each
-    cut saturated with respect to the `source` ideal S, by the principal
-    `saturator` (g), drawn from it.
+    cut saturated with respect to the `source` ideal S, by a principal
+    saturator (g) drawn from it.  `draw_saturator()` returns (g); it is
+    called only when a stage first goes to `saturate`, and its ideal
+    serves every later stage of the run, so a run whose stages are all
+    certified or skipped draws no saturator.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
@@ -403,11 +425,13 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, saturator: Ideal,
     filter: from there on the test fails over QQ, and a codimension-1
     source runs no test at all; 0, the default, saturates every stage.
 
-    With `numbers_only`, stage n is not saturated when the saturator g
-    vanishes at 0: its cut J is 0-dimensional at the origin (or misses
-    it), so g is nilpotent in the local ring of J at 0, J : g^inf misses
-    the origin and m_n = 0; the record's polar ideal is None.  When
-    g(0) != 0 the argument fails and the stage is saturated.
+    With `numbers_only`, stage n is not saturated when S lies in m, which
+    is exactly when every g drawn from S vanishes at 0: its cut J is
+    0-dimensional at the origin (or misses it), so g is nilpotent in the
+    local ring of J at 0, J : g^inf misses the origin and m_n = 0; the
+    record's polar ideal is None.  When S does not lie in m the stage is
+    saturated; a g that vanishes at 0 all the same gives m_n = 0 there
+    too.
 
     Each multiplicity names its prefix: Q_{k-1} for the cut, Q_k itself
     for the polar stage, so its completion gets a lower bound on its
@@ -415,8 +439,9 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, saturator: Ideal,
     ring = germ.ring
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
-    skip_last = numbers_only and passes_through_origin(saturator)
+    skip_last = numbers_only and passes_through_origin(source)
     certify = germ.ambient.is_zero
+    saturator = None
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J, prefix=Q), germ.n - k, f"stage {k} cut")
@@ -426,6 +451,8 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, saturator: Ideal,
         elif certify:
             Qk, m_q = _basis_ideal(buchberger(J, GREVLEX)), m_j
         else:
+            if saturator is None:
+                saturator = draw_saturator()
             Qk = saturate(J, saturator)
             m_q = _contribution(multiplicity_at_origin(Qk, prefix=Qk), germ.n - k, f"stage {k} polar")
         e = m_j - m_q
@@ -497,7 +524,7 @@ def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
     from `seed`, and the stages it cuts, saturated by a generic element
     of I drawn from the same seed (`codim` as in `_run_stages`)."""
     tup = generic_tuple(I, germ.n, cfg, seed=seed)
-    return tup, _run_stages(germ, tup.combinations, I, _saturator(I, cfg, seed),
+    return tup, _run_stages(germ, tup.combinations, I, partial(_saturator, I, cfg, seed),
                             numbers_only, codim)
 
 
@@ -553,6 +580,20 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
     return segre_profile(make_germ(germ.ring, X), I, cfg)
 
 
+def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
+    """The number of a mixed round: e_k of k generic combinations of i
+    generic elements of I1 and j of I2, saturated with respect to
+    S = I1 + I2 (`codim` as in `_run_stages`)."""
+    tup_f = generic_tuple(I1, i, cfg, seed=derive_seed(seed, 1))
+    tup_g = generic_tuple(I2, j, cfg, seed=derive_seed(seed, 2))
+    pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
+    tup_h = generic_tuple(pool, k, cfg, seed=derive_seed(seed, 3))
+    S = ideal_sum(I1, I2)
+    stages = _run_stages(germ, tup_h.combinations, S, partial(_saturator, S, cfg, seed),
+                         numbers_only=True, codim=codim)
+    return stages[k].e
+
+
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
                 cfg: GenericityConfig) -> int:
     """The mixed Segre number e_k^{i,j}(I1, I2).
@@ -561,6 +602,14 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     and j generic elements of I2; saturation is with respect to I1 + I2.
     Boundary conventions: e_k^{k,0} = e_k(I1) and e_k^{0,k} = e_k(I2);
     both ideals must have Segre data there too.
+
+    Off the boundary, a number below c = max(c1, c2), the larger
+    codimension of the two zero sets on the germ, is 0 and runs no
+    round: every component of a k-fold cut through the origin has
+    dimension at least n - k > n - c >= dim V(I1 + I2), so it does not
+    lie in V(I1 + I2), saturation keeps it, and the stage's multiplicity
+    in dimension n - k does not drop.  The boundary conventions come
+    first: e_k(I1) need not vanish below c2.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -575,18 +624,10 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     codim = max(_check_cosupport(germ, I1), _check_cosupport(germ, I2))
     if i == 0 or j == 0:
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
-
-    def run_once(seed, cfg_b, round_idx, germ, I1, I2):
-        tup_f = generic_tuple(I1, i, cfg_b, seed=derive_seed(seed, 1))
-        tup_g = generic_tuple(I2, j, cfg_b, seed=derive_seed(seed, 2))
-        pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
-        tup_h = generic_tuple(pool, k, cfg_b, seed=derive_seed(seed, 3))
-        S = ideal_sum(I1, I2)
-        stages = _run_stages(germ, tup_h.combinations, S, _saturator(S, cfg_b, seed),
-                             numbers_only=True, codim=codim)
-        return stages[k].e
-
-    return _certified(cfg, run_once, germ, I1, I2)[0]
+    if k < codim:
+        return 0
+    return _certified(cfg, partial(_mixed_round, k=k, i=i, j=j, codim=codim),
+                      germ, I1, I2)[0]
 
 
 def require_m_primary(germ: GermContext, I: Ideal, label: str):
@@ -677,8 +718,9 @@ def truncation_check(germ: GermContext, I: Ideal, k: int, cfg: GenericityConfig)
         tup = generic_tuple(I, k + 1, cfg_b, seed=seed)
         cuts = tup.combinations[:k]
         truncated = Ideal(germ.ring, tup.combinations)
-        full = _run_stages(germ, cuts, I, _saturator(I, cfg_b, seed))[k]
-        trunc = _run_stages(germ, cuts, truncated, _saturator(truncated, cfg_b, seed, 1))[k]
+        full = _run_stages(germ, cuts, I, partial(_saturator, I, cfg_b, seed))[k]
+        trunc = _run_stages(germ, cuts, truncated,
+                            partial(_saturator, truncated, cfg_b, seed, 1))[k]
         return full.polar_ideal == trunc.polar_ideal and full.e == trunc.e
 
     return _certified(cfg, run_once, germ, I)[0]

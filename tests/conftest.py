@@ -44,6 +44,19 @@ def saturate_spy(monkeypatch):
     return calls
 
 
+def certified_spy(monkeypatch):
+    """Record the round function of each `_certified` call."""
+    calls = []
+    real = segre._certified
+
+    def spy(cfg, run_once, *args):
+        calls.append(run_once)
+        return real(cfg, run_once, *args)
+
+    monkeypatch.setattr(segre, "_certified", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def R2():
     return PolynomialRing(["x", "y"])

@@ -10,7 +10,7 @@ is built from the engine's principal saturation and intersection.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from segrenum import Ideal, intersect, saturate
 
@@ -110,6 +110,50 @@ def newton_covolume_2d(points):
     for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
         area += x1 * y2 - x2 * y1
     return abs(area) / 2
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def in_newton_polyhedron(point, exponents):
+    """Whether `point` lies in the Newton polyhedron conv(exponents) + R_+^n
+    of a monomial ideal, in exact `Fraction` arithmetic; for monomial
+    ideals, x^point is integral over the ideal exactly when it does.
+
+    The polyhedron is full-dimensional, so it is the intersection of its
+    facet half-spaces.  A facet's hyperplane passes through r >= 1 of the
+    exponents and contains n - r coordinate directions, which together
+    span it, so every such hyperplane with a nonnegative normal w and all
+    exponents on the side <w, x> >= c is tried: the point lies in the
+    polyhedron iff it satisfies each of them.
+    """
+    n = len(point)
+    pts = [tuple(map(Fraction, e)) for e in sorted(set(map(tuple, exponents)))]
+    a = tuple(map(Fraction, point))
+    units = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+
+    def dot(w, v):
+        return sum(x * y for x, y in zip(w, v))
+
+    for r in range(1, n + 1):
+        for chosen in combinations(pts, r):
+            p0 = chosen[0]
+            for dirs in combinations(units, n - r):
+                span = [tuple(q - b for q, b in zip(p, p0)) for p in chosen[1:]] + list(dirs)
+                w = [(-1) ** k * _det([v[:k] + v[k + 1:] for v in span]) for k in range(n)]
+                if all(c <= 0 for c in w):
+                    w = [-c for c in w]
+                if not any(w) or any(c < 0 for c in w):
+                    continue
+                c = dot(w, p0)
+                if dot(w, a) < c and all(dot(w, p) >= c for p in pts):
+                    return False
+    return True
 
 
 def staircase_colength(exponents, nvars):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from segrenum import (
 from segrenum.criteria import MixedNumberCache
 from segrenum.errors import PreconditionError
 
-from oracles import newton_covolume_2d
+from oracles import in_newton_polyhedron, newton_covolume_2d
 
 
 # -- the combinatorial lemma ---------------------------------------------------
@@ -208,6 +209,71 @@ def test_rees_containment_precondition(germ2, R2, cfg):
     x, y = R2.variables()
     with pytest.raises(PreconditionError):
         rees_test(germ2, ideal(R2, x), ideal(R2, y), cfg)
+
+
+def _witness_values(report, witness):
+    """The two numbers a chain witness names, each checked against the
+    report's profiles and mixed table."""
+    match = re.fullmatch(r"(\S+)=(\d+) differs from (\S+)=(\d+)", witness)
+    assert match, witness
+    values = []
+    for label, text in (match.group(1, 2), match.group(3, 4)):
+        plain = re.fullmatch(r"e_(\d+)\(I([12])\)", label)
+        if plain:
+            k, which = map(int, plain.groups())
+            profile = report.left_profile if which == 1 else report.right_profile
+            expected = profile.e[k - 1]
+        else:
+            k, i, j = map(int, re.fullmatch(r"e_(\d+)\^\{(\d+),(\d+)\}", label).groups())
+            expected = report.mixed.entries[(k, i, j)]
+        assert int(text) == expected, (witness, label)
+        values.append(expected)
+    return values
+
+
+# x^a added to a monomial ideal I1 on C^3: both verdicts must say whether
+# a lies in the Newton polyhedron of I1.  Two points, (1, 1, 0) for
+# (x^2, y^2, z^2) and (2, 1, 0) for (x^3, y^3, z^3, xyz), lie on a compact
+# face; (1, 1, 0) for (x^2, y^2) lies on a compact edge of a polyhedron of
+# a non-m-primary ideal.
+NEWTON_CASES = [
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], (1, 1, 0)),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], (1, 0, 0)),
+    ([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 1)),
+    ([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 0)),
+    ([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)], (2, 1, 0)),
+    ([(3, 0, 0), (0, 2, 0), (0, 0, 1)], (2, 1, 0)),
+    ([(3, 0, 0), (0, 2, 0), (0, 0, 1)], (1, 1, 0)),
+    ([(3, 0, 0), (1, 1, 0), (0, 3, 0)], (0, 2, 0)),
+    ([(2, 0, 0), (0, 2, 0)], (1, 1, 0)),
+    ([(2, 0, 0), (0, 2, 0)], (1, 0, 1)),
+    ([(1, 0, 1), (0, 1, 1)], (0, 0, 2)),
+]
+
+
+def test_closure_verdicts_match_the_newton_polyhedron(germ3, R3, cfg):
+    """For I2 = I1 + (x^a), I1 monomial, both ideals have the same
+    integral closure iff a lies in the Newton polyhedron of I1: the
+    closure battery and the Rees test must say so, and each failing
+    verdict must name two numbers of its report that differ."""
+    x, y, z = R3.variables()
+
+    def monomial(e):
+        return x ** e[0] * y ** e[1] * z ** e[2]
+
+    inside = []
+    for exponents, a in NEWTON_CASES:
+        I1 = ideal(R3, *map(monomial, exponents))
+        I2 = ideal(R3, *map(monomial, exponents + [a]))
+        expected = in_newton_polyhedron(a, exponents)
+        inside.append(expected)
+        for report in (closure_battery(germ3, I1, I2, cfg), rees_test(germ3, I1, I2, cfg)):
+            assert report.holds == expected, (exponents, a)
+            for verdict in report.verdicts:
+                if not verdict.holds:
+                    left, right = _witness_values(report, verdict.witness)
+                    assert left != right
+    assert inside.count(True) == 5
 
 
 # -- product formula -------------------------------------------------------------

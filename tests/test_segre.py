@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -31,7 +32,7 @@ from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
-from conftest import GOLDEN, replay_corpus, saturate_spy
+from conftest import GOLDEN, certified_spy, replay_corpus, saturate_spy
 from oracles import macaulay_colength_stable, milnor_sequence
 
 
@@ -341,8 +342,9 @@ def test_unsaturated_last_stage_is_exact(R2, R3, rational):
 
 def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, divisor_pair,
                                                               cfg, monkeypatch):
-    """A number-only round saturates stage n only when its saturator has
-    a constant term; `polar_chain`'s rerun over QQ, `truncation_check`
+    """A number-only round saturates stage n only when its source ideal
+    does not lie in m, so its saturator may have a constant term;
+    `polar_chain`'s rerun over QQ, `truncation_check`
     and mixed numbers with k < n saturate every stage not certified
     trivial, and only a stage below the codimension of the source's zero
     set is certified."""
@@ -459,18 +461,21 @@ def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monk
     """The certificate proves J : S^inf = J from S itself, so a saturator
     that is no generic element of S, here the round's own first cut f_1,
     changes no certified stage: m^2 on C^3 keeps its true numbers, where
-    saturating by (f_1) would give stage 1 multiplicity 0."""
+    saturating by (f_1) would give stage 1 multiplicity 0.  With every
+    stage certified or skipped, the round does not even draw g."""
     x, y, z = R3.variables()
     m2 = ideal_power(ideal(R3, x, y, z), 2)
+    drawn = []
 
     def first_cut(S, cfg, seed, *where):
+        drawn.append(S)
         return Ideal(S.ring, generic_tuple(S, germ3.n, cfg, seed=seed).combinations[:1])
 
     monkeypatch.setattr(segre, "_saturator", first_cut)
     saturated = saturate_spy(monkeypatch)
     stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, numbers_only=True, codim=3)[1]
     assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
-    assert saturated == []
+    assert saturated == [] and drawn == []
 
 
 def test_certificate_gate_is_per_field(R3, monkeypatch):
@@ -486,10 +491,20 @@ def test_certificate_gate_is_per_field(R3, monkeypatch):
     assert seen and all(S.ring.modulus == 3 and not ok for _, S, _, ok in seen)
 
 
+def _mixed_rounds(germ, I1, I2, k, i, j, cfg):
+    """e_k^{i,j}(I1, I2) from certified rounds, even where `mixed_segre`
+    answers without them."""
+    codim = max(segre._check_cosupport(germ, I1), segre._check_cosupport(germ, I2))
+    run = partial(segre._mixed_round, k=k, i=i, j=j, codim=codim)
+    return segre._certified(cfg, run, germ, I1, I2)[0]
+
+
 def test_mixed_certificate_is_exact(germ3, R3, cfg, monkeypatch):
     """On seeded C^3 pairs whose sources have codimension at least 2,
-    `mixed_segre` certifies stages from S = I1 + I2 and gives the numbers
-    of runs that saturate every stage."""
+    mixed rounds certify stages from S = I1 + I2 and give the numbers of
+    runs that saturate every stage.  The (2, 1, 1) column lies below the
+    codimension, where `mixed_segre` runs no round, so it is taken from
+    the rounds directly."""
     rng = random.Random(22)
     pairs = []
     while len(pairs) < 3:
@@ -501,14 +516,64 @@ def test_mixed_certificate_is_exact(germ3, R3, cfg, monkeypatch):
     certified = []
     for I1, I2 in pairs:
         seen.clear()
-        certified.append([mixed_segre(germ3, I1, I2, *r, cfg) for r in requests])
+        certified.append([_mixed_rounds(germ3, I1, I2, *r, cfg) for r in requests])
         assert any(ok for _, _, _, ok in seen)
         for _, S, _, _ in seen:
             p = S.ring.modulus
             assert S.generators == segre.ideal_sum(I1.over(p), I2.over(p)).generators
+        assert [mixed_segre(germ3, I1, I2, *r, cfg) for r in requests] == certified[-1]
     _certificate_spy(monkeypatch, verdict=lambda k: False)
-    saturated = [[mixed_segre(germ3, I1, I2, *r, cfg) for r in requests] for I1, I2 in pairs]
+    saturated = [[_mixed_rounds(germ3, I1, I2, *r, cfg) for r in requests] for I1, I2 in pairs]
     assert certified == saturated
+
+
+def _random_ideal_of_codim(germ, rng, c):
+    """A seeded random ideal inside m whose zero set has codimension c on
+    C^n; codimension 1 multiplies every generator by one linear form."""
+    R = germ.ring
+    while True:
+        I = _random_ideal_in_m(R, rng)
+        if c == 1:
+            h = sum((rng.choice([-2, -1, 1, 2]) * v for v in R.variables()), R.zero())
+            I = Ideal(R, [h * g for g in I.generators])
+        if segre._check_cosupport(germ, I) == c:
+            return I
+
+
+def test_mixed_numbers_below_the_codimension_are_zero(germ3, cfg, monkeypatch):
+    """Every mixed request e_k^{i,j} with i, j >= 1 and k below
+    c = max(c1, c2) gets 0 from its certified rounds: on seeded C^3 pairs
+    of each unequal codimension mix, and on the quadric cone
+    xy - z^2 in C^4 with I1 = m and I2 = (x, z, w) (c1 = 3, c2 = 2).
+    `mixed_segre` answers the same requests without a round."""
+    rng = random.Random(23)
+    mixes = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    cases = [(germ3, _random_ideal_of_codim(germ3, rng, a), _random_ideal_of_codim(germ3, rng, b))
+             for a, b in mixes + mixes]
+    R4 = PolynomialRing(["x", "y", "z", "w"])
+    x, y, z, w = R4.variables()
+    cases.append((make_germ(R4, ideal(R4, x * y - z ** 2)), ideal(R4, x, y, z, w),
+                  ideal(R4, x, z, w)))
+    rounds = certified_spy(monkeypatch)
+    for germ, I1, I2 in cases:
+        c1, c2 = segre._check_cosupport(germ, I1), segre._check_cosupport(germ, I2)
+        assert c1 != c2
+        requests = [(k, i, j) for k in range(1, max(c1, c2))
+                    for i in range(1, k + 1) for j in range(1, k + 1) if k <= i + j <= k + 1]
+        assert [_mixed_rounds(germ, I1, I2, *r, cfg) for r in requests] == [0] * len(requests)
+        rounds.clear()
+        assert [mixed_segre(germ, I1, I2, *r, cfg) for r in requests] == [0] * len(requests)
+        assert rounds == []
+
+
+def test_boundary_conventions_precede_the_codimension_rule(germ3, R3, cfg):
+    """(z) has codimension 1 and m codimension 3 on C^3, yet the boundary
+    requests below 3 stay plain Segre numbers: e_1^{0,1}(m, (z)) is
+    e_1((z)) = 1 and e_1^{1,0} is e_1(m) = 0."""
+    x, y, z = R3.variables()
+    m, Z = ideal(R3, x, y, z), ideal(R3, z)
+    assert mixed_segre(germ3, m, Z, 1, 0, 1, cfg) == 1
+    assert mixed_segre(germ3, m, Z, 1, 1, 0, cfg) == 0
 
 
 def test_cosupport_precondition(R3, cfg):
