@@ -56,6 +56,17 @@ so none lies in V(I1 + I2), saturation keeps each one, and the stage
 multiplicity in dimension n - k is unchanged.  The closure criteria read
 such numbers at every level below c.
 
+At the top level of C^n the chain is not run either when c = n and
+both ideals lie in m: then S = I1 + I2 is m-primary in the local ring
+R = k[x]_m, and e_n^{i,j} is the colength l(R/(h_1, ..., h_n)) of the n
+cuts, one completion per round.  The chain gives a number only when
+every prefix (h_1, ..., h_k) has local dimension n - k; in the regular
+ring R the h then form a regular sequence, each prefix is unmixed with
+associated primes of dimension n - k >= 1 for k < n, the m-primary S
+lies in none of them, and locally Q_k = (h_1, ..., h_k).  So
+mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For i + j = n the
+number is Teissier's mixed multiplicity e(I1^[i] | I2^[j]).
+
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
@@ -91,7 +102,7 @@ from the origin and has no operation here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 
 from .errors import (
@@ -191,10 +202,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def _round_prime(seed: int, den: int = 1) -> int:
     """The prime of the round with this seed: the largest prime at most
     2^31 - 1 - (a 20-bit number drawn from the seed) that does not divide
-    `den`, the lcm of the input's denominators."""
+    `den`, the lcm of the input's denominators.  Memoised: every
+    certified number draws its rounds' primes from the same few seeds."""
     n = (1 << 31) - 1 - derive_seed(seed, _PRIME) % (1 << 20)
     while not (_is_prime(n) and den % n):
         n -= 1
@@ -580,18 +593,31 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
     return segre_profile(make_germ(germ.ring, X), I, cfg)
 
 
-def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
-    """The number of a mixed round: e_k of k generic combinations of i
-    generic elements of I1 and j of I2, saturated with respect to
-    S = I1 + I2 (`codim` as in `_run_stages`)."""
+def _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j):
+    """The k cuts of a mixed round: generic combinations of i generic
+    elements of I1 and j of I2, all drawn from the round seed."""
     tup_f = generic_tuple(I1, i, cfg, seed=derive_seed(seed, 1))
     tup_g = generic_tuple(I2, j, cfg, seed=derive_seed(seed, 2))
     pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
-    tup_h = generic_tuple(pool, k, cfg, seed=derive_seed(seed, 3))
+    return generic_tuple(pool, k, cfg, seed=derive_seed(seed, 3)).combinations
+
+
+def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
+    """The number of a mixed round: e_k of the round's k cuts, saturated
+    with respect to S = I1 + I2 (`codim` as in `_run_stages`)."""
     S = ideal_sum(I1, I2)
-    stages = _run_stages(germ, tup_h.combinations, S, partial(_saturator, S, cfg, seed),
-                         numbers_only=True, codim=codim)
+    stages = _run_stages(germ, _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j), S,
+                         partial(_saturator, S, cfg, seed), numbers_only=True, codim=codim)
     return stages[k].e
+
+
+def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
+    """The number of a top-level mixed round on C^n with an m-primary
+    source: the local colength of the ideal of the round's n cuts, the
+    same cuts `_mixed_round` draws from the seed."""
+    n = germ.n
+    cuts = Ideal(germ.ring, _mixed_cuts(seed, cfg, germ, I1, I2, n, i, j))
+    return _contribution(multiplicity_at_origin(cuts), 0, f"stage {n} cut")
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -610,6 +636,15 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     lie in V(I1 + I2), saturation keeps it, and the stage's multiplicity
     in dimension n - k does not drop.  The boundary conventions come
     first: e_k(I1) need not vanish below c2.
+
+    On C^n with k == c == n and both ideals in m, the source I1 + I2 is
+    m-primary and each round reads the local colength of its n cuts
+    (`_colength_round`, the same cuts the chain draws): no stages
+    1 .. n - 1, no dimension of the source and no certificate tests.  A
+    cut that is not 0-dimensional at the origin raises a dimension
+    anomaly named after stage n.  The chain raises the same one when its
+    first n - 1 cuts have the expected dimensions; otherwise, as for
+    ((x), m) and (k, i, j) = (4, 3, 1) on C^4, it names an earlier stage.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -626,6 +661,9 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
     if k < codim:
         return 0
+    if (k == codim == germ.n and germ.ambient.is_zero
+            and passes_through_origin(I1) and passes_through_origin(I2)):
+        return _certified(cfg, partial(_colength_round, i=i, j=j), germ, I1, I2)[0]
     return _certified(cfg, partial(_mixed_round, k=k, i=i, j=j, codim=codim),
                       germ, I1, I2)[0]
 

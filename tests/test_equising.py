@@ -130,18 +130,21 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     """The battery's number-only rounds certify stages 1 and 2 trivial
     and leave stage 3 unsaturated: no saturation from cold caches,
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
-    was too, with the same numbers.  The completions reduce 72 S-pairs,
-    against 80 when e_2^{1,1}, below the codimension 3 of both sources,
-    ran its rounds, 176 when each certificate also completed J + (g), 188
-    with stages 1 and 2 saturated, 272 without the Hilbert bound and 672
-    with stage 3 saturated as well."""
+    was too, with the same numbers.  The mixed numbers e_3^{2,1} and
+    e_3^{1,2} read the colength of their three cuts, one completion per
+    round without a Hilbert bound: the completions reduce 90 S-pairs,
+    against 72 when those numbers ran the stage chain, whose prefixes
+    bound each cut's series, 80 when e_2^{1,1}, below the codimension 3
+    of both sources, ran its rounds, 176 when each certificate also
+    completed J + (g), 188 with stages 1 and 2 saturated, 272 without the
+    Hilbert bound and 672 with stage 3 saturated as well."""
     x, y, z = R3.variables()
     calls = saturate_spy(monkeypatch)
     clear_caches()
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 72)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 90)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -152,10 +155,13 @@ def test_closure_battery_work(cfg, monkeypatch):
     from cold caches: both sources are m-primary, so every stage k < 4
     is certified from dim V(S) = 0, stage 4 needs no saturation, and
     none is saturated.  The mixed numbers of levels 1 to 3, below the
-    codimension 4 of both sources, are 0 without a round.  The Groebner
-    work is pinned: 48 completions reducing 86 S-pairs, against 64 and
-    104 when those numbers ran their rounds, and 104 completions and 256
-    S-pairs when each certificate also completed J + (g)."""
+    codimension 4 of both sources, are 0 without a round, and those of
+    level 4 read the colength of their four cuts.  The Groebner work is
+    pinned: 28 completions reducing 166 S-pairs, against 48 and 86 when
+    the level-4 numbers ran the stage chain, whose prefixes bound each
+    cut's series, 64 and 104 when the lower levels ran their rounds too,
+    and 104 completions and 256 S-pairs when each certificate also
+    completed J + (g)."""
     R4 = PolynomialRing(["x", "y", "z", "w"])
     m = ideal(R4, *R4.variables())
     calls = saturate_spy(monkeypatch)
@@ -164,7 +170,7 @@ def test_closure_battery_work(cfg, monkeypatch):
     report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
                              ideal_power(m, 2), cfg)
     assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
-        (0, 48, 86)
+        (0, 28, 166)
     assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 

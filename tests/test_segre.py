@@ -368,7 +368,7 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
     m2 = ideal(R2, x ** 2, x * y, y ** 2)
     assert saturations(truncation_check, germ2, m2, 2) == (rounds * 4, True)
     assert saturations(mixed_segre, germ3, I1, I2, 2, 1, 1) == (rounds * 2, 0)
-    # both sources are m-primary: stage 1 is certified, stage 2 skipped
+    # both sources are m-primary: the rounds read the colength of two cuts
     assert saturations(mixed_segre, germ2, ideal(R2, x ** 2, y ** 2), m2, 2, 1, 1) == (0, 4)
 
 
@@ -574,6 +574,96 @@ def test_boundary_conventions_precede_the_codimension_rule(germ3, R3, cfg):
     m, Z = ideal(R3, x, y, z), ideal(R3, z)
     assert mixed_segre(germ3, m, Z, 1, 0, 1, cfg) == 1
     assert mixed_segre(germ3, m, Z, 1, 1, 0, cfg) == 0
+
+
+def _colength_rounds(rounds):
+    """Whether each recorded `_certified` call ran top-level colength
+    rounds."""
+    return [getattr(r, "func", r) is segre._colength_round for r in rounds]
+
+
+def _random_m_primary(germ, rng, low):
+    """A seeded random m-primary ideal on C^n: n or n + 1 generators,
+    each a sum of 2-3 monomials of degree `low` to 3."""
+    R = germ.ring
+    while True:
+        gens = []
+        for _ in range(rng.randint(germ.n, germ.n + 1)):
+            g = R.zero()
+            for _ in range(rng.randint(2, 3)):
+                term = R.one() * rng.choice([-3, -2, -1, 1, 2, 3])
+                for _ in range(rng.randint(low, 3)):
+                    term = term * rng.choice(R.variables())
+                g = g + term
+            gens.append(g)
+        I = Ideal(R, gens)
+        if segre._check_cosupport(germ, I) == germ.n:
+            return I
+
+
+def test_top_level_mixed_numbers_of_m_primary_pairs_are_colengths(monkeypatch):
+    """On seeded pairs of m-primary ideals on C^2 and C^3, and one on
+    C^4, every request (n, i, j) with i + j >= n reads the colength of
+    its n cuts, and gives the number of the stage chain on the same
+    seeds; for i + j = n it is Teissier's mixed multiplicity."""
+    cfg = GenericityConfig()
+    rng = random.Random(24)
+    cases = []
+    for names in (["x", "y"], ["x", "y", "z"]):
+        germ = make_germ(PolynomialRing(names))
+        cases += [(germ, _random_m_primary(germ, rng, a), _random_m_primary(germ, rng, b))
+                  for a, b in ((1, 2), (2, 1), (2, 3), (3, 2))]
+    R4 = PolynomialRing(["x", "y", "z", "w"])
+    x, y, z, w = R4.variables()
+    cases.append((make_germ(R4), ideal(R4, x ** 2 + y * z, y ** 2, z ** 2 - x * w, w ** 2),
+                  ideal(R4, x + y * w, y + z ** 2, z, w)))
+    rounds = certified_spy(monkeypatch)
+    for germ, I1, I2 in cases:
+        n = germ.n
+        requests = [(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j >= n]
+        rounds.clear()
+        values = [mixed_segre(germ, I1, I2, *r, cfg) for r in requests]
+        assert _colength_rounds(rounds) == [True] * len(requests)
+        assert values == [_mixed_rounds(germ, I1, I2, *r, cfg) for r in requests]
+        for (_, i, j), v in zip(requests, values):
+            if i + j == n:
+                assert v == mixed_multiplicity_primary(germ, I1, I2, i, cfg)
+
+
+def test_top_level_colength_keeps_the_chains_anomaly(germ3, R3, cfg, monkeypatch):
+    """m and (x) on C^3 give cuts (h_1, h_2, h_3) inside (l, x), l
+    linear: stage 3 is 1-dimensional for every seed, and the colength
+    rounds fail with the chain's error text."""
+    x, y, z = R3.variables()
+    I1, I2 = ideal(R3, x, y, z), ideal(R3, x)
+    rounds = certified_spy(monkeypatch)
+    with pytest.raises(GenericityError) as branch:
+        mixed_segre(germ3, I1, I2, 3, 1, 2, cfg)
+    assert _colength_rounds(rounds) == [True]
+    with pytest.raises(GenericityError) as chain:
+        _mixed_rounds(germ3, I1, I2, 3, 1, 2, cfg)
+    assert str(branch.value) == str(chain.value)
+    assert "stage 3 cut: local dimension 1, expected 0" in str(branch.value)
+
+
+def test_top_level_colength_gate(germ3, R3, cfg, monkeypatch):
+    """The stage chain still runs on a germ with an ambient (the cone
+    xy - z^2), at k < n, when the larger codimension is below n (the
+    corpus's axis pair) and when an ideal does not lie in m."""
+    x, y, z = R3.variables()
+    m = ideal(R3, x, y, z)
+    cases = [
+        (make_germ(R3, ideal(R3, x * y - z ** 2)), m, ideal(R3, x, y, z ** 2), (2, 1, 1)),
+        (germ3, ideal(R3, x, y), ideal(R3, x, z), (2, 1, 1)),
+        (germ3, ideal(R3, x * z, y * z), ideal(R3, x * z, y * z, z ** 2), (3, 2, 1)),
+        (germ3, m, ideal(R3, x - 1, y, z), (3, 1, 2)),
+    ]
+    rounds = certified_spy(monkeypatch)
+    for germ, I1, I2, request in cases:
+        rounds.clear()
+        assert mixed_segre(germ, I1, I2, *request, cfg) == \
+            _mixed_rounds(germ, I1, I2, *request, cfg)
+        assert _colength_rounds(rounds) == [False, False]
 
 
 def test_cosupport_precondition(R3, cfg):
