@@ -48,6 +48,16 @@ stage after it, and every stage on a germ with an ambient (whose
 unmixedness would need the ambient to be Cohen-Macaulay) go to
 `saturate`.
 
+For an m-primary I on C^n generated by forms of one degree d, a round
+of numbers completes only J = (f_1, ..., f_n), its n cuts.  If J is
+0-dimensional, the f are a regular sequence in the Cohen-Macaulay ring
+k[x], and so is every prefix J_k; HS(k[x]/J_k) = (1 - z^d)^k / (1 - z)^n,
+so J_k has dimension n - k and multiplicity d^k, and as J_k lies in I,
+dim V(I) <= dim V(J) = 0 < n - k: every stage k < n passes the test
+above and stage n is the skipped last stage.  So m_k = d^k and
+e = (0, ..., 0, d^n) (Teissier's e(I^[k] | m^[n-k]) for such an I),
+checked against J's colength.  Any other J runs the chain on the seed.
+
 A mixed Segre number e_k^{i,j}(I1, I2) with i, j >= 1 and k below
 c = max(c1, c2), the larger codimension of the two zero sets, needs no
 round at all: it is 0.  Every component of a k-fold cut through the
@@ -65,7 +75,8 @@ ring R the h then form a regular sequence, each prefix is unmixed with
 associated primes of dimension n - k >= 1 for k < n, the m-primary S
 lies in none of them, and locally Q_k = (h_1, ..., h_k).  So
 mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For i + j = n the
-number is Teissier's mixed multiplicity e(I1^[i] | I2^[j]).
+number is Teissier's mixed multiplicity e(I1^[i] | I2^[j]).  Cuts that
+are not 0-dimensional at the origin run the chain on the round's seed.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -542,7 +553,29 @@ def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
 
 
 def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
-    """The numbers of a polar-chain round: (m_k, e_k) for each stage."""
+    """The numbers of a polar-chain round: (m_k, e_k) for each stage.
+
+    On C^n with codim == n and I generated by forms of one degree d, the
+    round completes only J = (f_1, ..., f_n), the cuts `_polar_stages`
+    draws from the seed.  A 0-dimensional J makes the f a regular
+    sequence of k[x], so each prefix J_k has dimension n - k and
+    multiplicity d^k and, as dim V(I) <= dim V(J) = 0, passes
+    `_saturation_is_trivial`: m_k = d^k and e = (0, ..., 0, d^n), exact
+    for this draw over the round's field, and J's colength must be d^n.
+    Any other J runs the stage chain on the seed, which raises its own
+    anomaly."""
+    n = germ.n
+    degrees = {t for g in I.generators for t in g.degrees()}
+    if codim == n and germ.ambient.is_zero and len(degrees) == 1:
+        (d,) = degrees
+        J = Ideal(germ.ring, generic_tuple(I, n, cfg, seed=seed).combinations)
+        res = multiplicity_at_origin(J)
+        if res.local_dimension == 0:
+            if res.multiplicity != d ** n:
+                raise ConsistencyError(
+                    f"{n} generic forms of degree {d} have colength {res.multiplicity}, "
+                    f"not {d ** n}")
+            return ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
     stages = _polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
     return tuple((s.m, s.e) for s in stages)
 
@@ -614,10 +647,15 @@ def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
 def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
     """The number of a top-level mixed round on C^n with an m-primary
     source: the local colength of the ideal of the round's n cuts, the
-    same cuts `_mixed_round` draws from the seed."""
+    same cuts `_mixed_round` draws from the seed.  Cuts that are not
+    0-dimensional at the origin run `_mixed_round` on the same seed,
+    which raises the chain's own anomaly."""
     n = germ.n
     cuts = Ideal(germ.ring, _mixed_cuts(seed, cfg, germ, I1, I2, n, i, j))
-    return _contribution(multiplicity_at_origin(cuts), 0, f"stage {n} cut")
+    res = multiplicity_at_origin(cuts)
+    if res.local_dimension == 0:
+        return res.multiplicity
+    return _mixed_round(seed, cfg, round_idx, germ, I1, I2, n, i, j, codim=n)
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -641,10 +679,8 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     m-primary and each round reads the local colength of its n cuts
     (`_colength_round`, the same cuts the chain draws): no stages
     1 .. n - 1, no dimension of the source and no certificate tests.  A
-    cut that is not 0-dimensional at the origin raises a dimension
-    anomaly named after stage n.  The chain raises the same one when its
-    first n - 1 cuts have the expected dimensions; otherwise, as for
-    ((x), m) and (k, i, j) = (4, 3, 1) on C^4, it names an earlier stage.
+    round whose cuts are not 0-dimensional at the origin runs the stage
+    chain on its seed, so both paths raise one anomaly.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")

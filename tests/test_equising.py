@@ -132,9 +132,11 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
     was too, with the same numbers.  The mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of their three cuts, one completion per
-    round without a Hilbert bound: the completions reduce 90 S-pairs,
-    against 72 when those numbers ran the stage chain, whose prefixes
-    bound each cut's series, 80 when e_2^{1,1}, below the codimension 3
+    round without a Hilbert bound, and so do the profile rounds of the
+    left tangent ideal, m^2, whose generators are all quadrics: the
+    completions reduce 98 S-pairs, against 90 when that profile ran the
+    stage chain, whose prefixes bound each cut's series, 72 when the
+    mixed numbers ran it too, 80 when e_2^{1,1}, below the codimension 3
     of both sources, ran its rounds, 176 when each certificate also
     completed J + (g), 188 with stages 1 and 2 saturated, 272 without the
     Hilbert bound and 672 with stage 3 saturated as well."""
@@ -144,7 +146,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 90)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 98)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -156,12 +158,14 @@ def test_closure_battery_work(cfg, monkeypatch):
     is certified from dim V(S) = 0, stage 4 needs no saturation, and
     none is saturated.  The mixed numbers of levels 1 to 3, below the
     codimension 4 of both sources, are 0 without a round, and those of
-    level 4 read the colength of their four cuts.  The Groebner work is
-    pinned: 28 completions reducing 166 S-pairs, against 48 and 86 when
-    the level-4 numbers ran the stage chain, whose prefixes bound each
-    cut's series, 64 and 104 when the lower levels ran their rounds too,
-    and 104 completions and 256 S-pairs when each certificate also
-    completed J + (g)."""
+    level 4 read the colength of their four cuts.  Both sources are
+    generated by forms of degree 2, so each profile round is one
+    completion of its four cuts too.  The Groebner work is pinned: 12
+    completions reducing 196 S-pairs, against 28 and 166 when the
+    profiles ran the stage chain, whose prefixes bound each cut's
+    series, 48 and 86 when the level-4 numbers ran it too, 64 and 104
+    when the lower levels ran their rounds, and 104 completions and 256
+    S-pairs when each certificate also completed J + (g)."""
     R4 = PolynomialRing(["x", "y", "z", "w"])
     m = ideal(R4, *R4.variables())
     calls = saturate_spy(monkeypatch)
@@ -170,7 +174,7 @@ def test_closure_battery_work(cfg, monkeypatch):
     report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
                              ideal_power(m, 2), cfg)
     assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
-        (0, 28, 166)
+        (0, 12, 196)
     assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 

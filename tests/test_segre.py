@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -25,7 +26,12 @@ from segrenum import (
     segre_profile,
     truncation_check,
 )
-from segrenum.errors import DimensionAnomalyError, GenericityError, PreconditionError
+from segrenum.errors import (
+    ConsistencyError,
+    DimensionAnomalyError,
+    GenericityError,
+    PreconditionError,
+)
 from segrenum.equising import FunctionGerm, contact_tangent_ideal, jacobian_ideal
 from segrenum.multiplicity import passes_through_origin
 from segrenum.parser import parse_input
@@ -582,9 +588,9 @@ def _colength_rounds(rounds):
     return [getattr(r, "func", r) is segre._colength_round for r in rounds]
 
 
-def _random_m_primary(germ, rng, low):
+def _random_m_primary(germ, rng, low, high=3):
     """A seeded random m-primary ideal on C^n: n or n + 1 generators,
-    each a sum of 2-3 monomials of degree `low` to 3."""
+    each a sum of 2-3 monomials of degree `low` to `high`."""
     R = germ.ring
     while True:
         gens = []
@@ -592,7 +598,7 @@ def _random_m_primary(germ, rng, low):
             g = R.zero()
             for _ in range(rng.randint(2, 3)):
                 term = R.one() * rng.choice([-3, -2, -1, 1, 2, 3])
-                for _ in range(rng.randint(low, 3)):
+                for _ in range(rng.randint(low, high)):
                     term = term * rng.choice(R.variables())
                 g = g + term
             gens.append(g)
@@ -632,18 +638,26 @@ def test_top_level_mixed_numbers_of_m_primary_pairs_are_colengths(monkeypatch):
 
 def test_top_level_colength_keeps_the_chains_anomaly(germ3, R3, cfg, monkeypatch):
     """m and (x) on C^3 give cuts (h_1, h_2, h_3) inside (l, x), l
-    linear: stage 3 is 1-dimensional for every seed, and the colength
-    rounds fail with the chain's error text."""
+    linear: stage 3 is 1-dimensional for every seed.  (x) and m on C^4
+    with (k, i, j) = (4, 3, 1) give cuts inside (x, l): the cuts are
+    2-dimensional, but the chain fails first at stage 3.  In both cases
+    the colength rounds fail with the chain's error text."""
     x, y, z = R3.variables()
-    I1, I2 = ideal(R3, x, y, z), ideal(R3, x)
+    R4 = PolynomialRing(["x", "y", "z", "w"])
+    cases = [(germ3, ideal(R3, x, y, z), ideal(R3, x), (3, 1, 2),
+              "stage 3 cut: local dimension 1, expected 0"),
+             (make_germ(R4), ideal(R4, R4.variable("x")), ideal(R4, *R4.variables()),
+              (4, 3, 1), "stage 3 cut: local dimension 2, expected 1")]
     rounds = certified_spy(monkeypatch)
-    with pytest.raises(GenericityError) as branch:
-        mixed_segre(germ3, I1, I2, 3, 1, 2, cfg)
-    assert _colength_rounds(rounds) == [True]
-    with pytest.raises(GenericityError) as chain:
-        _mixed_rounds(germ3, I1, I2, 3, 1, 2, cfg)
-    assert str(branch.value) == str(chain.value)
-    assert "stage 3 cut: local dimension 1, expected 0" in str(branch.value)
+    for germ, I1, I2, request, text in cases:
+        rounds.clear()
+        with pytest.raises(GenericityError) as branch:
+            mixed_segre(germ, I1, I2, *request, cfg)
+        assert _colength_rounds(rounds) == [True]
+        with pytest.raises(GenericityError) as chain:
+            _mixed_rounds(germ, I1, I2, *request, cfg)
+        assert str(branch.value) == str(chain.value)
+        assert text in str(branch.value)
 
 
 def test_top_level_colength_gate(germ3, R3, cfg, monkeypatch):
@@ -664,6 +678,130 @@ def test_top_level_colength_gate(germ3, R3, cfg, monkeypatch):
         assert mixed_segre(germ, I1, I2, *request, cfg) == \
             _mixed_rounds(germ, I1, I2, *request, cfg)
         assert _colength_rounds(rounds) == [False, False]
+
+
+def _stages_spy(monkeypatch):
+    """Record the `numbers_only` flag of each `_polar_stages` call."""
+    calls = []
+    real = segre._polar_stages
+
+    def spy(germ, I, cfg, seed, numbers_only=False, codim=0):
+        calls.append(numbers_only)
+        return real(germ, I, cfg, seed, numbers_only, codim)
+
+    monkeypatch.setattr(segre, "_polar_stages", spy)
+    return calls
+
+
+def _chain_numbers(seed, cfg, round_idx, germ, I, codim=0):
+    """The numbers of a round of the stage chain itself."""
+    stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
+    return tuple((s.m, s.e) for s in stages)
+
+
+def _equigenerated_cases():
+    """(germ, I, d): m-primary ideals on C^2, C^3 and C^4 generated by
+    forms of one degree d."""
+    rng = random.Random(25)
+    cases = []
+    for names, degrees in ((["x", "y"], (2, 3, 4)), (["x", "y", "z"], (2, 3)),
+                           (["x", "y", "z", "w"], (2,))):
+        R = PolynomialRing(names)
+        germ = make_germ(R)
+        m = ideal(R, *R.variables())
+        for d in degrees:
+            cases.append((germ, ideal(R, *(v ** d for v in R.variables())), d))
+            cases.append((germ, ideal_power(m, d), d))
+            cases.append((germ, _random_m_primary(germ, rng, d, d), d))
+    R3 = PolynomialRing(["x", "y", "z"])
+    x, y, z = R3.variables()
+    cases.append((make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3)), 3))
+    return cases
+
+
+def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
+    """On monomial ideals (x^d, y^d, ...), powers m^d, random forms of
+    one degree d and the tangent ideal of x^3 + y^3 + z^3, on C^2, C^3
+    and C^4, each chain round makes one completion and gives the numbers
+    of the stage chain on the same seed over GF(p): m_k = d^k and
+    e = (0, ..., 0, d^n).  `polar_chain`, whose rerun of round 0 over
+    QQ runs the chain, agrees."""
+    cfg = GenericityConfig()
+    stages = _stages_spy(monkeypatch)
+    for case, (germ, I, d) in enumerate(_equigenerated_cases()):
+        n = germ.n
+        expected = ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
+        for r in range(3):
+            seed = derive_seed(cfg.seed, case, r)
+            p = segre._round_prime(seed)
+            germ_p, I_p = germ.over(p), I.over(p)
+            stages.clear()
+            assert segre._chain_round(seed, cfg, 0, germ_p, I_p, codim=n) == expected, I
+            assert stages == []
+            assert _chain_numbers(seed, cfg, 0, germ_p, I_p, codim=n) == expected
+        stages.clear()
+        chain = polar_chain(germ, I, cfg)
+        assert chain.e == tuple(e for _, e in expected[1:])
+        assert chain.m == tuple(m for m, _ in expected[:-1])
+        assert stages == [False]
+
+
+def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
+    """The stage chain still runs for a tangent ideal that is not
+    homogeneous, for generators of two degrees, for an equigenerated
+    ideal that is not m-primary, on the cone xy - z^2 and with codim 0.
+    When the n drawn forms share a zero line the round runs the chain,
+    whose anomaly text it ends with; and a colength other than d^n is
+    refused."""
+    x, y, z = R3.variables()
+    a, b = R2.variables()
+    m = ideal(R3, x, y, z)
+    stages = _stages_spy(monkeypatch)
+    cases = [
+        (make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3))),
+        (make_germ(R2), ideal(R2, a ** 2, b ** 3)),
+        (make_germ(R3), ideal(R3, x * z, y * z)),
+        (make_germ(R3, ideal(R3, x * y - z ** 2)), m),
+    ]
+    for germ, I in cases:
+        stages.clear()
+        segre_profile(germ, I, cfg)
+        assert stages and all(stages)
+    m2 = ideal_power(m, 2)
+    stages.clear()
+    assert segre._chain_round(cfg.seed, cfg, 0, make_germ(R3), m2) == \
+        ((1, None), (2, 0), (4, 0), (0, 8))
+    assert stages == [True]
+
+    # the three cuts are drawn from the generators in (x, y) only, so
+    # they share the z-axis
+    real = segre.generic_tuple
+
+    def on_the_z_axis(I, count, cfg, seed=None):
+        if count == 3:
+            I = Ideal(I.ring, [g for g in I.generators if all(e[0] or e[1] for _, e in g.terms())])
+        return real(I, count, cfg, seed)
+
+    monkeypatch.setattr(segre, "generic_tuple", on_the_z_axis)
+    with pytest.raises(GenericityError) as chain:
+        segre._certified(cfg, partial(_chain_numbers, codim=3), make_germ(R3), m2)
+    stages.clear()
+    with pytest.raises(GenericityError) as fallback:
+        segre_profile(make_germ(R3), m2, cfg)
+    assert str(fallback.value) == str(chain.value)
+    assert "stage 3 cut: local dimension 1, expected 0" in str(chain.value)
+    assert stages and all(stages)
+    monkeypatch.setattr(segre, "generic_tuple", real)
+
+    real_mult = segre.multiplicity_at_origin
+
+    def one_too_many(I, **kw):
+        res = real_mult(I, **kw)
+        return replace(res, multiplicity=res.multiplicity + 1)
+
+    monkeypatch.setattr(segre, "multiplicity_at_origin", one_too_many)
+    with pytest.raises(ConsistencyError, match="colength 9, not 8"):
+        segre_profile(make_germ(R3), m2, cfg)
 
 
 def test_cosupport_precondition(R3, cfg):
