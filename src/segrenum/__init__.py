@@ -24,11 +24,9 @@ from .groebner import (
     ideal,
     ideal_power,
     ideal_product,
-    ideal_quotient,
     ideal_sum,
     intersect,
     normal_form,
-    radical_membership,
     saturate,
 )
 from .multiplicity import (

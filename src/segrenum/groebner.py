@@ -1,7 +1,7 @@
 """Groebner bases and the ideal toolbox: normal forms, elimination,
-saturation, quotients, radical membership, and the Hilbert series of a
-monomial ideal, which colength and dimension read and which steers
-completions given a lower bound.
+intersection, saturation, and the Hilbert series of a monomial ideal,
+which colength and dimension read and which steers completions given a
+lower bound.
 
 Buchberger's algorithm with the Gebauer-Moeller pair update (the two
 standard discarding criteria) and the normal selection strategy, over
@@ -695,67 +695,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     gens = [_lift(f, ext) for f in known or I.generators]
     gens.append(ext.variable(0) * _lift(g, ext) - ext.one())
     return _eliminated(buchberger(Ideal(ext, gens), known=len(known)), 1, I.ring)
-
-
-def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
-    """p / g when g divides p exactly; raises otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    key = _memo_key(p.ring.order, p.ring.nvars)
-    guard = key.__self__.guard
-    m = p.ring.modulus
-    lt_g = max(g.coeffs, key=key)
-    inv = pow(g.coeffs[lt_g], -1, m) if m else 1 / g.coeffs[lt_g]
-    work = dict(p.coeffs)
-    quot = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        shift = e - lt_g
-        if shift & guard:
-            raise PreconditionError("polynomial is not exactly divisible")
-        factor = c * inv % m if m else c * inv
-        quot[shift] = factor
-        for eg, cg in g.coeffs.items():
-            if eg == lt_g:
-                continue
-            ee = eg + shift
-            if ee & guard:
-                raise _overflow(key.__self__.unpack(ee))
-            s = work.get(ee, 0) - factor * cg
-            if m:
-                s %= m
-            if s:
-                work[ee] = s
-            else:
-                work.pop(ee, None)
-    return Polynomial(p.ring, quot)
-
-
-def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J), exactly."""
-    if I.ring != J.ring:
-        raise RingMismatchError("quotient needs a shared ring")
-    if J.is_zero:
-        return Ideal(I.ring, (I.ring.one(),))
-    result = None
-    for g in J.generators:
-        if g.total_degree == 0:
-            part = I
-        else:
-            meet = intersect(I, Ideal(I.ring, (g,)))
-            part = Ideal(I.ring, [exact_divide(f, g) for f in meet.generators])
-        result = part if result is None else intersect(result, part)
-    return result
-
-
-def radical_membership(p: Polynomial, I: Ideal) -> bool:
-    """True iff p vanishes on V(I): I : p^infinity is the unit ideal."""
-    if p.ring != I.ring:
-        raise RingMismatchError("radical membership needs a shared ring")
-    if p.is_zero:
-        return True
-    return buchberger(saturate(I, Ideal(I.ring, (p,)))).is_unit
 
 
 def _numerator(gens):

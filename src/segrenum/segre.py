@@ -74,9 +74,11 @@ every prefix (h_1, ..., h_k) has local dimension n - k; in the regular
 ring R the h then form a regular sequence, each prefix is unmixed with
 associated primes of dimension n - k >= 1 for k < n, the m-primary S
 lies in none of them, and locally Q_k = (h_1, ..., h_k).  So
-mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For i + j = n the
-number is Teissier's mixed multiplicity e(I1^[i] | I2^[j]).  Cuts that
-are not 0-dimensional at the origin run the chain on the round's seed.
+mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For i + j = n the n
+drawn elements generate the ideal of the h, and the number is Teissier's
+e(I1^[i] | I2^[j]), which `mixed_multiplicity_primary` reads through the
+same round.  Cuts that are not 0-dimensional at the origin run the chain
+on the round's seed.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -113,7 +115,7 @@ from the origin and has no operation here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import lcm
 
 from .errors import (
@@ -128,8 +130,8 @@ from .groebner import (
     _basis_ideal,
     buchberger,
     dimension,
-    ideal_quotient,
     ideal_sum,
+    intersect,
     saturate,
 )
 from .linalg import rank
@@ -609,29 +611,40 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
     """Segre numbers of the ideal induced by I on the subgerm X cut out
     by P on the germ, whose ideal is the ambient plus P.
 
-    Precondition: no associated component of X lies inside V(I), checked
-    exactly as X : I == X (which gives X : I^k == X for every k).  For
-    one generic g in I drawn from the seed, X <= X : I <= X : g, so
-    X : g == X, one principal quotient, proves it; only otherwise is the
-    quotient by all of I computed, to tell a bad g from a real failure.
+    Precondition: no associated prime of X contains I, checked exactly
+    as X : I^inf == X.  For one generic g in I drawn from the seed,
+    X <= X : I^inf <= X : g^inf, so X : g^inf == X, one saturation,
+    proves it; only otherwise is X : I^inf, the intersection of the
+    saturations X : g_j^inf by the generators g_j of I, computed, to tell
+    a bad g from a real failure.
     """
     if P.is_zero:
         return segre_profile(germ, I, cfg)
     X = ideal_sum(germ.ambient, P)
-    if (ideal_quotient(X, _saturator(I, cfg, cfg.seed)) != X
-            and ideal_quotient(X, I) != X):
+    if (saturate(X, _saturator(I, cfg, cfg.seed)) != X
+            and reduce(intersect, (saturate(X, Ideal(X.ring, (g,)))
+                                   for g in I.generators)) != X):
         raise PreconditionError("a component of the subscheme lies inside V(I)")
     if not passes_through_origin(X):
         raise PreconditionError("subscheme misses the origin")
     return segre_profile(make_germ(germ.ring, X), I, cfg)
 
 
+def _mixed_pool(seed, cfg, I1, I2, i, j):
+    """i generic elements of I1 and j of I2, drawn from the round seed;
+    a side whose count is 0 draws nothing."""
+    pool = ()
+    if i:
+        pool += generic_tuple(I1, i, cfg, seed=derive_seed(seed, 1)).combinations
+    if j:
+        pool += generic_tuple(I2, j, cfg, seed=derive_seed(seed, 2)).combinations
+    return pool
+
+
 def _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j):
-    """The k cuts of a mixed round: generic combinations of i generic
-    elements of I1 and j of I2, all drawn from the round seed."""
-    tup_f = generic_tuple(I1, i, cfg, seed=derive_seed(seed, 1))
-    tup_g = generic_tuple(I2, j, cfg, seed=derive_seed(seed, 2))
-    pool = Ideal(germ.ring, tup_f.combinations + tup_g.combinations)
+    """The k cuts of a mixed round: generic combinations of the round's
+    pool (`_mixed_pool`), drawn from the round seed."""
+    pool = Ideal(germ.ring, _mixed_pool(seed, cfg, I1, I2, i, j))
     return generic_tuple(pool, k, cfg, seed=derive_seed(seed, 3)).combinations
 
 
@@ -645,17 +658,23 @@ def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
 
 
 def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
-    """The number of a top-level mixed round on C^n with an m-primary
-    source: the local colength of the ideal of the round's n cuts, the
-    same cuts `_mixed_round` draws from the seed.  Cuts that are not
-    0-dimensional at the origin run `_mixed_round` on the same seed,
-    which raises the chain's own anomaly."""
-    n = germ.n
-    cuts = Ideal(germ.ring, _mixed_cuts(seed, cfg, germ, I1, I2, n, i, j))
-    res = multiplicity_at_origin(cuts)
+    """The number of a top-level round with an m-primary source: the
+    local colength at 0 of the germ plus n cuts, e_n^{i,j}(I1, I2) for
+    `mixed_segre` and, when i + j = n, Teissier's e(I1^[i] | I2^[j]) for
+    `mixed_multiplicity_primary`.  Odd rounds run as (I2, I1, j, i), a
+    symmetry check.  For i + j = n the cuts are the pool itself: a
+    full-rank recombination of its n elements generates the same ideal
+    and only adds terms; for i + j > n they are the n cuts `_mixed_round`
+    draws.  Cuts that are not 0-dimensional at the origin run
+    `_mixed_round` on the same seed, which raises the chain's own anomaly."""
+    if round_idx & 1:
+        I1, I2, i, j = I2, I1, j, i
+    cuts = (_mixed_pool(seed, cfg, I1, I2, i, j) if i + j == germ.n
+            else _mixed_cuts(seed, cfg, germ, I1, I2, germ.n, i, j))
+    res = multiplicity_at_origin(ideal_sum(germ.ambient, Ideal(germ.ring, cuts)))
     if res.local_dimension == 0:
         return res.multiplicity
-    return _mixed_round(seed, cfg, round_idx, germ, I1, I2, n, i, j, codim=n)
+    return _mixed_round(seed, cfg, round_idx, germ, I1, I2, germ.n, i, j, codim=germ.n)
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -676,11 +695,11 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     first: e_k(I1) need not vanish below c2.
 
     On C^n with k == c == n and both ideals in m, the source I1 + I2 is
-    m-primary and each round reads the local colength of its n cuts
-    (`_colength_round`, the same cuts the chain draws): no stages
-    1 .. n - 1, no dimension of the source and no certificate tests.  A
-    round whose cuts are not 0-dimensional at the origin runs the stage
-    chain on its seed, so both paths raise one anomaly.
+    m-primary and each round reads one local colength
+    (`_colength_round`, the round of `mixed_multiplicity_primary` too):
+    no stages 1 .. n - 1, no dimension of the source and no certificate
+    tests.  A round whose cuts are not 0-dimensional at the origin runs
+    the stage chain on its seed, so both paths raise one anomaly.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -715,33 +734,17 @@ def require_m_primary(germ: GermContext, I: Ideal, label: str):
 
 def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
                                cfg: GenericityConfig) -> int:
-    """Teissier mixed multiplicity for m-primary ideals: the local
-    colength of i generic elements of I1 with n-i generic elements of I2.
-
-    Symmetry e_{i,n-i}(I1,I2) = e_{n-i,i}(I2,I1) is asserted by running
-    odd verification rounds in the swapped orientation.
-    """
+    """Teissier mixed multiplicity e(I1^[i] | I2^[n-i]) of m-primary
+    ideals: the local colength on the germ of i generic elements of I1
+    with n - i generic elements of I2, read by `_colength_round`.  Its
+    odd rounds run in the swapped orientation, which checks the symmetry
+    e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i])."""
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
-
-    def run_once(seed, cfg_b, round_idx, germ, I1, I2):
-        swap = bool(round_idx & 1)
-        A, B, ia = (I2, I1, n - i) if swap else (I1, I2, i)
-        gens = []
-        if ia:
-            gens += list(generic_tuple(A, ia, cfg_b, seed=derive_seed(seed, 1)).combinations)
-        if n - ia:
-            gens += list(generic_tuple(B, n - ia, cfg_b, seed=derive_seed(seed, 2)).combinations)
-        total = ideal_sum(germ.ambient, Ideal(germ.ring, gens))
-        res = multiplicity_at_origin(total)
-        if res.misses_origin or res.local_dimension != 0:
-            raise DimensionAnomalyError("generic combinations are not a system of parameters")
-        return res.multiplicity
-
-    return _certified(cfg, run_once, germ, I1, I2)[0]
+    return _certified(cfg, partial(_colength_round, i=i, j=n - i), germ, I1, I2)[0]
 
 
 def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):

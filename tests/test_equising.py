@@ -131,10 +131,12 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     and leave stage 3 unsaturated: no saturation from cold caches,
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
     was too, with the same numbers.  The mixed numbers e_3^{2,1} and
-    e_3^{1,2} read the colength of their three cuts, one completion per
-    round without a Hilbert bound, and so do the profile rounds of the
-    left tangent ideal, m^2, whose generators are all quadrics: the
-    completions reduce 98 S-pairs, against 90 when that profile ran the
+    e_3^{1,2} read the colength of the three elements each round draws,
+    one completion per round without a Hilbert bound, and so do the
+    profile rounds of the left tangent ideal, m^2, whose generators are
+    all quadrics: the completions reduce 88 S-pairs, against 98 when each
+    mixed round read three combinations of its drawn elements and ran
+    odd rounds unswapped, 90 when that profile ran the
     stage chain, whose prefixes bound each cut's series, 72 when the
     mixed numbers ran it too, 80 when e_2^{1,1}, below the codimension 3
     of both sources, ran its rounds, 176 when each certificate also
@@ -146,7 +148,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 98)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 88)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]

@@ -9,10 +9,10 @@ from segrenum import (
     hilbert_samuel,
     ideal,
     ideal_power,
-    ideal_quotient,
     ideal_sum,
     multiplicity_at_origin,
     passes_through_origin,
+    saturate,
     colength,
 )
 from segrenum.errors import ConsistencyError, PreconditionError
@@ -232,7 +232,7 @@ def test_hilbert_bound_keeps_every_row(homogeneous):
         top = max(len(series[0]), len(P)) + 4
         below = _coefficients(bound, top)
         assert all(b <= s for b, s in zip(below, _coefficients(series, top))), case
-        if (homogeneous or polar) and ideal_quotient(Q, ideal(ring, f)) == Q:
+        if (homogeneous or polar) and saturate(Q, ideal(ring, f)) == Q:
             assert below == _coefficients(series, top), case
             exact += 1
 

@@ -680,6 +680,25 @@ def test_top_level_colength_gate(germ3, R3, cfg, monkeypatch):
         assert _colength_rounds(rounds) == [False, False]
 
 
+def test_teissier_multiplicities_read_the_colength_round(R3, cfg, monkeypatch):
+    """On the A1 cone xy - z^2 (n = 2, multiplicity 2) the mixed
+    multiplicities run `_colength_round` with the cone's ideal added,
+    also at i = 0 and i = n, where one side draws nothing:
+    e(m^[i] | m^[2-i]) = 2 and e((m^2)^[i] | m^[2-i]) = 2^(i+1).  Every
+    round reads its colength, so none falls back to the stage chain."""
+    x, y, z = R3.variables()
+    germ = make_germ(R3, ideal(R3, x * y - z ** 2))
+    m = ideal(R3, x, y, z)
+    m2 = ideal_power(m, 2)
+    rounds = certified_spy(monkeypatch)
+    monkeypatch.setattr(segre, "_mixed_round", None)
+    for i in range(3):
+        rounds.clear()
+        assert mixed_multiplicity_primary(germ, m, m, i, cfg) == 2
+        assert mixed_multiplicity_primary(germ, m2, m, i, cfg) == 2 ** (i + 1)
+        assert _colength_rounds(rounds) == [True, True]
+
+
 def _stages_spy(monkeypatch):
     """Record the `numbers_only` flag of each `_polar_stages` call."""
     calls = []
@@ -1038,20 +1057,55 @@ def test_certification_schedule(R3):
 
 def test_subspace_precondition_takes_one_principal_quotient(germ3, divisor_pair, cfg,
                                                            monkeypatch):
-    """When P : g = P for the generic g of I, the precondition check makes
-    no quotient by all of I."""
+    """When P : g^inf = P for the generic g of I, the precondition check
+    makes one saturation and no intersection of saturations by the
+    generators of I."""
     _, I2 = divisor_pair
     P = polar_chain(germ3, I2, cfg).stages[1].polar_ideal
-    divisors = []
-    real = segre.ideal_quotient
+    meets = []
+    real = segre.intersect
 
     def spy(A, B):
-        divisors.append(len(B.generators))
+        meets.append(B)
         return real(A, B)
 
-    monkeypatch.setattr(segre, "ideal_quotient", spy)
+    monkeypatch.setattr(segre, "intersect", spy)
+    saturations = saturate_spy(monkeypatch)
     segre_on_subspace(germ3, I2, P, cfg)
-    assert divisors == [1]
+    assert meets == []
+    assert saturations[0] == P
+
+
+def test_subspace_precondition_falls_back_to_every_generator(germ3, R3, cfg,
+                                                             monkeypatch):
+    """X = (xy) on C^3 and I = (x, y): with the precondition's g forced to
+    x, X : x^inf = (y) is not X, and the check goes on to
+    X : I^inf = (y) cap (x) = X, which passes; the profile is the one the
+    generic g gives.  No per-generator saturation equals X here, so a
+    check that asked that of each would refuse."""
+    x, y, _ = R3.variables()
+    X, I = ideal(R3, x * y), ideal(R3, x, y)
+    unforced = segre_on_subspace(germ3, I, X, cfg)
+    real = segre._saturator
+
+    def forced(S, cfg_b, seed, *where):
+        if S.ring.modulus:
+            return real(S, cfg_b, seed, *where)
+        return ideal(S.ring, x)
+
+    monkeypatch.setattr(segre, "_saturator", forced)
+    meets = []
+    real_intersect = segre.intersect
+
+    def spy(A, B):
+        meets.append((A, B))
+        return real_intersect(A, B)
+
+    monkeypatch.setattr(segre, "intersect", spy)
+    forced_profile = segre_on_subspace(germ3, I, X, cfg)
+    assert meets == [(ideal(R3, y), ideal(R3, x))]
+    assert (forced_profile.e, forced_profile.m) == (unforced.e, unforced.m) == ((2, 0), (2, 0))
+    assert segre.saturate(X, ideal(R3, y)) != X
 
 
 def test_brieskorn_contact_tangent_profile(R3):
