@@ -46,9 +46,11 @@ falls below HF(I, D) >= B(D).  So once it reaches B(D), the leads span
 the initial ideal in degree D and the remaining pairs of that degree
 reduce to zero: they are dropped unreduced (Traverso, "Hilbert functions
 and the Buchberger algorithm", JSC 22, 1996).  The basis is the same
-unique reduced basis.  Hilbert series of monomial ideals are memoised
-by their sorted exponents beside the basis cache; `clear_caches`
-empties both.
+unique reduced basis.  The leads' function is counted as the run goes,
+from the set of degree-D monomials the leads divide, so no Hilbert
+series is computed inside a completion.  Hilbert series of monomial
+ideals are memoised by their sorted exponents beside the basis cache;
+`clear_caches` empties both.
 """
 
 from __future__ import annotations
@@ -422,7 +424,12 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
     each new lead lowers it by one, and at 0 the remaining pairs of
     degree D are dropped unreduced and uncounted in `spairs_reduced`.  A
     negative deficit means a bound above the true series:
-    ConsistencyError.
+    ConsistencyError.  HF(leads, D) is counted, not recomputed: the run
+    keeps the set of degree-D monomials some lead divides, adds each new
+    lead to it, and moves it up a degree by multiplying each member by
+    each variable and adding the leads of the new degree.  Pairs come in
+    increasing degree, so the set is built from the leads once per run,
+    at its first degree, and again only if the degree ever went down.
 
     Every element counts against `MAX_BASIS`; the leads that S-pair
     reductions add also against `MAX_DEGREE`.
@@ -465,9 +472,21 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
         if bound is not None:
             D = sum(unpack(L))
             if D != degree:
-                exps = [unpack(e) for e in lts]
-                degree = D
-                deficit = (hilbert_function(*hilbert_series(exps, len(exps[0])), D)
+                if degree is None or D < degree:
+                    nvars = len(unpack(L))
+                    units = [1 << W * v for v in range(nvars)]
+                    # `covered`: the monomials of degree `degree` that some lead
+                    # divides; `tops`: the leads so far by degree (later ones
+                    # join `covered` as they come)
+                    tops = {}
+                    for e in lts:
+                        tops.setdefault(sum(unpack(e)), []).append(e)
+                    degree, covered = min(tops) - 1, set()
+                while degree < D:
+                    degree += 1
+                    covered = {e + u for e in covered for u in units}
+                    covered.update(tops.get(degree, ()))
+                deficit = (comb(D + nvars - 1, nvars - 1) - len(covered)
                            - hilbert_function(*bound, D))
                 if deficit < 0:
                     raise ConsistencyError(f"Hilbert bound exceeds the leads' function in degree {D}")
@@ -480,6 +499,7 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
         if r:
             insert(_normalise(r, key, modulus), grown=True)
             if deficit is not None:
+                covered.add(lts[-1])
                 deficit -= 1
 
     if len(G) > stats.max_basis_size:

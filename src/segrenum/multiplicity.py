@@ -22,6 +22,19 @@ the S-pairs it proves reduce to zero (see `groebner`).  A polar ideal,
 given by its reduced grevlex basis, is its own prefix, and its bound is
 exact.
 
+With the zero ideal as prefix, J = (f_1, ..., f_r) on k[x_1..x_n] with
+r <= n + 1 gets the complete-intersection bound
+prod (1 - z^deg f_i) / (1 - z)^n, exact when the f are a regular
+sequence: the colength cuts, the one-degree rule's n forms and the
+first cut on a germ with an ambient take it.  In each degree D the
+Hilbert function is dim k[x]_D minus the rank of
+(g_i) -> sum g_i f_i, and a rank is largest on an open set of
+coefficients, so the function is least for generic forms of those
+degrees.  Generic forms of which the first min(r, n) are a regular
+sequence have the product as their series up to r = n, and the one
+exact-sequence step above bounds the (n + 1)-th.  Over GF(p) the same
+holds over the algebraic closure, where the function is the same.
+
 Assumption (classical, used throughout): the multiplicity of a cycle at
 0 equals the Hilbert-Samuel multiplicity of the corresponding scheme
 ideal, additively over top-dimensional components with their lengths
@@ -65,23 +78,28 @@ def _homogenize(I: Ideal) -> Ideal:
 
 def _cut_bound(I: Ideal, Q: Ideal):
     """A lower bound (P, d) on the Hilbert series a completion of I reads,
-    for I generated by Q's generators and at most one more, f: the
-    series of k[x]/in_grevlex(Q) times (1 - z^deg f), by the exact
-    sequence of the module docstring when I is homogeneous.
+    for I generated by Q's generators and then f_1, ..., f_r: the series
+    of k[x]/in_grevlex(Q) times each (1 - z^deg f_i), by the module
+    docstring when I is homogeneous.  It is proven for r <= 1, and for
+    r <= n + 1 when Q is the zero ideal; None (no bound) otherwise.
 
     On the tangent-cone path the homogenized generators of I lie in
     Q^h + (f^h), Q^h the homogenization of Q.  The homogenizing variable
     is a nonzerodivisor on k[t, x]/Q^h, with quotient k[x] modulo the
     top-degree forms of Q, whose series is that of k[x]/in_grevlex(Q),
-    so the bound divided by (1 - z) bounds that series.  It is exact
-    when f^h is a nonzerodivisor and Q's generators are a grevlex basis,
-    whose homogenizations generate Q^h."""
+    so the bound divided by (1 - z) bounds that series; for the zero
+    prefix the f^h are r <= n + 1 forms on k[t, x].  It is exact when
+    the f^h are a regular sequence modulo Q^h and Q's generators are a
+    grevlex basis, whose homogenizations generate Q^h."""
     q = Q.generators
-    if I.generators[:len(q)] != q or len(I.generators) > len(q) + 1:
-        raise PreconditionError("a cut's generators are its prefix's and at most one more")
+    if I.generators[:len(q)] != q:
+        raise PreconditionError("a cut's generators begin with its prefix's")
+    cuts = I.generators[len(q):]
+    if len(cuts) > (1 if q else I.ring.nvars + 1):
+        return None
     P, d = _global_series(Q)
-    if len(I.generators) > len(q):
-        shift = (0,) * I.generators[-1].total_degree
+    for f in cuts:
+        shift = (0,) * f.total_degree
         P = tuple(a - b for a, b in zip(P + shift, shift + P))
     return P, d
 
@@ -134,10 +152,9 @@ def multiplicity_at_origin(I: Ideal, *, prefix: Ideal | None = None) -> LocalMul
     Hilbert-Samuel values for N = 1 .. deg P + d + 2, which reach past
     the point where the function becomes a polynomial in N.
 
-    `prefix`, an ideal Q whose generators begin I's, with at most one
-    more generator f after them, only saves work: it gives the
-    completion a lower bound on its series (`_cut_bound`), with which it
-    skips S-pairs that reduce to zero.
+    `prefix`, an ideal Q whose generators begin I's, only saves work: it
+    gives the completion a lower bound on its series (`_cut_bound`),
+    with which it skips S-pairs that reduce to zero.
     """
     P, d = _local_series(I, prefix)
     if d < 0:

@@ -459,18 +459,23 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
     saturated; a g that vanishes at 0 all the same gives m_n = 0 there
     too.
 
-    Each multiplicity names its prefix: Q_{k-1} for the cut, Q_k itself
-    for the polar stage, so its completion gets a lower bound on its
-    Hilbert series (see `multiplicity`)."""
+    Each multiplicity names its prefix, so its completion gets a lower
+    bound on its Hilbert series (see `multiplicity`): Q_{k-1} for a cut
+    after the first, Q_k itself for the polar stage, and the zero ideal
+    for stage 1's cut, whose bound is then the product over the
+    ambient's generators and f_1 and needs no completion of the ambient
+    over the round's field."""
     ring = germ.ring
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
+    prefix = Ideal(ring, ())
     skip_last = numbers_only and passes_through_origin(source)
     certify = germ.ambient.is_zero
     saturator = None
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
-        m_j = _contribution(multiplicity_at_origin(J, prefix=Q), germ.n - k, f"stage {k} cut")
+        m_j = _contribution(multiplicity_at_origin(J, prefix=prefix), germ.n - k,
+                            f"stage {k} cut")
         certify = certify and k < codim and _saturation_is_trivial(J, source, k)
         if skip_last and k == germ.n:
             Qk, m_q = None, 0
@@ -485,7 +490,7 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
         if e < 0:
             raise DimensionAnomalyError(f"negative Segre contribution at stage {k}")
         stages.append(StageRecord(k, J, Qk, m_q, e))
-        Q = Qk
+        Q = prefix = Qk
     return stages
 
 
@@ -564,14 +569,15 @@ def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
     multiplicity d^k and, as dim V(I) <= dim V(J) = 0, passes
     `_saturation_is_trivial`: m_k = d^k and e = (0, ..., 0, d^n), exact
     for this draw over the round's field, and J's colength must be d^n.
-    Any other J runs the stage chain on the seed, which raises its own
-    anomaly."""
+    J's prefix is the zero ideal, so its completion is bounded by
+    (1 - z^d)^n / (1 - z)^n, J's series when J is 0-dimensional.  Any other J runs the
+    stage chain on the seed, which raises its own anomaly."""
     n = germ.n
     degrees = {t for g in I.generators for t in g.degrees()}
     if codim == n and germ.ambient.is_zero and len(degrees) == 1:
         (d,) = degrees
         J = Ideal(germ.ring, generic_tuple(I, n, cfg, seed=seed).combinations)
-        res = multiplicity_at_origin(J)
+        res = multiplicity_at_origin(J, prefix=Ideal(germ.ring, ()))
         if res.local_dimension == 0:
             if res.multiplicity != d ** n:
                 raise ConsistencyError(
@@ -665,13 +671,17 @@ def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
     symmetry check.  For i + j = n the cuts are the pool itself: a
     full-rank recombination of its n elements generates the same ideal
     and only adds terms; for i + j > n they are the n cuts `_mixed_round`
-    draws.  Cuts that are not 0-dimensional at the origin run
-    `_mixed_round` on the same seed, which raises the chain's own anomaly."""
+    draws.  The completion takes the zero ideal as prefix, so it is
+    bounded by the complete-intersection series of the germ's generators
+    and the cuts (see `multiplicity`).  Cuts that are not 0-dimensional
+    at the origin run `_mixed_round` on the same seed, which raises the
+    chain's own anomaly."""
     if round_idx & 1:
         I1, I2, i, j = I2, I1, j, i
     cuts = (_mixed_pool(seed, cfg, I1, I2, i, j) if i + j == germ.n
             else _mixed_cuts(seed, cfg, germ, I1, I2, germ.n, i, j))
-    res = multiplicity_at_origin(ideal_sum(germ.ambient, Ideal(germ.ring, cuts)))
+    res = multiplicity_at_origin(ideal_sum(germ.ambient, Ideal(germ.ring, cuts)),
+                                 prefix=Ideal(germ.ring, ()))
     if res.local_dimension == 0:
         return res.multiplicity
     return _mixed_round(seed, cfg, round_idx, germ, I1, I2, germ.n, i, j, codim=germ.n)

@@ -132,9 +132,11 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
     was too, with the same numbers.  The mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of the three elements each round draws,
-    one completion per round without a Hilbert bound, and so do the
-    profile rounds of the left tangent ideal, m^2, whose generators are
-    all quadrics: the completions reduce 88 S-pairs, against 98 when each
+    one completion per round bounded by the complete-intersection series
+    of its three cuts, and so do the profile rounds of the left tangent
+    ideal, m^2, whose generators are all quadrics: the completions reduce
+    54 S-pairs, against 88 when those completions had no Hilbert bound,
+    98 when each
     mixed round read three combinations of its drawn elements and ran
     odd rounds unswapped, 90 when that profile ran the
     stage chain, whose prefixes bound each cut's series, 72 when the
@@ -148,7 +150,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 88)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 54)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -162,8 +164,10 @@ def test_closure_battery_work(cfg, monkeypatch):
     codimension 4 of both sources, are 0 without a round, and those of
     level 4 read the colength of their four cuts.  Both sources are
     generated by forms of degree 2, so each profile round is one
-    completion of its four cuts too.  The Groebner work is pinned: 12
-    completions reducing 196 S-pairs, against 28 and 166 when the
+    completion of its four cuts too, and every completion is bounded by
+    the complete-intersection series of its four cuts.  The Groebner work
+    is pinned: 12 completions reducing 60 S-pairs, against 12 and 196
+    when those completions had no Hilbert bound, 28 and 166 when the
     profiles ran the stage chain, whose prefixes bound each cut's
     series, 48 and 86 when the level-4 numbers ran it too, 64 and 104
     when the lower levels ran their rounds, and 104 completions and 256
@@ -176,7 +180,7 @@ def test_closure_battery_work(cfg, monkeypatch):
     report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
                              ideal_power(m, 2), cfg)
     assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
-        (0, 12, 196)
+        (0, 12, 60)
     assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 

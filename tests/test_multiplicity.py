@@ -14,6 +14,7 @@ from segrenum import (
     passes_through_origin,
     saturate,
     colength,
+    dimension,
 )
 from segrenum.errors import ConsistencyError, PreconditionError
 from segrenum.groebner import (
@@ -180,15 +181,18 @@ def test_passes_through_origin(R2):
 
 # -- the Hilbert bound of a cut ----------------------------------------------
 
-def _random_form(rng, ring, homogeneous):
-    """Two to four terms with small coefficients, of one degree from 1 to
-    3 or each of its own degree from 1 to 3."""
+def _random_form(rng, ring, homogeneous, degree=None):
+    """Two to four terms with small coefficients: all of `degree` (drawn
+    from 1 to 3 when not given), or each of its own degree from 1 to
+    `degree` (3 when not given)."""
     n = ring.nvars
-    degree = rng.randint(1, 3)
+    top = 3 if degree is None else degree
+    if degree is None:
+        degree = rng.randint(1, 3)
     coeffs = {}
     for _ in range(rng.randint(2, 4)):
         e = [0] * n
-        for _ in range(degree if homogeneous else rng.randint(1, 3)):
+        for _ in range(degree if homogeneous else rng.randint(1, top)):
             e[rng.randrange(n)] += 1
         coeffs[tuple(e)] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 11))
     return ring.poly(coeffs)
@@ -206,6 +210,41 @@ def _coefficients(series, top):
     return [hilbert_function(*series, D) for D in range(top)]
 
 
+def _bounded_completion(J, prefix, homogeneous, case):
+    """Check the bound of the cut J after `prefix` against the series its
+    completion reads, and the bounded completion against the plain one:
+    the same rows and leads, no more S-pairs, and the same multiplicity
+    when `multiplicity_at_origin` runs it.  Returns the S-pairs saved
+    and whether the bound equals the series."""
+    ring = J.ring
+    P, d = _cut_bound(J, prefix)
+    bound = (P, d if homogeneous else d + 1)
+    H, order, series = _completion_series(J, homogeneous)
+    top = max(len(series[0]), len(P)) + 4
+    below = _coefficients(bound, top)
+    assert all(b <= s for b, s in zip(below, _coefficients(series, top))), case
+
+    key = _memo_key(order, H.ring.nvars)
+    gens = [_normalise(g.coeffs, key, ring.modulus) for g in H.generators]
+    runs = []
+    for b in (None, bound):
+        ENGINE_STATS.reset()
+        runs.append((_buchberger_raw(gens, key, modulus=ring.modulus, bound=b),
+                     ENGINE_STATS.spairs_reduced))
+    (plain, plain_pairs), (bounded, bounded_pairs) = runs
+    assert bounded == plain, case
+    assert bounded_pairs <= plain_pairs, case
+
+    clear_caches()
+    _global_series(prefix)
+    ENGINE_STATS.reset()
+    cut = multiplicity_at_origin(J, prefix=prefix)
+    assert ENGINE_STATS.spairs_reduced == bounded_pairs, case
+    clear_caches()
+    assert cut == multiplicity_at_origin(J), case
+    return plain_pairs - bounded_pairs, below == _coefficients(series, top)
+
+
 @pytest.mark.parametrize("homogeneous", [True, False], ids=["grevlex", "tangent-cone"])
 def test_hilbert_bound_keeps_every_row(homogeneous):
     """On 24 seeded cuts Q + (f) on C^3 and C^4, over QQ and GF(p), with
@@ -215,7 +254,10 @@ def test_hilbert_bound_keeps_every_row(homogeneous):
     tangent-cone path, for Q given by its basis); the bounded and the
     plain completion give the same rows and leads, and the bounded one
     never reduces more S-pairs, also when `multiplicity_at_origin` runs
-    it."""
+    it.  The same holds for the zero prefix with r = 1 .. n + 1 cuts on
+    C^2, C^3 and C^4, their degrees drawn from 1 to 3 or alternating
+    between 2 and 5, so that the degrees of the pairs jump; there the
+    bound is exact when the cuts are a regular sequence."""
     rng = random.Random(5)
     saved = exact = 0
     for case in range(24):
@@ -226,35 +268,30 @@ def test_hilbert_bound_keeps_every_row(homogeneous):
             Q = Ideal(ring, buchberger(Q, GREVLEX).basis)
         f = _random_form(rng, ring, homogeneous)
         J = ideal_sum(Q, ideal(ring, f))
-        P, d = _cut_bound(J, Q)
-        bound = (P, d if homogeneous else d + 1)
-        H, order, series = _completion_series(J, homogeneous)
-        top = max(len(series[0]), len(P)) + 4
-        below = _coefficients(bound, top)
-        assert all(b <= s for b, s in zip(below, _coefficients(series, top))), case
+        fewer, equal = _bounded_completion(J, Q, homogeneous, case)
+        saved += fewer
         if (homogeneous or polar) and saturate(Q, ideal(ring, f)) == Q:
-            assert below == _coefficients(series, top), case
+            assert equal, case
             exact += 1
+    assert saved and exact >= 6
 
-        key = _memo_key(order, H.ring.nvars)
-        gens = [_normalise(g.coeffs, key, ring.modulus) for g in H.generators]
-        runs = []
-        for b in (None, bound):
-            ENGINE_STATS.reset()
-            runs.append((_buchberger_raw(gens, key, modulus=ring.modulus, bound=b),
-                         ENGINE_STATS.spairs_reduced))
-        (plain, plain_pairs), (bounded, bounded_pairs) = runs
-        assert bounded == plain, case
-        assert bounded_pairs <= plain_pairs, case
-        saved += plain_pairs - bounded_pairs
-
-        clear_caches()
-        _global_series(Q)
-        ENGINE_STATS.reset()
-        cut = multiplicity_at_origin(J, prefix=Q)
-        assert ENGINE_STATS.spairs_reduced == bounded_pairs, case
-        clear_caches()
-        assert cut == multiplicity_at_origin(J), case
+    saved = exact = 0
+    for n in (2, 3, 4):
+        for r in range(1, n + 2):
+            for modulus in (0, P31):
+                ring = PolynomialRing(["x", "y", "z", "w"][:n]).over(modulus)
+                degree_lists = [(None,) * r]
+                if r > 1:
+                    degree_lists.append(((2, 5) * n)[:r])
+                for degrees in degree_lists:
+                    case = n, r, modulus, degrees
+                    J = ideal(ring, *(_random_form(rng, ring, homogeneous, d) for d in degrees))
+                    fewer, equal = _bounded_completion(J, Ideal(ring, ()), homogeneous, case)
+                    saved += fewer
+                    H = J if homogeneous else _homogenize(J)
+                    if dimension(H) == H.ring.nvars - r:
+                        assert equal, case
+                        exact += 1
     assert saved and exact >= 6
 
 
@@ -307,7 +344,9 @@ def test_a_bound_above_the_series_raises():
 
 def test_bound_preconditions(R2):
     """A bound needs homogeneous generators and a degree order, and a
-    prefix must begin the cut's generators with at most one more."""
+    prefix must begin the cut's generators.  No bound is given where the
+    product is not proven one: two cuts after a prefix other than the
+    zero ideal, or n + 2 after the zero ideal on C^n."""
     x, y = R2.variables()
     with pytest.raises(PreconditionError):
         buchberger(ideal(R2, x ** 2 - y ** 3), GREVLEX, bound=((1,), 2))
@@ -315,8 +354,12 @@ def test_bound_preconditions(R2):
         buchberger(ideal(R2, x * y), LEX, bound=((1,), 2))
     with pytest.raises(PreconditionError):
         multiplicity_at_origin(ideal(R2, x, y), prefix=ideal(R2, y))
-    with pytest.raises(PreconditionError):
-        multiplicity_at_origin(ideal(R2, x, y, x * y), prefix=ideal(R2, x))
+    zero = Ideal(R2, ())
+    assert _cut_bound(ideal(R2, x, y, x * y), zero) == ((1, -2, 0, 2, -1), 2)
+    for J, Q in ((ideal(R2, x, y, x * y), ideal(R2, x)),
+                 (ideal(R2, x, y, x * y, y ** 3), zero)):
+        assert _cut_bound(J, Q) is None
+        assert multiplicity_at_origin(J, prefix=Q) == multiplicity_at_origin(J)
 
 
 def test_series_memo_hands_out_immutable_answers():

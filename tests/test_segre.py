@@ -32,6 +32,7 @@ from segrenum.errors import (
     GenericityError,
     PreconditionError,
 )
+from segrenum.groebner import ENGINE_STATS, clear_caches
 from segrenum.equising import FunctionGerm, contact_tangent_ideal, jacobian_ideal
 from segrenum.multiplicity import passes_through_origin
 from segrenum.parser import parse_input
@@ -821,6 +822,92 @@ def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
     monkeypatch.setattr(segre, "multiplicity_at_origin", one_too_many)
     with pytest.raises(ConsistencyError, match="colength 9, not 8"):
         segre_profile(make_germ(R3), m2, cfg)
+
+
+def test_bounded_colengths_match_plain_ones(monkeypatch):
+    """On seeded m-primary ideals on C^2, C^3 and C^4, of mixed degrees
+    and of one degree, and on the tangent ideal of x^2 + y^2 + z^3,
+    `_colength_round` (every top-level request, both orientations) and
+    `_chain_round` give the same numbers over each round's GF(p) with
+    their Hilbert bounds as with every prefix dropped, and the bounds
+    never add an S-pair."""
+    cfg = GenericityConfig()
+    rng = random.Random(27)
+    cases = []
+    for names, pairs in ((["x", "y"], ((1, 2), (2, 3), (2, 2))),
+                         (["x", "y", "z"], ((1, 2), (2, 3), (2, 2))),
+                         (["x", "y", "z", "w"], ((1, 2), (2, 2)))):
+        germ = make_germ(PolynomialRing(names))
+        for low, high in pairs:
+            cases.append((germ, _random_m_primary(germ, rng, low, high),
+                          _random_m_primary(germ, rng, high, high)))
+    R3 = PolynomialRing(["x", "y", "z"])
+    x, y, z = R3.variables()
+    cases.append((make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3)),
+                  ideal(R3, x, y, z)))
+    real = segre.multiplicity_at_origin
+
+    def numbers(case, germ, I1, I2):
+        seed = derive_seed(cfg.seed, case)
+        p = segre._round_prime(seed)
+        germ, I1, I2 = germ.over(p), I1.over(p), I2.over(p)
+        n = germ.n
+        out = [segre._chain_round(seed, cfg, 0, germ, I, codim=n) for I in (I1, I2)]
+        out += [segre._colength_round(seed, cfg, r, germ, I1, I2, i, j)
+                for r in (0, 1) for i in range(1, n + 1) for j in range(1, n + 1) if i + j >= n]
+        clear_caches()
+        return out, ENGINE_STATS.spairs_reduced
+
+    saved = 0
+    for case, (germ, I1, I2) in enumerate(cases):
+        clear_caches()
+        ENGINE_STATS.reset()
+        bounded, bounded_pairs = numbers(case, germ, I1, I2)
+        with monkeypatch.context() as patch:
+            patch.setattr(segre, "multiplicity_at_origin", lambda I, prefix=None: real(I))
+            ENGINE_STATS.reset()
+            plain, plain_pairs = numbers(case, germ, I1, I2)
+        assert bounded == plain, (case, I1, I2)
+        assert bounded_pairs <= plain_pairs, case
+        saved += plain_pairs - bounded_pairs
+    assert saved
+
+
+def test_a_germ_with_an_ambient_completes_no_ambient_for_a_bound(R3, cfg):
+    """Stage 1's cut takes the zero ideal as its prefix, so its bound is
+    the product over the ambient's generators and f_1, and no round
+    completes the ambient over its GF(p).  From cold caches, `make_germ`,
+    `segre_profile` and `polar_chain` run 12 completions on the cone
+    xy - z^2 with I = (x, z), against 15 when the bound was the ambient's
+    series times (1 - z^deg f_1), and 15 on x^2 + y^3 + z^5 with
+    I = (x, y), against 18.  Teissier's multiplicities of (m, (x^2, y, z))
+    on the cone, i = 0..2, read colengths bounded by the product over the
+    cone's generator and the two cuts: 9 completions reducing 14
+    S-pairs, against 9 and 31 with no bound.  The numbers are those of
+    the unbounded runs."""
+    x, y, z = R3.variables()
+
+    def work(run):
+        clear_caches()
+        ENGINE_STATS.reset()
+        out = run()
+        return out, ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced
+
+    def chain(ambient, I):
+        germ = make_germ(R3, ideal(R3, ambient))
+        return segre_profile(germ, I, cfg).e, polar_chain(germ, I, cfg).m
+
+    assert work(lambda: chain(x * y - z ** 2, ideal(R3, x, z)))[:2] == (((1, 1), (2, 1)), 12)
+    assert work(lambda: chain(x ** 2 + y ** 3 + z ** 5, ideal(R3, x, y)))[:2] == \
+        (((0, 5), (2, 2)), 15)
+
+    def teissier():
+        germ = make_germ(R3, ideal(R3, x * y - z ** 2))
+        m = ideal(R3, x, y, z)
+        return [mixed_multiplicity_primary(germ, m, ideal(R3, x ** 2, y, z), i, cfg)
+                for i in range(3)]
+
+    assert work(teissier) == ([3, 2, 2], 9, 14)
 
 
 def test_cosupport_precondition(R3, cfg):
