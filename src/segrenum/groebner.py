@@ -32,7 +32,7 @@ the eliminated variables to that cache as the reduced grevlex basis of
 its result, so the multiplicity, dimension or colength of a saturation
 starts no second completion; `_basis_ideal` is that one way to publish
 a reduced grevlex basis as an ideal, which `segre` also takes for a
-saturation it proves trivial.
+stage that saturation leaves unchanged at the origin.
 
 A completion may start from a known reduced basis, which forms no pairs
 within itself: the saturation of a homogeneous ideal starts from its
@@ -427,9 +427,10 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
     ConsistencyError.  HF(leads, D) is counted, not recomputed: the run
     keeps the set of degree-D monomials some lead divides, adds each new
     lead to it, and moves it up a degree by multiplying each member by
-    each variable and adding the leads of the new degree.  Pairs come in
-    increasing degree, so the set is built from the leads once per run,
-    at its first degree, and again only if the degree ever went down.
+    each variable and adding the leads of the new degree.  The set is
+    built from the leads once, at the run's first pair degree: under
+    the precondition an S-pair's remainder has the pair's degree, and
+    every pair it forms has at least that degree, so D never goes down.
 
     Every element counts against `MAX_BASIS`; the leads that S-pair
     reductions add also against `MAX_DEGREE`.
@@ -472,7 +473,7 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
         if bound is not None:
             D = sum(unpack(L))
             if D != degree:
-                if degree is None or D < degree:
+                if degree is None:
                     nvars = len(unpack(L))
                     units = [1 << W * v for v in range(nvars)]
                     # `covered`: the monomials of degree `degree` that some lead

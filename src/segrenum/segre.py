@@ -25,39 +25,6 @@ so that every g drawn from it vanishes at 0; the paths that read Q_n,
 and every round whose source ideal does not lie in m, still saturate
 stage n.
 
-Most other stages need no saturation either, and that is proven, not
-computed.  On C^n, while every earlier stage was left unchanged, the cut
-is J = (f_1, ..., f_k) exactly, and with S the source ideal:
-
-    if dim J = n - k, J is a complete intersection of height k, so it is
-    unmixed (Macaulay: Matsumura, Thm 17.6): every associated prime P
-    has dim V(P) = n - k.  If also dim V(S) < n - k, S lies in no such P
-    (else V(P) would lie in V(S)), so by prime avoidance some element of
-    S is a nonzerodivisor on k[x]/J, and J : S^inf = J.
-
-The argument holds over any field, GF(p) or QQ, and both dimensions are
-taken over the round's own field: a prime can raise dim V(S) above its
-value over QQ.  A stage that passes takes as Q_k J's reduced grevlex
-basis, the bytes the elimination by a generic g returns, and
-m_k = mult_0(J), so neither the elimination nor the polar completion
-runs.  The proof does not look at g, so a degenerate g cannot spoil a
-certified stage.  The test is tried only at k < c, c = n - dim V(S) over
-QQ, the codimension of the source's zero set; this keeps sources of
-codimension 1 from paying for it.  The first stage that fails, every
-stage after it, and every stage on a germ with an ambient (whose
-unmixedness would need the ambient to be Cohen-Macaulay) go to
-`saturate`.
-
-For an m-primary I on C^n generated by forms of one degree d, a round
-of numbers completes only J = (f_1, ..., f_n), its n cuts.  If J is
-0-dimensional, the f are a regular sequence in the Cohen-Macaulay ring
-k[x], and so is every prefix J_k; HS(k[x]/J_k) = (1 - z^d)^k / (1 - z)^n,
-so J_k has dimension n - k and multiplicity d^k, and as J_k lies in I,
-dim V(I) <= dim V(J) = 0 < n - k: every stage k < n passes the test
-above and stage n is the skipped last stage.  So m_k = d^k and
-e = (0, ..., 0, d^n) (Teissier's e(I^[k] | m^[n-k]) for such an I),
-checked against J's colength.  Any other J runs the chain on the seed.
-
 A mixed Segre number e_k^{i,j}(I1, I2) with i, j >= 1 and k below
 c = max(c1, c2), the larger codimension of the two zero sets, needs no
 round at all: it is 0.  Every component of a k-fold cut through the
@@ -66,25 +33,57 @@ so none lies in V(I1 + I2), saturation keeps each one, and the stage
 multiplicity in dimension n - k is unchanged.  The closure criteria read
 such numbers at every level below c.
 
-At the top level of C^n the chain is not run either when c = n and
-both ideals lie in m: then S = I1 + I2 is m-primary in the local ring
-R = k[x]_m, and e_n^{i,j} is the colength l(R/(h_1, ..., h_n)) of the n
-cuts, one completion per round.  The chain gives a number only when
-every prefix (h_1, ..., h_k) has local dimension n - k; in the regular
-ring R the h then form a regular sequence, each prefix is unmixed with
-associated primes of dimension n - k >= 1 for k < n, the m-primary S
-lies in none of them, and locally Q_k = (h_1, ..., h_k).  So
-mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For i + j = n the n
-drawn elements generate the ideal of the h, and the number is Teissier's
-e(I1^[i] | I2^[j]), which `mixed_multiplicity_primary` reads through the
-same round.  Cuts that are not 0-dimensional at the origin run the chain
-on the round's seed.
+One local lemma spares most of the other work.  In the regular local
+ring R = k[x]_m of C^n at the origin, let h_1, ..., h_k in m be such
+that every prefix (h_1, ..., h_i) has local dimension n - i.  Then the h
+are a regular sequence of R, so J = (h_1, ..., h_k) is unmixed
+(Macaulay: Matsumura, Thm 17.6): every associated prime P of JR has
+dim V(P) = n - k.  An ideal S with dim V(S) < n - k lies in no such P
+(else V(P) would lie in V(S)), so by prime avoidance S holds a
+nonzerodivisor on R/JR, and J : S^inf = J locally.  The lemma has
+three consequences.
+
+Trivial stages.  On C^n a number-only round leaves every stage k < c
+unsaturated, c = n - dim V(S) over QQ the codimension of the source's
+zero set (for a mixed number, max(c1, c2), which is at most that).
+While the stages before k were left so, the cut is
+J = (f_1, ..., f_k), each prefix of which `_contribution` has checked
+to have local dimension n - i (or to miss the origin), and
+dim V(S) <= n - c < n - k; so locally Q_k = J, m_k = mult_0(J) and
+e_k = 0.  The stage keeps J's reduced grevlex basis as Q_k, for the
+next cut's Hilbert bound; no elimination or polar completion runs, and
+no g, degenerate or not, is involved.  Globally J may keep components
+off the origin that J : S^inf drops, so the rounds that read polar
+ideals (`polar_chain`'s rerun over QQ, `chain_condition`,
+`truncation_check`) saturate every stage, as do stages from c on and
+every stage on a germ with an ambient.
+
+The one-degree rule.  For an m-primary I on C^n generated by forms of
+one degree d, a round of numbers completes only J = (f_1, ..., f_n),
+its n cuts.  If J is 0-dimensional, the f are a regular sequence in the
+Cohen-Macaulay ring k[x], and so is every prefix J_k;
+HS(k[x]/J_k) = (1 - z^d)^k / (1 - z)^n, so J_k has dimension n - k and
+multiplicity d^k, and as dim V(I) = 0 < n - k, locally Q_k = J_k for
+every k < n, while stage n is the skipped last stage.  So m_k = d^k and
+e = (0, ..., 0, d^n) (Teissier's e(I^[k] | m^[n-k]) for such an I),
+checked against J's colength.  Any other J runs the chain on the seed.
+
+The top-level colength.  On C^n, when c = max(c1, c2) = n and both
+ideals lie in m, S = I1 + I2 is m-primary and e_n^{i,j} is the
+colength l(R/(h_1, ..., h_n)) of the n cuts, one completion per round.
+The chain gives a number only when every prefix (h_1, ..., h_k) has local
+dimension n - k; then the lemma gives locally Q_k = (h_1, ..., h_k) for
+k < n, so mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For
+i + j = n the n drawn elements generate the ideal of the h, and the
+number is Teissier's e(I1^[i] | I2^[j]), which
+`mixed_multiplicity_primary` reads through the same round.  Cuts that
+are not 0-dimensional at the origin run the chain on the round's seed.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
 of finitely many proper subspaces.  The draw is lazy: a round whose
-stages are all certified, or skipped as the last stage, draws no g.  A
+stages are all trivial, or skipped as the last stage, draws no g.  A
 bad g only removes more components, those where g vanishes; when one of
 them passes through the origin the round's multiplicities drop, and the
 independent round, with its own g, disagrees.
@@ -105,7 +104,8 @@ outside the rounds stays over QQ: the germ, the co-support and m-primary
 checks, and the subspace precondition.  `polar_chain` returns rational
 stage ideals: it reruns round 0's seed once over QQ, and that exact run
 must give the certified numbers.  With a single verification round a
-number rests on one seed and one prime.
+number rests on one seed and one prime.  A prime over which V(S) is
+larger than over QQ is a bad prime too.
 
 The one-codimensional "plane section off 0" evaluation of e_1 is
 documented background only; it needs multiplicities at points away
@@ -418,16 +418,6 @@ def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal
     return Ideal(S.ring, tup.combinations)
 
 
-def _saturation_is_trivial(J: Ideal, S: Ideal, k: int) -> bool:
-    """Whether J : S^inf = J is proven for a cut J = (f_1, ..., f_k) of
-    C^n: J has dimension n - k, so it is a complete intersection whose
-    associated primes all have dimension n - k, and V(S) has smaller
-    dimension, so S lies in none of them.  Both dimensions are taken
-    over J's own field."""
-    expected = J.ring.nvars - k
-    return dimension(S) < expected and dimension(J) == expected
-
-
 def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
                 numbers_only=False, codim=0):
     """The saturation-and-subtract recursion along the given cuts, each
@@ -435,21 +425,17 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
     saturator (g) drawn from it.  `draw_saturator()` returns (g); it is
     called only when a stage first goes to `saturate`, and its ideal
     serves every later stage of the run, so a run whose stages are all
-    certified or skipped draws no saturator.
+    trivial or skipped draws no saturator.
 
     Components through the origin of each cut scheme have dimension at
     least n - k, so a stage of any other local dimension is a genericity
     failure that triggers a seed retry.
 
-    On C^n, a stage k below `codim` is first offered to
-    `_saturation_is_trivial`, with S.  While every stage so far passed,
-    the cut is (f_1, ..., f_k) exactly; a stage that passes takes as Q_k
-    the cut's reduced grevlex basis, which is J : S^inf and, for a
-    generic g, the bytes `saturate` returns, and m_k = mult_0 of the cut,
-    so e_k = 0.  The first stage that fails, and every stage after it, is
-    saturated by g.  `codim` is at most n - dim V(S) over QQ, a cheap
-    filter: from there on the test fails over QQ, and a codimension-1
-    source runs no test at all; 0, the default, saturates every stage.
+    On C^n, a stage k below `codim`, at most n - dim V(S) over QQ, is a
+    trivial stage (module docstring): Q_k is the cut's reduced grevlex
+    basis, its saturation only locally, and m_k = mult_0 of the cut, so
+    e_k = 0.  Only number-only rounds pass `codim`; 0, the default,
+    saturates every stage.
 
     With `numbers_only`, stage n is not saturated when S lies in m, which
     is exactly when every g drawn from S vanishes at 0: its cut J is
@@ -470,16 +456,15 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
     Q = germ.ambient
     prefix = Ideal(ring, ())
     skip_last = numbers_only and passes_through_origin(source)
-    certify = germ.ambient.is_zero
+    trivial = codim if germ.ambient.is_zero else 0
     saturator = None
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
         m_j = _contribution(multiplicity_at_origin(J, prefix=prefix), germ.n - k,
                             f"stage {k} cut")
-        certify = certify and k < codim and _saturation_is_trivial(J, source, k)
         if skip_last and k == germ.n:
             Qk, m_q = None, 0
-        elif certify:
+        elif k < trivial:
             Qk, m_q = _basis_ideal(buchberger(J, GREVLEX)), m_j
         else:
             if saturator is None:
@@ -566,10 +551,10 @@ def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
     round completes only J = (f_1, ..., f_n), the cuts `_polar_stages`
     draws from the seed.  A 0-dimensional J makes the f a regular
     sequence of k[x], so each prefix J_k has dimension n - k and
-    multiplicity d^k and, as dim V(I) <= dim V(J) = 0, passes
-    `_saturation_is_trivial`: m_k = d^k and e = (0, ..., 0, d^n), exact
-    for this draw over the round's field, and J's colength must be d^n.
-    J's prefix is the zero ideal, so its completion is bounded by
+    multiplicity d^k and is locally its own saturation (the one-degree
+    rule of the module docstring): m_k = d^k and e = (0, ..., 0, d^n),
+    exact for this draw over the round's field, and J's colength must be
+    d^n.  J's prefix is the zero ideal, so its completion is bounded by
     (1 - z^d)^n / (1 - z)^n, J's series when J is 0-dimensional.  Any other J runs the
     stage chain on the seed, which raises its own anomaly."""
     n = germ.n
@@ -595,7 +580,7 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     certified numbers."""
     codim = _check_cosupport(germ, I)
     numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
-    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0], codim=codim)
+    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
     exact = tuple((s.m, s.e) for s in stages)
     if exact != numbers:
         raise GenericityError(
@@ -707,9 +692,9 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     On C^n with k == c == n and both ideals in m, the source I1 + I2 is
     m-primary and each round reads one local colength
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
-    no stages 1 .. n - 1, no dimension of the source and no certificate
-    tests.  A round whose cuts are not 0-dimensional at the origin runs
-    the stage chain on its seed, so both paths raise one anomaly.
+    no stages 1 .. n - 1.  A round whose cuts are not 0-dimensional at
+    the origin runs the stage chain on its seed, so both paths raise one
+    anomaly.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -765,10 +750,10 @@ def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):
     containment is decided as a germ condition: the closure of
     |L_{k+1}| minus |L_k| must miss the origin.
     """
-    codim = _check_cosupport(germ, I)
+    _check_cosupport(germ, I)
 
     def run_once(seed, cfg_b, round_idx, germ, I):
-        _, stages = _polar_stages(germ, I, cfg_b, seed, codim=codim)
+        _, stages = _polar_stages(germ, I, cfg_b, seed)
         supports = [saturate(s.cut_ideal, _saturator(s.polar_ideal, cfg_b, seed, 1, s.k))
                     for s in stages[1:]]
         through = [passes_through_origin(a) for a in supports]

@@ -127,8 +127,9 @@ def test_whitney_battery_three_variables(R3, cfg):
 
 
 def test_whitney_corank_work(R3, cfg, monkeypatch):
-    """The battery's number-only rounds certify stages 1 and 2 trivial
-    and leave stage 3 unsaturated: no saturation from cold caches,
+    """The battery's number-only rounds keep stages 1 and 2, below the
+    codimension 3 of both sources, as their cuts, and leave stage 3
+    unsaturated: no saturation from cold caches,
     against 20 when stages 1 and 2 were saturated and 28 when stage 3
     was too, with the same numbers.  The mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of the three elements each round draws,
@@ -159,8 +160,8 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
 def test_closure_battery_work(cfg, monkeypatch):
     """The closure battery of (x^2, y^2, z^2, w^2) against m^2 on C^4,
     from cold caches: both sources are m-primary, so every stage k < 4
-    is certified from dim V(S) = 0, stage 4 needs no saturation, and
-    none is saturated.  The mixed numbers of levels 1 to 3, below the
+    lies below their codimension 4 and keeps its cut, stage 4 needs no
+    saturation, and none is saturated.  The mixed numbers of levels 1 to 3, below the
     codimension 4 of both sources, are 0 without a round, and those of
     level 4 read the colength of their four cuts.  Both sources are
     generated by forms of degree 2, so each profile round is one

@@ -338,7 +338,8 @@ def test_a_bound_above_the_series_raises():
     assert d == 2  # P(z) = (1 + 2z)(1 - z): the bound is not reduced
     high = tuple(a + b for a, b in zip(P + (0,) * 3, (0, 0, 0, 1, -2, 1)))
     assert _coefficients((high, d), 6) == [1, 3, 3, 4, 3, 3]
-    with pytest.raises(ConsistencyError, match="degree 3"):
+    with pytest.raises(ConsistencyError,
+                       match="Hilbert bound exceeds the leads' function in degree 3"):
         _buchberger_raw(gens, key, bound=(high, d))
 
 
@@ -348,11 +349,12 @@ def test_bound_preconditions(R2):
     product is not proven one: two cuts after a prefix other than the
     zero ideal, or n + 2 after the zero ideal on C^n."""
     x, y = R2.variables()
-    with pytest.raises(PreconditionError):
+    needs = "a Hilbert bound needs homogeneous generators and a degree order"
+    with pytest.raises(PreconditionError, match=needs):
         buchberger(ideal(R2, x ** 2 - y ** 3), GREVLEX, bound=((1,), 2))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=needs):
         buchberger(ideal(R2, x * y), LEX, bound=((1,), 2))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="a cut's generators begin with its prefix's"):
         multiplicity_at_origin(ideal(R2, x, y), prefix=ideal(R2, y))
     zero = Ideal(R2, ())
     assert _cut_bound(ideal(R2, x, y, x * y), zero) == ((1, -2, 0, 2, -1), 2)

@@ -350,11 +350,10 @@ def test_unsaturated_last_stage_is_exact(R2, R3, rational):
 def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, divisor_pair,
                                                               cfg, monkeypatch):
     """A number-only round saturates stage n only when its source ideal
-    does not lie in m, so its saturator may have a constant term;
-    `polar_chain`'s rerun over QQ, `truncation_check`
-    and mixed numbers with k < n saturate every stage not certified
-    trivial, and only a stage below the codimension of the source's zero
-    set is certified."""
+    does not lie in m, so its saturator may have a constant term, and
+    every stage from the codimension of the source's zero set on;
+    `polar_chain`'s rerun over QQ and `truncation_check` saturate every
+    stage."""
     x, y = R2.variables()
     I1, I2 = divisor_pair
     rounds = cfg.verification_rounds
@@ -365,7 +364,7 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
         result = run(*args, cfg)
         return len(calls), result
 
-    # (x + 1, y) vanishes only off 0, so stage 1 is certified trivial
+    # (x + 1, y) has codimension 2, so stage 1 stays unsaturated
     n, prof = saturations(segre_profile, germ2, ideal(R2, x + 1, y))
     assert (n, prof.e) == (rounds, (0, 0))
     n, prof = saturations(segre_profile, germ3, I2)
@@ -379,28 +378,26 @@ def test_only_a_saturator_vanishing_at_0_skips_the_last_stage(germ2, germ3, R2, 
     assert saturations(mixed_segre, germ2, ideal(R2, x ** 2, y ** 2), m2, 2, 1, 1) == (0, 4)
 
 
-def _certificate_spy(monkeypatch, verdict=None):
-    """Record each (cut, source, stage, verdict) of the trivial-
-    saturation test; `verdict(k)`, when given, overrides the test."""
-    seen = []
-    real = segre._saturation_is_trivial
+def _run_stages_spy(monkeypatch):
+    """Record the `codim` of each `_run_stages` call."""
+    calls = []
+    real = segre._run_stages
 
-    def spy(J, S, k):
-        ok = real(J, S, k) if verdict is None else verdict(k)
-        seen.append((J, S, k, ok))
-        return ok
+    def spy(germ, cuts, source, draw_saturator, numbers_only=False, codim=0):
+        calls.append(codim)
+        return real(germ, cuts, source, draw_saturator, numbers_only, codim)
 
-    monkeypatch.setattr(segre, "_saturation_is_trivial", spy)
-    return seen
+    monkeypatch.setattr(segre, "_run_stages", spy)
+    return calls
 
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_certified_saturations_are_exact(R3, rational, monkeypatch):
     """On seeded random C^3 ideals of codimension at least 2 and the D4
-    contact tangent ideal, each stage certified trivial holds the bytes
-    `saturate` returns for its cut, over GF(p) and over QQ, and the
-    round's (m, e) and polar ideals are those of a run that saturates
-    every stage."""
+    contact tangent ideal, a number-only round keeps each stage k below
+    the codimension c as its cut, unsaturated, with e_k = 0, and gives
+    the (m, e) of the same seed with every stage saturated, over GF(p)
+    and over QQ."""
     x, y, z = R3.variables()
     rng = random.Random(21)
     ideals = []
@@ -410,66 +407,63 @@ def test_certified_saturations_are_exact(R3, rational, monkeypatch):
             ideals.append(I)
     ideals.append(contact_tangent_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2)))
     cfg = GenericityConfig()
-    seen = _certificate_spy(monkeypatch)
-    counts = []
+    calls = saturate_spy(monkeypatch)
+    codims = []
     for case, I in enumerate(ideals):
         germ = make_germ(R3)
         codim = segre._check_cosupport(germ, I)
-        assert codim >= 2
         seed = derive_seed(cfg.seed, case)
         if not rational:
             p = segre._round_prime(seed)
             germ, I = germ.over(p), I.over(p)
-        seen.clear()
+        calls.clear()
         stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
-        certified = [(J, S, k) for J, S, k, ok in seen if ok]
-        assert [k for _, _, k in certified] == list(range(1, len(certified) + 1))
-        g = segre._saturator(I, cfg, seed)
-        for J, S, k in certified:
-            assert S == I
-            assert stages[k].cut_ideal.generators == J.generators
-            assert segre.saturate(J, g).generators == stages[k].polar_ideal.generators
-            assert stages[k].e == 0
+        assert calls == [s.cut_ideal for s in stages[codim:-1]]
+        for s in stages[1:codim]:
+            assert s.polar_ideal == s.cut_ideal and s.e == 0
         saturated = segre._polar_stages(germ, I, cfg, seed, numbers_only=True)[1]
         assert [(s.m, s.e) for s in stages] == [(s.m, s.e) for s in saturated]
-        assert [s.polar_ideal.generators for s in stages[:-1]] == \
-            [s.polar_ideal.generators for s in saturated[:-1]]
-        counts.append(len(certified))
-    assert counts == [1, 2, 2, 1, 2]  # the last, D4's, certifies stages 1 .. n - 1
+        codims.append(codim)
+    assert codims == [2, 3, 3, 2, 3]  # the last, D4's, keeps stages 1 .. n - 1
 
 
 def test_certificate_gate_and_fallback(germ3, R3, cfg, monkeypatch):
-    """No stage is certified on a germ with an ambient; the corpus's
-    codimension-1 sources run no trivial-saturation test and keep their
-    golden engine counters; and the first stage that fails the test
-    sends every later stage to `saturate`."""
+    """A germ with an ambient keeps no stage unsaturated, even below the
+    codimension; the corpus's codimension-1 sources saturate every stage
+    and keep their golden engine counters; and `polar_chain`'s rerun
+    over QQ and `chain_condition`, which read polar ideals, saturate
+    every stage, while the chain's own rounds keep stages 1 .. n - 1."""
     x, y, z = R3.variables()
-    seen = _certificate_spy(monkeypatch)
     saturated = saturate_spy(monkeypatch)
-    assert segre_profile(make_germ(R3, ideal(R3, z)), ideal(R3, x), cfg).e == (1, 0)
-    assert seen == [] and saturated
+    plane = make_germ(R3, ideal(R3, z))
+    assert segre._check_cosupport(plane, ideal(R3, x, y)) == 2
+    assert segre_profile(plane, ideal(R3, x, y), cfg).e == (0, 1)
+    assert len(saturated) == cfg.verification_rounds  # stage 1 of each round
 
     runs = replay_corpus(inputs=("codim1_pair.ideal", "axis_pair.ideal"))
-    assert len(runs) == 6 and seen == []
+    assert len(runs) == 6
     for entry, code, out in runs:
         golden = json.loads((GOLDEN / entry["golden"]).read_text(encoding="utf-8"))
         assert json.loads(out)["engine"] == golden["engine"], entry["golden"]
 
-    seen = _certificate_spy(monkeypatch, verdict=lambda k: k != 1)
+    codims = _run_stages_spy(monkeypatch)
+    D4 = contact_tangent_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2))
     saturated.clear()
-    m2 = ideal_power(ideal(R3, x, y, z), 2)
-    stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, numbers_only=True, codim=3)[1]
-    assert [k for _, _, k, _ in seen] == [1]
-    assert [s.cut_ideal for s in stages[1:3]] == saturated
-    assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
+    chain = polar_chain(germ3, D4, cfg)
+    assert codims == [3] * cfg.verification_rounds + [0]
+    assert saturated == [s.cut_ideal for s in chain.stages[1:]]
+    codims.clear()
+    assert chain_condition(germ3, D4, cfg)
+    assert codims == [0] * cfg.verification_rounds
 
 
 def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monkeypatch):
-    """The certificate proves J : S^inf = J from S itself, so a saturator
-    that is no generic element of S, here the round's own first cut f_1,
-    changes no certified stage: m^2 on C^3 keeps its true numbers, where
-    saturating by (f_1) would give stage 1 multiplicity 0.  With every
-    stage certified or skipped, the round does not even draw g."""
+    """A stage below the codimension rests on the local lemma, which does
+    not look at g, so a saturator that is no generic element of S, here
+    the round's own first cut f_1, changes none of them: m^2 on C^3 keeps
+    its true numbers, where saturating by (f_1) would give stage 1
+    multiplicity 0.  With every stage kept or skipped, the round does not
+    even draw g."""
     x, y, z = R3.variables()
     m2 = ideal_power(ideal(R3, x, y, z), 2)
     drawn = []
@@ -485,19 +479,6 @@ def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monk
     assert saturated == [] and drawn == []
 
 
-def test_certificate_gate_is_per_field(R3, monkeypatch):
-    """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 is (x^3 + y^3 + z^3),
-    of dimension 2 against 0 over QQ: with every round on GF(3) the test
-    runs below the codimension over QQ and certifies no stage."""
-    x, y, z = R3.variables()
-    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
-    assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 2)
-    monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
-    seen = _certificate_spy(monkeypatch)
-    segre_profile(make_germ(R3), T, GenericityConfig())
-    assert seen and all(S.ring.modulus == 3 and not ok for _, S, _, ok in seen)
-
-
 def _mixed_rounds(germ, I1, I2, k, i, j, cfg):
     """e_k^{i,j}(I1, I2) from certified rounds, even where `mixed_segre`
     answers without them."""
@@ -508,10 +489,11 @@ def _mixed_rounds(germ, I1, I2, k, i, j, cfg):
 
 def test_mixed_certificate_is_exact(germ3, R3, cfg, monkeypatch):
     """On seeded C^3 pairs whose sources have codimension at least 2,
-    mixed rounds certify stages from S = I1 + I2 and give the numbers of
-    runs that saturate every stage.  The (2, 1, 1) column lies below the
-    codimension, where `mixed_segre` runs no round, so it is taken from
-    the rounds directly."""
+    mixed rounds, which keep stages below c = max(c1, c2) unsaturated,
+    give the numbers of rounds on the same seeds that saturate every
+    stage (codim 0), over GF(p) and over QQ.  The (2, 1, 1) column lies
+    below the codimension, where `mixed_segre` runs no round, so it is
+    taken from the rounds directly."""
     rng = random.Random(22)
     pairs = []
     while len(pairs) < 3:
@@ -519,19 +501,22 @@ def test_mixed_certificate_is_exact(germ3, R3, cfg, monkeypatch):
         if segre.dimension(I1) <= 1 and segre.dimension(I2) <= 1:
             pairs.append((I1, I2))
     requests = [(2, 1, 1), (3, 2, 1), (3, 1, 2)]
-    seen = _certificate_spy(monkeypatch)
-    certified = []
-    for I1, I2 in pairs:
-        seen.clear()
-        certified.append([_mixed_rounds(germ3, I1, I2, *r, cfg) for r in requests])
-        assert any(ok for _, _, _, ok in seen)
-        for _, S, _, _ in seen:
-            p = S.ring.modulus
-            assert S.generators == segre.ideal_sum(I1.over(p), I2.over(p)).generators
-        assert [mixed_segre(germ3, I1, I2, *r, cfg) for r in requests] == certified[-1]
-    _certificate_spy(monkeypatch, verdict=lambda k: False)
-    saturated = [[_mixed_rounds(germ3, I1, I2, *r, cfg) for r in requests] for I1, I2 in pairs]
-    assert certified == saturated
+    calls = saturate_spy(monkeypatch)
+    for case, (I1, I2) in enumerate(pairs):
+        codim = max(segre._check_cosupport(germ3, I1), segre._check_cosupport(germ3, I2))
+        assert codim >= 2
+        for rational in (False, True):
+            seed = derive_seed(cfg.seed, case)
+            p = 0 if rational else segre._round_prime(seed)
+            args = germ3.over(p), I1.over(p), I2.over(p)
+            for k, i, j in requests:
+                calls.clear()
+                kept = segre._mixed_round(seed, cfg, 0, *args, k, i, j, codim=codim)
+                # stages codim .. k are saturated, but for a skipped stage 3
+                assert len(calls) == min(k, 2) - codim + 1
+                assert kept == segre._mixed_round(seed, cfg, 0, *args, k, i, j, codim=0)
+        rounds = [_mixed_rounds(germ3, I1, I2, *r, cfg) for r in requests]
+        assert [mixed_segre(germ3, I1, I2, *r, cfg) for r in requests] == rounds
 
 
 def _random_ideal_of_codim(germ, rng, c):
@@ -1027,15 +1012,30 @@ def test_polar_ideals_are_rational(R3, monkeypatch):
                for g in chain.stages[2].polar_ideal.generators for c in g.coeffs.values())
 
 
-def test_exact_rerun_catches_a_prime_bad_for_every_round(R3, monkeypatch):
-    """Every round forced onto GF(3), where the Jacobian of x^3 + y^3 + z^3
-    vanishes: the rounds agree on wrong numbers, and `polar_chain`'s rerun
-    of round 0 over QQ refuses them."""
+def test_exact_rerun_catches_a_prime_bad_for_every_round(R2, monkeypatch):
+    """Every round forced onto GF(3), where (x^3, y^3, 3xy) becomes
+    (x^3, y^3) and every cut keeps its dimension: the rounds agree on
+    e = (0, 9), and `polar_chain`'s rerun of round 0 over QQ, which gives
+    the true e = (0, 6), refuses them."""
+    x, y = R2.variables()
+    I = ideal(R2, x ** 3, y ** 3, 3 * x * y)
+    monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
+    with pytest.raises(GenericityError, match=r"\(0, 6\)\) over QQ but .*\(0, 9\)\) over GF"):
+        polar_chain(make_germ(R2), I, GenericityConfig())
+
+
+def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
+    """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 is principal, of
+    dimension 2 against 0 over QQ.  With every round on GF(3) its cuts
+    lose their dimension and `segre_profile` refuses, rather than keep
+    the stages below the codimension over QQ that GF(3) does not have;
+    the true profile is e = (0, 0, 27)."""
     x, y, z = R3.variables()
     T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 2)
     monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
-    with pytest.raises(GenericityError, match="over QQ"):
-        polar_chain(make_germ(R3), T, GenericityConfig())
+    with pytest.raises(GenericityError):
+        segre_profile(make_germ(R3), T, GenericityConfig())
 
 
 def test_unlucky_prime_is_caught_by_certification(R3, monkeypatch):
