@@ -25,8 +25,8 @@ exact.
 With the zero ideal as prefix, J = (f_1, ..., f_r) on k[x_1..x_n] with
 r <= n + 1 gets the complete-intersection bound
 prod (1 - z^deg f_i) / (1 - z)^n, exact when the f are a regular
-sequence: the colength cuts, the one-degree rule's n forms and the
-first cut on a germ with an ambient take it.  In each degree D the
+sequence: the colength cuts and the first cut on a germ with an
+ambient take it.  In each degree D the
 Hilbert function is dim k[x]_D minus the rank of
 (g_i) -> sum g_i f_i, and a rank is largest on an open set of
 coefficients, so the function is least for generic forms of those

@@ -41,7 +41,7 @@ are a regular sequence of R, so J = (h_1, ..., h_k) is unmixed
 dim V(P) = n - k.  An ideal S with dim V(S) < n - k lies in no such P
 (else V(P) would lie in V(S)), so by prime avoidance S holds a
 nonzerodivisor on R/JR, and J : S^inf = J locally.  The lemma has
-three consequences.
+two consequences.
 
 Trivial stages.  On C^n a number-only round leaves every stage k < c
 unsaturated, c = n - dim V(S) over QQ the codimension of the source's
@@ -58,16 +58,6 @@ ideals (`polar_chain`'s rerun over QQ, `chain_condition`,
 `truncation_check`) saturate every stage, as do stages from c on and
 every stage on a germ with an ambient.
 
-The one-degree rule.  For an m-primary I on C^n generated by forms of
-one degree d, a round of numbers completes only J = (f_1, ..., f_n),
-its n cuts.  If J is 0-dimensional, the f are a regular sequence in the
-Cohen-Macaulay ring k[x], and so is every prefix J_k;
-HS(k[x]/J_k) = (1 - z^d)^k / (1 - z)^n, so J_k has dimension n - k and
-multiplicity d^k, and as dim V(I) = 0 < n - k, locally Q_k = J_k for
-every k < n, while stage n is the skipped last stage.  So m_k = d^k and
-e = (0, ..., 0, d^n) (Teissier's e(I^[k] | m^[n-k]) for such an I),
-checked against J's colength.  Any other J runs the chain on the seed.
-
 The top-level colength.  On C^n, when c = max(c1, c2) = n and both
 ideals lie in m, S = I1 + I2 is m-primary and e_n^{i,j} is the
 colength l(R/(h_1, ..., h_n)) of the n cuts, one completion per round.
@@ -79,6 +69,15 @@ number is Teissier's e(I1^[i] | I2^[j]), which
 `mixed_multiplicity_primary` reads through the same round.  Cuts that
 are not 0-dimensional at the origin run the chain on the round's seed.
 
+The one-degree rule.  An m-primary I on C^n generated by forms of one
+degree d takes the numbers of m^d, with no round.  Its forms have no
+common zero in P^{n-1}, so n generic ones are a regular sequence inside
+m^d of colength d^n = e(m^d); by Rees's theorem the integral closure of
+I is m^d.  Teissier's mixed multiplicities, and so the polar
+multiplicities and Segre numbers, depend only on the closure: m_k = d^k,
+e = (0, ..., 0, d^n), and e(I1^[i] | I2^[j]) = d1^i d2^j for two such
+ideals (`_one_degree`, on the ideal over QQ).
+
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
 Rabinowitsch elimination, and Q : g^inf = Q : S^inf unless g lies in one
@@ -89,7 +88,8 @@ them passes through the origin the round's multiplicities drop, and the
 independent round, with its own g, disagrees.
 
 Genericity over the rationals is probabilistic: coefficients are drawn
-from a seeded generator, every certified number is recomputed under
+from a seeded generator, every number the module does not take from a
+theorem (the zeros below c, the one-degree rule) is recomputed under
 independent seeds and must agree exactly, and the coefficient bound is
 escalated once on disagreement.
 
@@ -534,6 +534,16 @@ def _check_cosupport(germ: GermContext, I: Ideal) -> int:
     return germ.n - d
 
 
+def _one_degree(germ: GermContext, I: Ideal, codim: int) -> int | None:
+    """d when the germ is C^n, I is m-primary there (`codim` == n over
+    QQ) and every term of every generator has total degree d >= 1, so
+    that I's integral closure is m^d (module docstring); else None."""
+    degrees = {t for g in I.generators for t in g.degrees()}
+    if codim != germ.n or not germ.ambient.is_zero or len(degrees) != 1:
+        return None
+    return degrees.pop() or None
+
+
 def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
                   numbers_only=False, codim=0):
     """One run of the polar chain of I: the tuple of n combinations drawn
@@ -544,31 +554,14 @@ def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
                             numbers_only, codim)
 
 
-def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
+def _chain_round(seed, cfg, round_idx, germ, I, codim=0, d=None):
     """The numbers of a polar-chain round: (m_k, e_k) for each stage.
-
-    On C^n with codim == n and I generated by forms of one degree d, the
-    round completes only J = (f_1, ..., f_n), the cuts `_polar_stages`
-    draws from the seed.  A 0-dimensional J makes the f a regular
-    sequence of k[x], so each prefix J_k has dimension n - k and
-    multiplicity d^k and is locally its own saturation (the one-degree
-    rule of the module docstring): m_k = d^k and e = (0, ..., 0, d^n),
-    exact for this draw over the round's field, and J's colength must be
-    d^n.  J's prefix is the zero ideal, so its completion is bounded by
-    (1 - z^d)^n / (1 - z)^n, J's series when J is 0-dimensional.  Any other J runs the
-    stage chain on the seed, which raises its own anomaly."""
-    n = germ.n
-    degrees = {t for g in I.generators for t in g.degrees()}
-    if codim == n and germ.ambient.is_zero and len(degrees) == 1:
-        (d,) = degrees
-        J = Ideal(germ.ring, generic_tuple(I, n, cfg, seed=seed).combinations)
-        res = multiplicity_at_origin(J, prefix=Ideal(germ.ring, ()))
-        if res.local_dimension == 0:
-            if res.multiplicity != d ** n:
-                raise ConsistencyError(
-                    f"{n} generic forms of degree {d} have colength {res.multiplicity}, "
-                    f"not {d ** n}")
-            return ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
+    `d`, the degree `_one_degree` finds for the ideal over QQ (a prime
+    can drop a degree's terms, so the round's I does not decide), gives
+    m^d's numbers, m_k = d^k and e = (0, ..., 0, d^n), with no draw."""
+    if d:
+        n = germ.n
+        return ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
     stages = _polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
     return tuple((s.m, s.e) for s in stages)
 
@@ -577,10 +570,23 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     """Certified polar chain of I on the germ: stages 0..n with polar
     multiplicities m_k and Segre numbers e_k, and the cut and polar
     ideals over QQ of one rerun of round 0's seed, which must give the
-    certified numbers."""
+    certified numbers.  The rounds of an ideal generated in one degree
+    draw nothing, so a rerun draw with a dimension anomaly moves on to
+    round 0's next attempt seed, as `_certified` does."""
     codim = _check_cosupport(germ, I)
-    numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
-    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
+    d = _one_degree(germ, I, codim)
+    numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim, d=d), germ, I)
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
+        try:
+            tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
+            break
+        except DimensionAnomalyError as exc:
+            if not d:
+                raise
+            if attempt == _MAX_ATTEMPTS:
+                raise GenericityError(f"persistent dimension anomaly: {exc}") from exc
+            # rounds that draw nothing agree at bound step 0
+            seeds[0] = derive_seed(cfg_b.seed, 0, 0, attempt)
     exact = tuple((s.m, s.e) for s in stages)
     if exact != numbers:
         raise GenericityError(
@@ -593,7 +599,8 @@ def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegrePr
     """The certified Segre numbers and polar multiplicities of I; unlike
     `polar_chain`, it makes no rerun over QQ."""
     codim = _check_cosupport(germ, I)
-    numbers, _, _ = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
+    run = partial(_chain_round, codim=codim, d=_one_degree(germ, I, codim))
+    numbers, _, _ = _certified(cfg, run, germ, I)
     return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
 
@@ -689,7 +696,9 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     in dimension n - k does not drop.  The boundary conventions come
     first: e_k(I1) need not vanish below c2.
 
-    On C^n with k == c == n and both ideals in m, the source I1 + I2 is
+    At k == i + j == n, two ideals that `_one_degree` finds generated
+    in degrees d1 and d2 give d1^i d2^j with no round.  Otherwise, on
+    C^n with k == c == n and both ideals in m, the source I1 + I2 is
     m-primary and each round reads one local colength
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
     no stages 1 .. n - 1.  A round whose cuts are not 0-dimensional at
@@ -706,11 +715,16 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         raise PreconditionError("the boundary convention needs j == k when i == 0")
     if i + j < k:
         raise PreconditionError("need i + j >= k combinations to cut k times")
-    codim = max(_check_cosupport(germ, I1), _check_cosupport(germ, I2))
+    c1, c2 = _check_cosupport(germ, I1), _check_cosupport(germ, I2)
+    codim = max(c1, c2)
     if i == 0 or j == 0:
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
     if k < codim:
         return 0
+    if k == i + j == germ.n:
+        d1, d2 = _one_degree(germ, I1, c1), _one_degree(germ, I2, c2)
+        if d1 and d2:
+            return d1 ** i * d2 ** j
     if (k == codim == germ.n and germ.ambient.is_zero
             and passes_through_origin(I1) and passes_through_origin(I2)):
         return _certified(cfg, partial(_colength_round, i=i, j=j), germ, I1, I2)[0]
@@ -733,12 +747,18 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     ideals: the local colength on the germ of i generic elements of I1
     with n - i generic elements of I2, read by `_colength_round`.  Its
     odd rounds run in the swapped orientation, which checks the symmetry
-    e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i])."""
+    e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i]).  When each ideal with a
+    positive count is generated in one degree (`_one_degree`), it is
+    d1^i d2^(n-i), with no round."""
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
+    d1 = _one_degree(germ, I1, n) if i else 1
+    d2 = _one_degree(germ, I2, n) if n - i else 1
+    if d1 and d2:
+        return d1 ** i * d2 ** (n - i)
     return _certified(cfg, partial(_colength_round, i=i, j=n - i), germ, I1, I2)[0]
 
 

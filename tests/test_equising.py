@@ -134,10 +134,11 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     was too, with the same numbers.  The mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of the three elements each round draws,
     one completion per round bounded by the complete-intersection series
-    of its three cuts, and so do the profile rounds of the left tangent
-    ideal, m^2, whose generators are all quadrics: the completions reduce
-    54 S-pairs, against 88 when those completions had no Hilbert bound,
-    98 when each
+    of its three cuts.  The left tangent ideal is m^2, whose generators
+    are all quadrics, so its profile is taken with no round: the
+    completions reduce 48 S-pairs, against 54 when that profile's rounds
+    completed their three cuts, 88 when those completions had no Hilbert
+    bound, 98 when each
     mixed round read three combinations of its drawn elements and ran
     odd rounds unswapped, 90 when that profile ran the
     stage chain, whose prefixes bound each cut's series, 72 when the
@@ -151,7 +152,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 54)
+    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 48)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -159,16 +160,15 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
 
 def test_closure_battery_work(cfg, monkeypatch):
     """The closure battery of (x^2, y^2, z^2, w^2) against m^2 on C^4,
-    from cold caches: both sources are m-primary, so every stage k < 4
-    lies below their codimension 4 and keeps its cut, stage 4 needs no
-    saturation, and none is saturated.  The mixed numbers of levels 1 to 3, below the
-    codimension 4 of both sources, are 0 without a round, and those of
-    level 4 read the colength of their four cuts.  Both sources are
-    generated by forms of degree 2, so each profile round is one
-    completion of its four cuts too, and every completion is bounded by
-    the complete-intersection series of its four cuts.  The Groebner work
-    is pinned: 12 completions reducing 60 S-pairs, against 12 and 196
-    when those completions had no Hilbert bound, 28 and 166 when the
+    from cold caches, saturates nothing.  The mixed numbers of levels 1
+    to 3, below the codimension 4 of both sources, are 0 without a round.  Both sources
+    are generated by forms of degree 2, so by Rees's theorem their
+    profiles and the level-4 numbers are those of m^2, also without a
+    round.  The Groebner work is pinned: 2 completions, the sources'
+    dimensions over QQ, reducing no S-pair, against 12 and 60 when each
+    profile round and each level-4 round completed its four cuts under
+    the complete-intersection bound on their series, 12 and 196 when
+    those completions had no Hilbert bound, 28 and 166 when the
     profiles ran the stage chain, whose prefixes bound each cut's
     series, 48 and 86 when the level-4 numbers ran it too, 64 and 104
     when the lower levels ran their rounds, and 104 completions and 256
@@ -181,7 +181,7 @@ def test_closure_battery_work(cfg, monkeypatch):
     report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
                              ideal_power(m, 2), cfg)
     assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
-        (0, 12, 60)
+        (0, 2, 0)
     assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -27,7 +26,6 @@ from segrenum import (
     truncation_check,
 )
 from segrenum.errors import (
-    ConsistencyError,
     DimensionAnomalyError,
     GenericityError,
     PreconditionError,
@@ -727,40 +725,86 @@ def _equigenerated_cases():
 def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
     """On monomial ideals (x^d, y^d, ...), powers m^d, random forms of
     one degree d and the tangent ideal of x^3 + y^3 + z^3, on C^2, C^3
-    and C^4, each chain round makes one completion and gives the numbers
-    of the stage chain on the same seed over GF(p): m_k = d^k and
-    e = (0, ..., 0, d^n).  `polar_chain`, whose rerun of round 0 over
-    QQ runs the chain, agrees."""
+    and C^4, `_one_degree` reads d over QQ, and each chain round given d
+    draws nothing and gives the numbers of m^d, m_k = d^k and
+    e = (0, ..., 0, d^n), which are those of the stage chain on the same
+    seed over GF(p).  `segre_profile` draws nothing either and gives the
+    profile that certified rounds of the stage chain give, and
+    `polar_chain`, whose rerun of round 0 over QQ runs the chain, agrees."""
     cfg = GenericityConfig()
     stages = _stages_spy(monkeypatch)
     for case, (germ, I, d) in enumerate(_equigenerated_cases()):
         n = germ.n
+        assert segre._one_degree(germ, I, n) == d
         expected = ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
         for r in range(3):
             seed = derive_seed(cfg.seed, case, r)
             p = segre._round_prime(seed)
             germ_p, I_p = germ.over(p), I.over(p)
             stages.clear()
-            assert segre._chain_round(seed, cfg, 0, germ_p, I_p, codim=n) == expected, I
+            assert segre._chain_round(seed, cfg, 0, germ_p, I_p, codim=n, d=d) == expected, I
             assert stages == []
             assert _chain_numbers(seed, cfg, 0, germ_p, I_p, codim=n) == expected
+        assert segre._certified(cfg, partial(_chain_numbers, codim=n), germ, I)[0] == expected
+        stages.clear()
+        profile = segre_profile(germ, I, cfg)
+        assert stages == []
+        assert profile == SegreProfile(tuple(e for _, e in expected[1:]),
+                                       tuple(m for m, _ in expected[:-1]))
         stages.clear()
         chain = polar_chain(germ, I, cfg)
-        assert chain.e == tuple(e for _, e in expected[1:])
-        assert chain.m == tuple(m for m, _ in expected[:-1])
+        assert (chain.e, chain.m) == (profile.e, profile.m)
         assert stages == [False]
 
 
+def _one_degree_pairs():
+    """(germ, I1, I2, d1, d2): pairs of m-primary ideals generated in one
+    degree each, on C^2, C^3 and C^4, with d1 != d2 and with d1 == d2."""
+    rng = random.Random(29)
+    cases = []
+    for names in (["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]):
+        R = PolynomialRing(names)
+        germ = make_germ(R)
+        m = ideal(R, *R.variables())
+        squares = ideal(R, *(v ** 2 for v in R.variables()))
+        cases += [(germ, squares, m, 2, 1), (germ, squares, ideal_power(m, 2), 2, 2)]
+        if len(names) < 4:
+            cases += [(germ, squares, ideal_power(m, 3), 2, 3),
+                      (germ, _random_m_primary(germ, rng, 2, 2), squares, 2, 2)]
+    return cases
+
+
+def test_one_degree_mixed_numbers_match_colength_rounds(monkeypatch):
+    """For m-primary ideals generated in degrees d1 and d2, each top-level
+    mixed number e_n^{i,n-i} and each Teissier multiplicity
+    e(I1^[i] | I2^[n-i]) is d1^i d2^(n-i), with no round, and equals the
+    number that certified colength rounds give over GF(p)."""
+    cfg = GenericityConfig()
+    rounds = certified_spy(monkeypatch)
+    for germ, I1, I2, d1, d2 in _one_degree_pairs():
+        n = germ.n
+        for i in range(n + 1):
+            run = partial(segre._colength_round, i=i, j=n - i)
+            assert segre._certified(cfg, run, germ, I1, I2)[0] == d1 ** i * d2 ** (n - i)
+            rounds.clear()
+            assert mixed_multiplicity_primary(germ, I1, I2, i, cfg) == d1 ** i * d2 ** (n - i)
+            if 0 < i < n:
+                assert mixed_segre(germ, I1, I2, n, i, n - i, cfg) == d1 ** i * d2 ** (n - i)
+            assert rounds == []
+
+
 def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
-    """The stage chain still runs for a tangent ideal that is not
-    homogeneous, for generators of two degrees, for an equigenerated
-    ideal that is not m-primary, on the cone xy - z^2 and with codim 0.
-    When the n drawn forms share a zero line the round runs the chain,
-    whose anomaly text it ends with; and a colength other than d^n is
-    refused."""
+    """Rounds still run for a tangent ideal that is not homogeneous, for
+    generators of two degrees, for an ideal of one degree that is not
+    m-primary, on the cone xy - z^2 and for a chain round with codim 0;
+    and, for mixed numbers, when only one side of a top-level pair is
+    m-primary and at k = n with i + j > n.  A draw whose n forms share
+    a zero line, which fails the stage chain, leaves the profile of m^2
+    unchanged, as no round draws."""
     x, y, z = R3.variables()
     a, b = R2.variables()
     m = ideal(R3, x, y, z)
+    m2 = ideal_power(m, 2)
     stages = _stages_spy(monkeypatch)
     cases = [
         (make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3))),
@@ -772,11 +816,19 @@ def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
         stages.clear()
         segre_profile(germ, I, cfg)
         assert stages and all(stages)
-    m2 = ideal_power(m, 2)
     stages.clear()
     assert segre._chain_round(cfg.seed, cfg, 0, make_germ(R3), m2) == \
         ((1, None), (2, 0), (4, 0), (0, 8))
     assert stages == [True]
+
+    rounds = certified_spy(monkeypatch)
+    mixed = [(make_germ(R2), ideal(R2, a ** 2), ideal_power(ideal(R2, a, b), 2), (2, 1, 1)),
+             (make_germ(R3), ideal(R3, *(v ** 2 for v in (x, y, z))), m2, (3, 2, 2))]
+    for germ, I1, I2, request in mixed:
+        rounds.clear()
+        assert mixed_segre(germ, I1, I2, *request, cfg) == \
+            _mixed_rounds(germ, I1, I2, *request, cfg)
+        assert _colength_rounds(rounds) == [True, False]
 
     # the three cuts are drawn from the generators in (x, y) only, so
     # they share the z-axis
@@ -788,25 +840,41 @@ def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
         return real(I, count, cfg, seed)
 
     monkeypatch.setattr(segre, "generic_tuple", on_the_z_axis)
-    with pytest.raises(GenericityError) as chain:
+    with pytest.raises(GenericityError, match="stage 3 cut: local dimension 1, expected 0"):
         segre._certified(cfg, partial(_chain_numbers, codim=3), make_germ(R3), m2)
     stages.clear()
-    with pytest.raises(GenericityError) as fallback:
-        segre_profile(make_germ(R3), m2, cfg)
-    assert str(fallback.value) == str(chain.value)
-    assert "stage 3 cut: local dimension 1, expected 0" in str(chain.value)
-    assert stages and all(stages)
-    monkeypatch.setattr(segre, "generic_tuple", real)
+    assert segre_profile(make_germ(R3), m2, cfg) == SegreProfile((0, 0, 8), (1, 2, 4))
+    assert stages == []
 
-    real_mult = segre.multiplicity_at_origin
 
-    def one_too_many(I, **kw):
-        res = real_mult(I, **kw)
-        return replace(res, multiplicity=res.multiplicity + 1)
+def test_one_degree_rerun_retries_a_degenerate_draw(R3, cfg, monkeypatch):
+    """The rounds of m^2 on C^3 draw nothing, so `polar_chain` reruns
+    round 0's attempt-0 seed over QQ.  When that seed's three cuts share
+    the z-axis, the rerun moves on to round 0's next attempt seed and
+    certifies e = (0, 0, 8) with it; when every seed's cuts do, it ends
+    in `GenericityError`."""
+    m2 = ideal_power(ideal(R3, *R3.variables()), 2)
+    real = segre.generic_tuple
+    first = derive_seed(cfg.seed, 0, 0, 0)  # bound step 0, round 0, attempt 0
+    bad = {first}
 
-    monkeypatch.setattr(segre, "multiplicity_at_origin", one_too_many)
-    with pytest.raises(ConsistencyError, match="colength 9, not 8"):
-        segre_profile(make_germ(R3), m2, cfg)
+    def on_the_z_axis(I, count, cfg, seed=None):
+        if count == 3 and (seed in bad or bad == {None}):
+            I = Ideal(I.ring, [g for g in I.generators if all(e[0] or e[1] for _, e in g.terms())])
+        return real(I, count, cfg, seed)
+
+    monkeypatch.setattr(segre, "generic_tuple", on_the_z_axis)
+    germ = make_germ(R3)
+    with pytest.raises(DimensionAnomalyError, match="stage 3 cut: local dimension 1"):
+        segre._polar_stages(germ, m2, cfg, first)
+    chain = polar_chain(germ, m2, cfg)
+    assert (chain.e, chain.m) == ((0, 0, 8), (1, 2, 4))
+    assert chain.seeds_used[0] == derive_seed(cfg.seed, 0, 0, 1)
+    assert first not in chain.seeds_used
+    bad = {None}
+    with pytest.raises(GenericityError,
+                       match="persistent dimension anomaly: stage 3 cut: local dimension 1"):
+        polar_chain(germ, m2, cfg)
 
 
 def test_bounded_colengths_match_plain_ones(monkeypatch):
@@ -1016,39 +1084,59 @@ def test_exact_rerun_catches_a_prime_bad_for_every_round(R2, monkeypatch):
     """Every round forced onto GF(3), where (x^3, y^3, 3xy) becomes
     (x^3, y^3) and every cut keeps its dimension: the rounds agree on
     e = (0, 9), and `polar_chain`'s rerun of round 0 over QQ, which gives
-    the true e = (0, 6), refuses them."""
+    the true e = (0, 6), refuses them.  The ideal has two degrees over QQ,
+    so its rounds run the stage chain, although GF(3) leaves one."""
     x, y = R2.variables()
     I = ideal(R2, x ** 3, y ** 3, 3 * x * y)
+    germ = make_germ(R2)
+    assert (segre._one_degree(germ, I, 2), segre._one_degree(germ, I.over(3), 2)) == (None, 3)
+    stages = _stages_spy(monkeypatch)
     monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
     with pytest.raises(GenericityError, match=r"\(0, 6\)\) over QQ but .*\(0, 9\)\) over GF"):
-        polar_chain(make_germ(R2), I, GenericityConfig())
+        polar_chain(germ, I, GenericityConfig())
+    assert stages.count(True) == GenericityConfig().verification_rounds
 
 
 def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
-    """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 is principal, of
-    dimension 2 against 0 over QQ.  With every round on GF(3) its cuts
-    lose their dimension and `segre_profile` refuses, rather than keep
-    the stages below the codimension over QQ that GF(3) does not have;
-    the true profile is e = (0, 0, 27)."""
+    """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 + z^4 is
+    (xz^3, yz^3, z^4, f), of dimension 1 against 0 over QQ.  With every
+    round on GF(3) its stage-3 cut keeps dimension 1 and `segre_profile`
+    refuses, rather than keep the stages below the codimension over QQ
+    that GF(3) does not have; the true profile is e = (0, 0, 27).  The
+    tangent ideal of x^3 + y^3 + z^3, generated in degree 3 over QQ, gets
+    its true profile under the same patch, as its degree is read over QQ
+    and its rounds draw nothing; GF(3) leaves only (f), on which the
+    stage chain's rounds fail."""
     x, y, z = R3.variables()
-    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
-    assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 2)
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3 + z ** 4))
+    assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 1)
+    germ, cfg = make_germ(R3), GenericityConfig()
+    assert segre_profile(germ, T, cfg) == SegreProfile((0, 0, 27), (1, 3, 9))
     monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
-    with pytest.raises(GenericityError):
-        segre_profile(make_germ(R3), T, GenericityConfig())
+    with pytest.raises(GenericityError, match="stage 3 cut: local dimension 1, expected 0"):
+        segre_profile(germ, T, cfg)
+    cubes = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    assert segre_profile(germ, cubes, cfg) == SegreProfile((0, 0, 27), (1, 3, 9))
+    assert segre._one_degree(germ, cubes, 3) == 3
+    assert len(cubes.over(3).generators) == 1
+    with pytest.raises(GenericityError, match="could not draw a full-rank coefficient matrix"):
+        segre._certified(cfg, partial(segre._chain_round, codim=3), germ, cubes)
 
 
 def test_unlucky_prime_is_caught_by_certification(R3, monkeypatch):
-    """Round 1 forced onto GF(3), where the Jacobian of x^3 + y^3 + z^3
-    vanishes: the round disagrees and the bound escalates (or the call
-    fails); no wrong number is certified."""
+    """Round 1 forced onto GF(3), where the tangent ideal of
+    x^3 + y^3 + z^3 + z^4 has dimension 1: the round's stage-3 cut keeps
+    that dimension, so the round retries under its next seed, and the
+    certified numbers are the clean ones.  (`polar_chain` would rerun
+    round 0 over QQ, which takes seconds on this input.)"""
     x, y, z = R3.variables()
-    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
+    T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3 + z ** 4))
     germ = make_germ(R3)
     cfg = GenericityConfig()
-    clean = polar_chain(germ, T, cfg)
+    run = partial(segre._chain_round, codim=segre._check_cosupport(germ, T))
+    clean, seeds, _ = segre._certified(cfg, run, germ, T)
     bad_seed = derive_seed(cfg.seed, 0, 1, 0)  # bound step 0, round 1, attempt 0
-    assert bad_seed in clean.seeds_used
+    assert bad_seed in seeds
     real = segre._round_prime
     forced = []
 
@@ -1059,14 +1147,10 @@ def test_unlucky_prime_is_caught_by_certification(R3, monkeypatch):
         return real(seed, den)
 
     monkeypatch.setattr(segre, "_round_prime", unlucky)
-    try:
-        chain = polar_chain(germ, T, cfg)
-    except GenericityError:
-        chain = None
+    numbers, seeds, _ = segre._certified(cfg, run, germ, T)
     assert forced
-    if chain is not None:
-        assert (chain.e, chain.m) == (clean.e, clean.m) == ((0, 0, 27), (1, 3, 9))
-        assert bad_seed not in chain.seeds_used
+    assert numbers == clean == ((1, None), (3, 0), (9, 0), (0, 27))
+    assert bad_seed not in seeds
 
 
 def _driver_run(cfg, outcome, germ, *ideals):
