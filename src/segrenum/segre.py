@@ -67,16 +67,20 @@ k < n, so mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For
 i + j = n the n drawn elements generate the ideal of the h, and the
 number is Teissier's e(I1^[i] | I2^[j]), which
 `mixed_multiplicity_primary` reads through the same round.  Cuts that
-are not 0-dimensional at the origin run the chain on the round's seed.
+are not 0-dimensional at the origin are a dimension anomaly of the
+round, retried under its next seed like a failed stage.
 
 The one-degree rule.  An m-primary I on C^n generated by forms of one
-degree d takes the numbers of m^d, with no round.  Its forms have no
-common zero in P^{n-1}, so n generic ones are a regular sequence inside
-m^d of colength d^n = e(m^d); by Rees's theorem the integral closure of
-I is m^d.  Teissier's mixed multiplicities, and so the polar
-multiplicities and Segre numbers, depend only on the closure: m_k = d^k,
+degree d takes the numbers of m^d.  Its forms have no common zero in
+P^{n-1}, so n generic ones are a regular sequence inside m^d of
+colength d^n = e(m^d); by Rees's theorem the integral closure of I is
+m^d.  Teissier's mixed multiplicities, and so the polar multiplicities
+and Segre numbers, depend only on the closure: m_k = d^k,
 e = (0, ..., 0, d^n), and e(I1^[i] | I2^[j]) = d1^i d2^j for two such
-ideals (`_one_degree`, on the ideal over QQ).
+ideals (`_one_degree`, on the ideal over QQ).  `segre_profile`,
+`mixed_segre` and `mixed_multiplicity_primary` return these numbers
+before any round; `polar_chain`, which needs rational polar ideals,
+runs its rounds and its rerun as for any other ideal.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -418,8 +422,7 @@ def _saturator(S: Ideal, cfg: GenericityConfig, seed: int, *where: int) -> Ideal
     return Ideal(S.ring, tup.combinations)
 
 
-def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
-                numbers_only=False, codim=0):
+def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator, codim=None):
     """The saturation-and-subtract recursion along the given cuts, each
     cut saturated with respect to the `source` ideal S, by a principal
     saturator (g) drawn from it.  `draw_saturator()` returns (g); it is
@@ -431,18 +434,17 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
     least n - k, so a stage of any other local dimension is a genericity
     failure that triggers a seed retry.
 
-    On C^n, a stage k below `codim`, at most n - dim V(S) over QQ, is a
-    trivial stage (module docstring): Q_k is the cut's reduced grevlex
-    basis, its saturation only locally, and m_k = mult_0 of the cut, so
-    e_k = 0.  Only number-only rounds pass `codim`; 0, the default,
-    saturates every stage.
-
-    With `numbers_only`, stage n is not saturated when S lies in m, which
-    is exactly when every g drawn from S vanishes at 0: its cut J is
-    0-dimensional at the origin (or misses it), so g is nilpotent in the
-    local ring of J at 0, J : g^inf misses the origin and m_n = 0; the
-    record's polar ideal is None.  When S does not lie in m the stage is
-    saturated; a g that vanishes at 0 all the same gives m_n = 0 there
+    The default, `codim` None, saturates every stage and builds Q_n, as
+    the runs that read polar ideals need.  An integer `codim`, at most
+    n - dim V(S) over QQ, makes a number-only run.  On C^n its stages k
+    below `codim` are trivial (module docstring): Q_k is the cut's reduced
+    grevlex basis, its saturation only locally, and m_k = mult_0 of the
+    cut, so e_k = 0.  And its stage n is not saturated when S lies in m,
+    which is exactly when every g drawn from S vanishes at 0: its cut J
+    is 0-dimensional at the origin (or misses it), so g is nilpotent in
+    the local ring of J at 0, J : g^inf misses the origin and m_n = 0;
+    the record's polar ideal is None.  When S does not lie in m the stage
+    is saturated; a g that vanishes at 0 all the same gives m_n = 0 there
     too.
 
     Each multiplicity names its prefix, so its completion gets a lower
@@ -455,8 +457,8 @@ def _run_stages(germ: GermContext, cuts, source: Ideal, draw_saturator,
     stages = [StageRecord(0, None, germ.ambient, germ.multiplicity, None)]
     Q = germ.ambient
     prefix = Ideal(ring, ())
-    skip_last = numbers_only and passes_through_origin(source)
-    trivial = codim if germ.ambient.is_zero else 0
+    skip_last = codim is not None and passes_through_origin(source)
+    trivial = codim if codim and germ.ambient.is_zero else 0
     saturator = None
     for k, f in enumerate(cuts, start=1):
         J = ideal_sum(Q, Ideal(ring, (f,)))
@@ -545,24 +547,19 @@ def _one_degree(germ: GermContext, I: Ideal, codim: int) -> int | None:
 
 
 def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
-                  numbers_only=False, codim=0):
+                  codim=None):
     """One run of the polar chain of I: the tuple of n combinations drawn
     from `seed`, and the stages it cuts, saturated by a generic element
     of I drawn from the same seed (`codim` as in `_run_stages`)."""
     tup = generic_tuple(I, germ.n, cfg, seed=seed)
     return tup, _run_stages(germ, tup.combinations, I, partial(_saturator, I, cfg, seed),
-                            numbers_only, codim)
+                            codim)
 
 
-def _chain_round(seed, cfg, round_idx, germ, I, codim=0, d=None):
-    """The numbers of a polar-chain round: (m_k, e_k) for each stage.
-    `d`, the degree `_one_degree` finds for the ideal over QQ (a prime
-    can drop a degree's terms, so the round's I does not decide), gives
-    m^d's numbers, m_k = d^k and e = (0, ..., 0, d^n), with no draw."""
-    if d:
-        n = germ.n
-        return ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
-    stages = _polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
+def _chain_round(seed, cfg, round_idx, germ, I, codim=0):
+    """The numbers of a number-only polar-chain round (`codim` as in
+    `_run_stages`): (m_k, e_k) for each stage."""
+    stages = _polar_stages(germ, I, cfg, seed, codim=codim)[1]
     return tuple((s.m, s.e) for s in stages)
 
 
@@ -570,23 +567,12 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     """Certified polar chain of I on the germ: stages 0..n with polar
     multiplicities m_k and Segre numbers e_k, and the cut and polar
     ideals over QQ of one rerun of round 0's seed, which must give the
-    certified numbers.  The rounds of an ideal generated in one degree
-    draw nothing, so a rerun draw with a dimension anomaly moves on to
-    round 0's next attempt seed, as `_certified` does."""
+    certified numbers.  The rounds run the stage chain for every ideal,
+    one generated in one degree too, so round 0's seed is one whose draw
+    passed the dimension checks over GF(p)."""
     codim = _check_cosupport(germ, I)
-    d = _one_degree(germ, I, codim)
-    numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim, d=d), germ, I)
-    for attempt in range(1, _MAX_ATTEMPTS + 1):
-        try:
-            tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
-            break
-        except DimensionAnomalyError as exc:
-            if not d:
-                raise
-            if attempt == _MAX_ATTEMPTS:
-                raise GenericityError(f"persistent dimension anomaly: {exc}") from exc
-            # rounds that draw nothing agree at bound step 0
-            seeds[0] = derive_seed(cfg_b.seed, 0, 0, attempt)
+    numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
+    tup, stages = _polar_stages(germ, I, cfg_b, seeds[0])
     exact = tuple((s.m, s.e) for s in stages)
     if exact != numbers:
         raise GenericityError(
@@ -597,10 +583,14 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
 
 def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegreProfile:
     """The certified Segre numbers and polar multiplicities of I; unlike
-    `polar_chain`, it makes no rerun over QQ."""
+    `polar_chain`, it makes no rerun over QQ.  An ideal that `_one_degree`
+    finds generated in degree d gets m^d's profile, e = (0, ..., 0, d^n)
+    and m_k = d^k, with no round."""
     codim = _check_cosupport(germ, I)
-    run = partial(_chain_round, codim=codim, d=_one_degree(germ, I, codim))
-    numbers, _, _ = _certified(cfg, run, germ, I)
+    n, d = germ.n, _one_degree(germ, I, codim)
+    if d:
+        return SegreProfile((0,) * (n - 1) + (d ** n,), tuple(d ** k for k in range(n)))
+    numbers, _, _ = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
     return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
 
@@ -651,7 +641,7 @@ def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
     with respect to S = I1 + I2 (`codim` as in `_run_stages`)."""
     S = ideal_sum(I1, I2)
     stages = _run_stages(germ, _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j), S,
-                         partial(_saturator, S, cfg, seed), numbers_only=True, codim=codim)
+                         partial(_saturator, S, cfg, seed), codim)
     return stages[k].e
 
 
@@ -666,17 +656,15 @@ def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
     draws.  The completion takes the zero ideal as prefix, so it is
     bounded by the complete-intersection series of the germ's generators
     and the cuts (see `multiplicity`).  Cuts that are not 0-dimensional
-    at the origin run `_mixed_round` on the same seed, which raises the
-    chain's own anomaly."""
+    at the origin are a dimension anomaly, which `_certified` retries
+    under the round's next seed."""
     if round_idx & 1:
         I1, I2, i, j = I2, I1, j, i
     cuts = (_mixed_pool(seed, cfg, I1, I2, i, j) if i + j == germ.n
             else _mixed_cuts(seed, cfg, germ, I1, I2, germ.n, i, j))
     res = multiplicity_at_origin(ideal_sum(germ.ambient, Ideal(germ.ring, cuts)),
                                  prefix=Ideal(germ.ring, ()))
-    if res.local_dimension == 0:
-        return res.multiplicity
-    return _mixed_round(seed, cfg, round_idx, germ, I1, I2, germ.n, i, j, codim=germ.n)
+    return _contribution(res, 0, "top-level cuts")
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -702,8 +690,8 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     m-primary and each round reads one local colength
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
     no stages 1 .. n - 1.  A round whose cuts are not 0-dimensional at
-    the origin runs the stage chain on its seed, so both paths raise one
-    anomaly.
+    the origin fails its dimension check and is retried, like a chain
+    round whose stage fails one.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")

@@ -339,7 +339,7 @@ def test_unsaturated_last_stage_is_exact(R2, R3, rational):
         assert passes_through_origin(segre._saturator(I, cfg, seed))
         assert full[-1].k == germ.n and full[-1].polar_ideal is not None
         assert full[-1].m == 0
-        skipped = segre._polar_stages(germ, I, cfg, seed, numbers_only=True)[1]
+        skipped = segre._polar_stages(germ, I, cfg, seed, codim=0)[1]
         assert skipped[-1].polar_ideal is None
         top += full[-1].e > 0
     assert top >= 24  # of 36 cases: the skipped stage carries a Segre number
@@ -381,9 +381,9 @@ def _run_stages_spy(monkeypatch):
     calls = []
     real = segre._run_stages
 
-    def spy(germ, cuts, source, draw_saturator, numbers_only=False, codim=0):
+    def spy(germ, cuts, source, draw_saturator, codim=None):
         calls.append(codim)
-        return real(germ, cuts, source, draw_saturator, numbers_only, codim)
+        return real(germ, cuts, source, draw_saturator, codim)
 
     monkeypatch.setattr(segre, "_run_stages", spy)
     return calls
@@ -415,11 +415,11 @@ def test_certified_saturations_are_exact(R3, rational, monkeypatch):
             p = segre._round_prime(seed)
             germ, I = germ.over(p), I.over(p)
         calls.clear()
-        stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
+        stages = segre._polar_stages(germ, I, cfg, seed, codim=codim)[1]
         assert calls == [s.cut_ideal for s in stages[codim:-1]]
         for s in stages[1:codim]:
             assert s.polar_ideal == s.cut_ideal and s.e == 0
-        saturated = segre._polar_stages(germ, I, cfg, seed, numbers_only=True)[1]
+        saturated = segre._polar_stages(germ, I, cfg, seed, codim=0)[1]
         assert [(s.m, s.e) for s in stages] == [(s.m, s.e) for s in saturated]
         codims.append(codim)
     assert codims == [2, 3, 3, 2, 3]  # the last, D4's, keeps stages 1 .. n - 1
@@ -448,11 +448,11 @@ def test_certificate_gate_and_fallback(germ3, R3, cfg, monkeypatch):
     D4 = contact_tangent_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2))
     saturated.clear()
     chain = polar_chain(germ3, D4, cfg)
-    assert codims == [3] * cfg.verification_rounds + [0]
+    assert codims == [3] * cfg.verification_rounds + [None]
     assert saturated == [s.cut_ideal for s in chain.stages[1:]]
     codims.clear()
     assert chain_condition(germ3, D4, cfg)
-    assert codims == [0] * cfg.verification_rounds
+    assert codims == [None] * cfg.verification_rounds
 
 
 def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monkeypatch):
@@ -472,7 +472,7 @@ def test_degenerate_saturator_leaves_certified_stages_exact(germ3, R3, cfg, monk
 
     monkeypatch.setattr(segre, "_saturator", first_cut)
     saturated = saturate_spy(monkeypatch)
-    stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, numbers_only=True, codim=3)[1]
+    stages = segre._polar_stages(germ3, m2, cfg, cfg.seed, codim=3)[1]
     assert [(s.m, s.e) for s in stages] == [(1, None), (2, 0), (4, 0), (0, 8)]
     assert saturated == [] and drawn == []
 
@@ -621,27 +621,43 @@ def test_top_level_mixed_numbers_of_m_primary_pairs_are_colengths(monkeypatch):
 
 
 def test_top_level_colength_keeps_the_chains_anomaly(germ3, R3, cfg, monkeypatch):
-    """m and (x) on C^3 give cuts (h_1, h_2, h_3) inside (l, x), l
-    linear: stage 3 is 1-dimensional for every seed.  (x) and m on C^4
-    with (k, i, j) = (4, 3, 1) give cuts inside (x, l): the cuts are
-    2-dimensional, but the chain fails first at stage 3.  In both cases
-    the colength rounds fail with the chain's error text."""
+    """A colength round whose cuts are not 0-dimensional at the origin
+    raises its own dimension anomaly, which `_certified` retries, and
+    never runs the stage chain.  m and (x) on C^3 give cuts
+    (h_1, h_2, h_3) inside (l, x), l linear, of local dimension 1 for
+    every seed; (x) and m on C^4 with (k, i, j) = (4, 3, 1) give cuts
+    inside (x, l), of local dimension 2.  On the A1 cone xy - z^2, a pool
+    of m and m drawn from (x, z) for every seed cuts out the y-axis,
+    which lies on the cone: `mixed_multiplicity_primary` fails as well."""
     x, y, z = R3.variables()
     R4 = PolynomialRing(["x", "y", "z", "w"])
-    cases = [(germ3, ideal(R3, x, y, z), ideal(R3, x), (3, 1, 2),
-              "stage 3 cut: local dimension 1, expected 0"),
+    cases = [(germ3, ideal(R3, x, y, z), ideal(R3, x), (3, 1, 2), 1),
              (make_germ(R4), ideal(R4, R4.variable("x")), ideal(R4, *R4.variables()),
-              (4, 3, 1), "stage 3 cut: local dimension 2, expected 1")]
+              (4, 3, 1), 2)]
     rounds = certified_spy(monkeypatch)
-    for germ, I1, I2, request, text in cases:
+    monkeypatch.setattr(segre, "_mixed_round", None)
+
+    def anomaly(dim):
+        return f"persistent dimension anomaly: top-level cuts: local dimension {dim}, expected 0"
+
+    for germ, I1, I2, request, dim in cases:
         rounds.clear()
-        with pytest.raises(GenericityError) as branch:
+        with pytest.raises(GenericityError, match=anomaly(dim)):
             mixed_segre(germ, I1, I2, *request, cfg)
         assert _colength_rounds(rounds) == [True]
-        with pytest.raises(GenericityError) as chain:
-            _mixed_rounds(germ, I1, I2, *request, cfg)
-        assert str(branch.value) == str(chain.value)
-        assert text in str(branch.value)
+
+    real = segre.generic_tuple
+
+    def in_x_and_z(I, count, cfg, seed=None):
+        I = Ideal(I.ring, [g for g in I.generators if all(e[0] or e[2] for _, e in g.terms())])
+        return real(I, count, cfg, seed)
+
+    monkeypatch.setattr(segre, "generic_tuple", in_x_and_z)
+    cone, m = make_germ(R3, ideal(R3, x * y - z ** 2)), ideal(R3, x, y, z)
+    rounds.clear()
+    with pytest.raises(GenericityError, match=anomaly(1)):
+        mixed_multiplicity_primary(cone, m, m, 1, cfg)
+    assert _colength_rounds(rounds) == [True]
 
 
 def test_top_level_colength_gate(germ3, R3, cfg, monkeypatch):
@@ -669,7 +685,7 @@ def test_teissier_multiplicities_read_the_colength_round(R3, cfg, monkeypatch):
     multiplicities run `_colength_round` with the cone's ideal added,
     also at i = 0 and i = n, where one side draws nothing:
     e(m^[i] | m^[2-i]) = 2 and e((m^2)^[i] | m^[2-i]) = 2^(i+1).  Every
-    round reads its colength, so none falls back to the stage chain."""
+    round reads its colength, and none runs the stage chain."""
     x, y, z = R3.variables()
     germ = make_germ(R3, ideal(R3, x * y - z ** 2))
     m = ideal(R3, x, y, z)
@@ -684,22 +700,17 @@ def test_teissier_multiplicities_read_the_colength_round(R3, cfg, monkeypatch):
 
 
 def _stages_spy(monkeypatch):
-    """Record the `numbers_only` flag of each `_polar_stages` call."""
+    """Record whether each `_polar_stages` call is a number-only run, one
+    given an integer `codim`."""
     calls = []
     real = segre._polar_stages
 
-    def spy(germ, I, cfg, seed, numbers_only=False, codim=0):
-        calls.append(numbers_only)
-        return real(germ, I, cfg, seed, numbers_only, codim)
+    def spy(germ, I, cfg, seed, codim=None):
+        calls.append(codim is not None)
+        return real(germ, I, cfg, seed, codim)
 
     monkeypatch.setattr(segre, "_polar_stages", spy)
     return calls
-
-
-def _chain_numbers(seed, cfg, round_idx, germ, I, codim=0):
-    """The numbers of a round of the stage chain itself."""
-    stages = segre._polar_stages(germ, I, cfg, seed, numbers_only=True, codim=codim)[1]
-    return tuple((s.m, s.e) for s in stages)
 
 
 def _equigenerated_cases():
@@ -725,12 +736,11 @@ def _equigenerated_cases():
 def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
     """On monomial ideals (x^d, y^d, ...), powers m^d, random forms of
     one degree d and the tangent ideal of x^3 + y^3 + z^3, on C^2, C^3
-    and C^4, `_one_degree` reads d over QQ, and each chain round given d
-    draws nothing and gives the numbers of m^d, m_k = d^k and
-    e = (0, ..., 0, d^n), which are those of the stage chain on the same
-    seed over GF(p).  `segre_profile` draws nothing either and gives the
-    profile that certified rounds of the stage chain give, and
-    `polar_chain`, whose rerun of round 0 over QQ runs the chain, agrees."""
+    and C^4, `_one_degree` reads d over QQ, and the stage chain's rounds
+    give the numbers of m^d, m_k = d^k and e = (0, ..., 0, d^n), on each
+    seed over GF(p) and certified.  `segre_profile` draws nothing and
+    gives that profile; `polar_chain` runs two number-only chain rounds
+    and its rerun of round 0 over QQ, and agrees."""
     cfg = GenericityConfig()
     stages = _stages_spy(monkeypatch)
     for case, (germ, I, d) in enumerate(_equigenerated_cases()):
@@ -740,12 +750,8 @@ def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
         for r in range(3):
             seed = derive_seed(cfg.seed, case, r)
             p = segre._round_prime(seed)
-            germ_p, I_p = germ.over(p), I.over(p)
-            stages.clear()
-            assert segre._chain_round(seed, cfg, 0, germ_p, I_p, codim=n, d=d) == expected, I
-            assert stages == []
-            assert _chain_numbers(seed, cfg, 0, germ_p, I_p, codim=n) == expected
-        assert segre._certified(cfg, partial(_chain_numbers, codim=n), germ, I)[0] == expected
+            assert segre._chain_round(seed, cfg, 0, germ.over(p), I.over(p), codim=n) == expected
+        assert segre._certified(cfg, partial(segre._chain_round, codim=n), germ, I)[0] == expected
         stages.clear()
         profile = segre_profile(germ, I, cfg)
         assert stages == []
@@ -754,7 +760,7 @@ def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
         stages.clear()
         chain = polar_chain(germ, I, cfg)
         assert (chain.e, chain.m) == (profile.e, profile.m)
-        assert stages == [False]
+        assert stages == [True, True, False]
 
 
 def _one_degree_pairs():
@@ -841,18 +847,19 @@ def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
 
     monkeypatch.setattr(segre, "generic_tuple", on_the_z_axis)
     with pytest.raises(GenericityError, match="stage 3 cut: local dimension 1, expected 0"):
-        segre._certified(cfg, partial(_chain_numbers, codim=3), make_germ(R3), m2)
+        segre._certified(cfg, partial(segre._chain_round, codim=3), make_germ(R3), m2)
     stages.clear()
     assert segre_profile(make_germ(R3), m2, cfg) == SegreProfile((0, 0, 8), (1, 2, 4))
     assert stages == []
 
 
 def test_one_degree_rerun_retries_a_degenerate_draw(R3, cfg, monkeypatch):
-    """The rounds of m^2 on C^3 draw nothing, so `polar_chain` reruns
-    round 0's attempt-0 seed over QQ.  When that seed's three cuts share
-    the z-axis, the rerun moves on to round 0's next attempt seed and
-    certifies e = (0, 0, 8) with it; when every seed's cuts do, it ends
-    in `GenericityError`."""
+    """When round 0's attempt-0 seed draws three cuts of m^2 on C^3 that
+    share the z-axis, its chain round over GF(p) fails its stage-3
+    dimension check, `_certified` moves on to round 0's next attempt
+    seed, and `polar_chain` reruns that seed over QQ and certifies
+    e = (0, 0, 8) with it; when every seed's cuts do, it ends in
+    `GenericityError`."""
     m2 = ideal_power(ideal(R3, *R3.variables()), 2)
     real = segre.generic_tuple
     first = derive_seed(cfg.seed, 0, 0, 0)  # bound step 0, round 0, attempt 0
@@ -1105,8 +1112,8 @@ def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
     that GF(3) does not have; the true profile is e = (0, 0, 27).  The
     tangent ideal of x^3 + y^3 + z^3, generated in degree 3 over QQ, gets
     its true profile under the same patch, as its degree is read over QQ
-    and its rounds draw nothing; GF(3) leaves only (f), on which the
-    stage chain's rounds fail."""
+    and `segre_profile` runs no round; GF(3) leaves only (f), on which
+    the stage chain's rounds fail."""
     x, y, z = R3.variables()
     T = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3 + z ** 4))
     assert (segre.dimension(T), segre.dimension(T.over(3))) == (0, 1)
