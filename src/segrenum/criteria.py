@@ -92,9 +92,11 @@ class MixedNumberCache:
 
     def profile(self, which: int) -> SegreProfile:
         if which not in self._profiles:
-            ideal_ = self.I1 if which == 1 else self.I2
-            self._profiles[which] = segre_profile(self.germ, ideal_, self.cfg)
+            self._profiles[which] = self._profile(which)
         return self._profiles[which]
+
+    def _profile(self, which: int) -> SegreProfile:
+        return segre_profile(self.germ, self.I1 if which == 1 else self.I2, self.cfg)
 
     def e(self, which: int, k: int) -> int:
         return self.profile(which).e[k - 1]
@@ -104,14 +106,15 @@ class MixedNumberCache:
         key = (k, i, j)
         value = self._mixed.get(key)
         if value is None:
-            if j == 0:
-                value = self.e(1, k)
-            elif i == 0:
-                value = self.e(2, k)
-            else:
-                value = mixed_segre(self.germ, self.I1, self.I2, k, i, j, self.cfg)
-            self._mixed[key] = value
+            value = self._mixed[key] = self._number(k, i, j)
         return value
+
+    def _number(self, k: int, i: int, j: int) -> int:
+        if j == 0:
+            return self.e(1, k)
+        if i == 0:
+            return self.e(2, k)
+        return mixed_segre(self.germ, self.I1, self.I2, k, i, j, self.cfg)
 
     def table(self, keys=None) -> MixedSegreTable:
         """The mixed numbers asked for so far, or only those in `keys`."""

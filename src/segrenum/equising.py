@@ -11,17 +11,50 @@ condition; a failing battery never asserts "not Whitney".
 
 Reducedness of the hypersurfaces is a documented user obligation (it is
 not verified here).
+
+Two isolated singularities: Teissier's expansion.  When both Jacobian
+ideals J0 = J(f0) and J1 = J(f1) are m-primary at the origin, every
+number of the battery is a sum of mixed multiplicities of m, J0 and J1,
+and nothing runs on the n^2 + 1 generators of a tangent ideal.
+
+- T = m J(f) + (f) and m J(f) have one integral closure: f lies in the
+  closure of m J(f) by the valuative criterion.  Along an arc g through
+  0, (f o g)' = sum_i (d_i f)(g) g_i', so ord(f o g) = 1 + ord((f o g)')
+  >= min_i ord((d_i f)(g)) + min_i ord(g_i), the order of m J(f) along g.
+- Mixed multiplicities of m-primary ideals depend only on their
+  closures (Rees; Teissier), and they are multilinear in products:
+  e((IJ)^[1] | ...) = e(I^[1] | ...) + e(J^[1] | ...) (Teissier's
+  product formula; Swanson-Huneke, ch. 17).
+- So the profile of T is m_k = e(m^[n-k] | T^[k])
+  = sum_{i <= k} C(k, i) mu^(i), with Teissier's sequence
+  mu^(i) = e(m^[n-i] | J^[i]) (mu^(0) = 1), e_k = 0 for k < n and
+  e_n = m_n = e(T); and each top entry, i + j = n, is
+  e_n^{i,j}(T0, T1) = e(T0^[i] | T1^[j])
+  = sum_{a <= i, b <= j} C(i, a) C(j, b) e(m^[n-a-b] | J0^[a] | J1^[b]).
+- Every other entry, k < n, is 0: below the codimension n for i, j >= 1
+  (see `segre`), and e_k(T) for the boundary ones.
+
+Each term is one colength round on the sides m, J0 and J1 after the
+one-degree fold (`segre._fold`); each distinct round runs once per
+battery.  The test of J, its local dimension at the origin, is one
+completion on the n partials, and it reads mu^(n) = e(J): J is
+generated by n parameters, so e(J) is its colength, the Milnor number.
+A germ whose Jacobian ideal is not m-primary there (a non-isolated
+singularity, or a smooth point) keeps the general battery on T0 and T1,
+as do `segre_profile` and `closure_battery` on a tangent ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .criteria import ComparisonReport, MixedNumberCache, _chain_verdict, _sides
 from .errors import PreconditionError, RingMismatchError
 from .groebner import Ideal
+from .multiplicity import multiplicity_at_origin
 from .rings import Polynomial
-from .segre import GenericityConfig, make_germ
+from .segre import GenericityConfig, SegreProfile, _colength, _fold, make_germ
 
 
 @dataclass(frozen=True)
@@ -55,12 +88,62 @@ def contact_tangent_ideal(f: FunctionGerm) -> Ideal:
     return Ideal(ring, gens + [f.poly])
 
 
+def _milnor_number(J: Ideal) -> int | None:
+    """The local colength of the Jacobian ideal J at the origin when J is
+    m-primary there, else None.  It is the Milnor number, and e(J) = mu^(n),
+    as J is generated by n parameters (Matsumura, Thm 17.11)."""
+    res = multiplicity_at_origin(J)
+    return res.multiplicity if res.local_dimension == 0 else None
+
+
+class _TeissierNumbers(MixedNumberCache):
+    """The battery's numbers for the tangent ideals T0, T1 of two germs
+    whose Jacobian ideals J0, J1 are m-primary with Milnor numbers mu0,
+    mu1, by Teissier's expansion (module docstring); `mixed` takes
+    i + j = k."""
+
+    def __init__(self, germ, T0: Ideal, T1: Ideal, J0: Ideal, J1: Ideal, mu0: int, mu1: int,
+                 cfg):
+        super().__init__(germ, T0, T1, cfg)
+        self.J0, self.J1 = J0, J1
+        self.m = Ideal(germ.ring, germ.ring.variables())
+        self._terms = {(germ.n, 0): mu0, (0, germ.n): mu1}
+        self._rounds = {}
+
+    def _term(self, a: int, b: int) -> int:
+        """e(m^[n-a-b] | J0^[a] | J1^[b]); a round that two terms fold
+        to runs once."""
+        if (a, b) not in self._terms:
+            n = self.germ.n
+            factor, sides = _fold(self.germ, ((self.m, n - a - b), (self.J0, a), (self.J1, b)),
+                                  (n,) * 3)
+            key = tuple((I.generators, count) for I, count in sides)
+            if key not in self._rounds:
+                self._rounds[key] = _colength(self.germ, self.cfg, sides)
+            self._terms[a, b] = factor * self._rounds[key]
+        return self._terms[a, b]
+
+    def _profile(self, which: int) -> SegreProfile:
+        n = self.germ.n
+        mu = [self._term(i, 0) if which == 1 else self._term(0, i) for i in range(n + 1)]
+        m = [sum(comb(k, i) * mu[i] for i in range(k + 1)) for k in range(n + 1)]
+        return SegreProfile((0,) * (n - 1) + (m[n],), tuple(m[:n]))
+
+    def _number(self, k: int, i: int, j: int) -> int:
+        if k < self.germ.n:
+            return 0
+        return sum(comb(i, a) * comb(j, b) * self._term(a, b)
+                   for a in range(i + 1) for b in range(j + 1))
+
+
 def whitney_battery(f0: FunctionGerm, f1: FunctionGerm,
                     cfg: GenericityConfig) -> ComparisonReport:
     """Evaluate the mixed-Segre equality battery on the contact tangent
     ideals of the two germs, in both orientations, for k = 2 up to the
     ambient dimension.  The verdict reads "Whitney-sufficient": passing
-    certifies the family, failing certifies nothing.
+    certifies the family, failing certifies nothing.  Two isolated
+    singularities take every number from Teissier's expansion (module
+    docstring).
     """
     if f0.ring != f1.ring:
         raise RingMismatchError("both germs must live in the same ring")
@@ -70,7 +153,13 @@ def whitney_battery(f0: FunctionGerm, f1: FunctionGerm,
     germ = make_germ(ring)
     T0 = contact_tangent_ideal(f0)
     T1 = contact_tangent_ideal(f1)
-    cache = MixedNumberCache(germ, T0, T1, cfg)
+    J0, J1 = jacobian_ideal(f0), jacobian_ideal(f1)
+    mu0 = _milnor_number(J0)
+    mu1 = mu0 and _milnor_number(J1)
+    if mu1:
+        cache = _TeissierNumbers(germ, T0, T1, J0, J1, mu0, mu1, cfg)
+    else:
+        cache = MixedNumberCache(germ, T0, T1, cfg)
     verdicts, keys = [], []
     for k in range(2, ring.nvars + 1):
         left, right = _sides(cache, k)

@@ -66,7 +66,10 @@ dimension n - k; then the lemma gives locally Q_k = (h_1, ..., h_k) for
 k < n, so mult_0(Q_{n-1} + (h_n)) = l(R/(h)) and m_n = 0.  For
 i + j = n the n drawn elements generate the ideal of the h, and the
 number is Teissier's e(I1^[i] | I2^[j]), which
-`mixed_multiplicity_primary` reads through the same round.  Cuts that
+`mixed_multiplicity_primary` reads through the same round.  The round
+takes any number of sides (I_s, c_s), c_s elements of each I_s, and
+with sum c_s = n it reads e(I_1^[c_1] | ... | I_r^[c_r]): the Whitney
+battery's terms in m and two Jacobian ideals (`equising`).  Cuts that
 are not 0-dimensional at the origin are a dimension anomaly of the
 round, retried under its next seed like a failed stage.
 
@@ -75,12 +78,19 @@ degree d takes the numbers of m^d.  Its forms have no common zero in
 P^{n-1}, so n generic ones are a regular sequence inside m^d of
 colength d^n = e(m^d); by Rees's theorem the integral closure of I is
 m^d.  Teissier's mixed multiplicities, and so the polar multiplicities
-and Segre numbers, depend only on the closure: m_k = d^k,
-e = (0, ..., 0, d^n), and e(I1^[i] | I2^[j]) = d1^i d2^j for two such
-ideals (`_one_degree`, on the ideal over QQ).  `segre_profile`,
-`mixed_segre` and `mixed_multiplicity_primary` return these numbers
-before any round; `polar_chain`, which needs rational polar ideals,
-runs its rounds and its rerun as for any other ideal.
+and Segre numbers, depend only on the closure: m_k = d^k and
+e = (0, ..., 0, d^n) (`_one_degree`, on the ideal over QQ), which
+`segre_profile` returns before any round.  Mixed multiplicities are
+multilinear in products, so in a colength e(I_1^[c_1] | ... | I_r^[c_r])
+with sum c_s = n such a side folds into one side of m, generic linear
+forms, with the factor d^{c_s} (`_fold`); when every side folds, the
+number is the product of the factors and no round runs.  In e_n^{i,j}
+the other side I2 need not be m-primary: if V(I2) has codimension at
+least j, its j elements are a regular sequence, and on their quotient,
+Cohen-Macaulay of dimension i, I1 and m^d still have one closure; if
+not, the cuts are not 0-dimensional, folded or not.  `polar_chain`,
+which needs rational polar ideals, runs its rounds and its rerun as for
+any other ideal.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -618,21 +628,24 @@ def segre_on_subspace(germ: GermContext, I: Ideal, P: Ideal,
     return segre_profile(make_germ(germ.ring, X), I, cfg)
 
 
-def _mixed_pool(seed, cfg, I1, I2, i, j):
-    """i generic elements of I1 and j of I2, drawn from the round seed;
-    a side whose count is 0 draws nothing."""
+def _mixed_pool(seed, cfg, sides):
+    """`count` generic elements of each side's ideal, for the sides
+    (ideal, count) in order, drawn from the round seed: sides 1 and 2
+    from `derive_seed` indices 1 and 2, side s >= 3 from index s + 7, as
+    every index below 10 is taken; a side whose count is 0 draws
+    nothing."""
     pool = ()
-    if i:
-        pool += generic_tuple(I1, i, cfg, seed=derive_seed(seed, 1)).combinations
-    if j:
-        pool += generic_tuple(I2, j, cfg, seed=derive_seed(seed, 2)).combinations
+    for s, (I, count) in enumerate(sides, start=1):
+        if count:
+            index = s if s < 3 else s + 7
+            pool += generic_tuple(I, count, cfg, seed=derive_seed(seed, index)).combinations
     return pool
 
 
-def _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j):
+def _mixed_cuts(seed, cfg, germ, sides, k):
     """The k cuts of a mixed round: generic combinations of the round's
     pool (`_mixed_pool`), drawn from the round seed."""
-    pool = Ideal(germ.ring, _mixed_pool(seed, cfg, I1, I2, i, j))
+    pool = Ideal(germ.ring, _mixed_pool(seed, cfg, sides))
     return generic_tuple(pool, k, cfg, seed=derive_seed(seed, 3)).combinations
 
 
@@ -640,31 +653,69 @@ def _mixed_round(seed, cfg, round_idx, germ, I1, I2, k, i, j, codim):
     """The number of a mixed round: e_k of the round's k cuts, saturated
     with respect to S = I1 + I2 (`codim` as in `_run_stages`)."""
     S = ideal_sum(I1, I2)
-    stages = _run_stages(germ, _mixed_cuts(seed, cfg, germ, I1, I2, k, i, j), S,
+    stages = _run_stages(germ, _mixed_cuts(seed, cfg, germ, ((I1, i), (I2, j)), k), S,
                          partial(_saturator, S, cfg, seed), codim)
     return stages[k].e
 
 
-def _colength_round(seed, cfg, round_idx, germ, I1, I2, i, j):
+def _colength_round(seed, cfg, round_idx, germ, *ideals, counts):
     """The number of a top-level round with an m-primary source: the
-    local colength at 0 of the germ plus n cuts, e_n^{i,j}(I1, I2) for
-    `mixed_segre` and, when i + j = n, Teissier's e(I1^[i] | I2^[j]) for
-    `mixed_multiplicity_primary`.  Odd rounds run as (I2, I1, j, i), a
-    symmetry check.  For i + j = n the cuts are the pool itself: a
-    full-rank recombination of its n elements generates the same ideal
-    and only adds terms; for i + j > n they are the n cuts `_mixed_round`
-    draws.  The completion takes the zero ideal as prefix, so it is
-    bounded by the complete-intersection series of the germ's generators
-    and the cuts (see `multiplicity`).  Cuts that are not 0-dimensional
-    at the origin are a dimension anomaly, which `_certified` retries
-    under the round's next seed."""
+    local colength at 0 of the germ plus n cuts drawn from the sides
+    (I_s, c_s), the `ideals` with their `counts`.  For sum c_s = n the
+    cuts are the pool itself (a full-rank recombination generates the
+    same ideal and only adds terms), and the number is Teissier's
+    e(I_1^[c_1] | ... | I_r^[c_r]); for two sides with i + j > n they are
+    the n cuts `_mixed_round` draws, e_n^{i,j}(I1, I2).  Odd rounds
+    reverse the sides, a symmetry check.  The completion takes the zero
+    ideal as prefix, so it is bounded by the complete-intersection series
+    of the germ's generators and the cuts (see `multiplicity`).  Cuts
+    that are not 0-dimensional at the origin are a dimension anomaly,
+    which `_certified` retries under the round's next seed."""
+    sides = tuple(zip(ideals, counts))
     if round_idx & 1:
-        I1, I2, i, j = I2, I1, j, i
-    cuts = (_mixed_pool(seed, cfg, I1, I2, i, j) if i + j == germ.n
-            else _mixed_cuts(seed, cfg, germ, I1, I2, germ.n, i, j))
+        sides = sides[::-1]
+    cuts = (_mixed_pool(seed, cfg, sides) if sum(counts) == germ.n
+            else _mixed_cuts(seed, cfg, germ, sides, germ.n))
     res = multiplicity_at_origin(ideal_sum(germ.ambient, Ideal(germ.ring, cuts)),
                                  prefix=Ideal(germ.ring, ()))
     return _contribution(res, 0, "top-level cuts")
+
+
+def _fold(germ: GermContext, sides, codims):
+    """(factor, sides') with e(I_1^[c_1] | ... | I_r^[c_r]) equal to factor
+    times the number of sides', or to factor when sides' is () (module
+    docstring, the one-degree rule), `codims` the codimensions of the I_s.
+    A side that `_one_degree` finds generated in degree d, or whose count
+    is 0, gives d^count, and its count goes to one side of m, in the place
+    of the first such side.  Sides whose counts do not sum to n are
+    returned as they are."""
+    if sum(count for _, count in sides) != germ.n:
+        return 1, sides
+    factor, linear, at, kept = 1, 0, None, []
+    for (I, count), codim in zip(sides, codims):
+        d = _one_degree(germ, I, codim) if count else 1
+        if not d:
+            kept.append((I, count))
+            continue
+        factor *= d ** count
+        linear += count
+        if at is None:
+            at = len(kept)
+            kept.append(None)
+    if linear == germ.n:
+        return factor, ()
+    if at is not None:
+        kept[at] = (Ideal(germ.ring, germ.ring.variables()), linear)
+    return factor, tuple(kept)
+
+
+def _colength(germ: GermContext, cfg: GenericityConfig, sides) -> int:
+    """The certified number of `_colength_round` on the sides; 1 for no
+    sides, e(m^[n])."""
+    if not sides:
+        return 1
+    ideals, counts = zip(*sides)
+    return _certified(cfg, partial(_colength_round, counts=counts), germ, *ideals)[0]
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -684,14 +735,14 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     in dimension n - k does not drop.  The boundary conventions come
     first: e_k(I1) need not vanish below c2.
 
-    At k == i + j == n, two ideals that `_one_degree` finds generated
-    in degrees d1 and d2 give d1^i d2^j with no round.  Otherwise, on
-    C^n with k == c == n and both ideals in m, the source I1 + I2 is
+    On C^n with k == c == n and both ideals in m, the source I1 + I2 is
     m-primary and each round reads one local colength
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
-    no stages 1 .. n - 1.  A round whose cuts are not 0-dimensional at
-    the origin fails its dimension check and is retried, like a chain
-    round whose stage fails one.
+    no stages 1 .. n - 1.  At i + j == n an ideal generated in one
+    degree d folds into m with the factor d^i or d^j (`_fold`), and two
+    such ideals give d1^i d2^j with no round.  A round whose cuts are
+    not 0-dimensional at the origin fails its dimension check and is
+    retried, like a chain round whose stage fails one.
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -709,13 +760,10 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
     if k < codim:
         return 0
-    if k == i + j == germ.n:
-        d1, d2 = _one_degree(germ, I1, c1), _one_degree(germ, I2, c2)
-        if d1 and d2:
-            return d1 ** i * d2 ** j
     if (k == codim == germ.n and germ.ambient.is_zero
             and passes_through_origin(I1) and passes_through_origin(I2)):
-        return _certified(cfg, partial(_colength_round, i=i, j=j), germ, I1, I2)[0]
+        factor, sides = _fold(germ, ((I1, i), (I2, j)), (c1, c2))
+        return factor * _colength(germ, cfg, sides)
     return _certified(cfg, partial(_mixed_round, k=k, i=i, j=j, codim=codim),
                       germ, I1, I2)[0]
 
@@ -735,19 +783,17 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     ideals: the local colength on the germ of i generic elements of I1
     with n - i generic elements of I2, read by `_colength_round`.  Its
     odd rounds run in the swapped orientation, which checks the symmetry
-    e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i]).  When each ideal with a
-    positive count is generated in one degree (`_one_degree`), it is
-    d1^i d2^(n-i), with no round."""
+    e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i]).  On C^n an ideal
+    generated in one degree d folds into m with the factor d^i or
+    d^(n-i) (`_fold`): when both do, the number is d1^i d2^(n-i), with
+    no round."""
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
-    d1 = _one_degree(germ, I1, n) if i else 1
-    d2 = _one_degree(germ, I2, n) if n - i else 1
-    if d1 and d2:
-        return d1 ** i * d2 ** (n - i)
-    return _certified(cfg, partial(_colength_round, i=i, j=n - i), germ, I1, I2)[0]
+    factor, sides = _fold(germ, ((I1, i), (I2, n - i)), (n, n))
+    return factor * _colength(germ, cfg, sides)
 
 
 def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import segrenum
 from segrenum import GenericityConfig, PolynomialRing, cli, ideal, make_germ, segre
+from segrenum.equising import FunctionGerm
 
 CORPUS = Path(segrenum.__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
@@ -55,6 +57,21 @@ def certified_spy(monkeypatch):
 
     monkeypatch.setattr(segre, "_certified", spy)
     return calls
+
+
+def semi_quasi_homogeneous(R, seed):
+    """x^a + y^b + z^c with a, b, c drawn from 2..4, plus three seeded
+    terms of weighted degree above 1 (weights 1/a, 1/b, 1/c) and total
+    degree at most 5; returns the germ and (a, b, c)."""
+    rng = random.Random(seed)
+    a, b, c = (rng.randint(2, 4) for _ in range(3))
+    x, y, z = R.variables()
+    above = [(i, j, k) for i in range(6) for j in range(6) for k in range(6 - i - j)
+             if i * b * c + j * a * c + k * a * b > a * b * c]
+    f = x ** a + y ** b + z ** c
+    for i, j, k in rng.sample(above, 3):
+        f = f + rng.choice([-3, -2, -1, 1, 2, 3]) * x ** i * y ** j * z ** k
+    return FunctionGerm(f), (a, b, c)
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from segrenum import groebner
+from segrenum import criteria, equising, groebner
 from segrenum import (
     FunctionGerm,
+    GenericityConfig,
     PolynomialRing,
     buchberger,
     closure_battery,
@@ -19,7 +20,7 @@ from segrenum import (
 from segrenum.errors import PreconditionError
 from segrenum.groebner import ENGINE_STATS, clear_caches, groebner_fingerprint
 
-from conftest import saturate_spy
+from conftest import saturate_spy, semi_quasi_homogeneous
 
 
 def test_function_germ_validation(R2):
@@ -127,19 +128,20 @@ def test_whitney_battery_three_variables(R3, cfg):
 
 
 def test_whitney_corank_work(R3, cfg, monkeypatch):
-    """The battery's number-only rounds keep stages 1 and 2, below the
-    codimension 3 of both sources, as their cuts, and leave stage 3
-    unsaturated: no saturation from cold caches,
-    against 20 when stages 1 and 2 were saturated and 28 when stage 3
-    was too, with the same numbers.  The mixed numbers e_3^{2,1} and
-    e_3^{1,2} read the colength of the three elements each round draws,
-    one completion per round bounded by the complete-intersection series
-    of its three cuts.  The left tangent ideal is m^2, whose generators
-    are all quadrics, so its profile is taken with no round: the
-    completions reduce 48 S-pairs, against 54 when that profile's rounds
-    completed their three cuts, 88 when those completions had no Hilbert
-    bound, 98 when each
-    mixed round read three combinations of its drawn elements and ran
+    """Both germs have isolated singularities, so the battery takes every
+    number from Teissier's expansion in m, J0 = (x, y, z) and
+    J1 = (x, y, z^2): no saturation from cold caches, against 20 when
+    the stage chains of the tangent ideals saturated stages 1 and 2 and
+    28 when stage 3 was too, with the same numbers.  J0 is generated in
+    degree 1, so every term folds it into m, and the terms certify two
+    distinct colengths, e(m^[3-b] | J1^[b]) for b = 1, 2, in two rounds
+    each; the test of J1 reads e(J1) = 2.  The six completions (the two
+    tests and the four rounds) reduce 4 S-pairs, against 48 when the
+    battery ran on the tangent ideals, whose mixed numbers e_3^{2,1} and
+    e_3^{1,2} read the colength of three elements drawn from T0 and T1,
+    54 when the profile of T0 = m^2 ran rounds that completed their
+    three cuts, 88 when those completions had no Hilbert bound, 98 when
+    each mixed round read three combinations of its drawn elements and ran
     odd rounds unswapped, 90 when that profile ran the
     stage chain, whose prefixes bound each cut's series, 72 when the
     mixed numbers ran it too, 80 when e_2^{1,1}, below the codimension 3
@@ -152,7 +154,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.spairs_reduced) == (0, 48)
+    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 6, 4)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -207,3 +209,72 @@ def test_series_memo_does_not_change_the_battery(R3, cfg):
     assert groebner._SERIES_MEMO
     assert run() == cold
     assert run() == cold  # the memo now holds this battery's own lead sets
+
+
+def _battery_spy(monkeypatch):
+    """Record the cache class and the chains of each `_sides` call the
+    Whitney battery makes."""
+    calls = []
+    real = criteria._sides
+
+    def spy(cache, k):
+        calls.append((type(cache), real(cache, k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(equising, "_sides", spy)
+    return calls
+
+
+def _isolated_pairs():
+    """Pairs of germs with isolated singularities: the corpus's two
+    Whitney pairs, the `whitney_corank` benchmark pair, three seeded
+    semi-quasi-homogeneous pairs on C^3 and the D4 suspension against a
+    deformation on C^4."""
+    R2 = PolynomialRing(["x", "y"])
+    a, b = R2.variables()
+    R3 = PolynomialRing(["x", "y", "z"])
+    x, y, z = R3.variables()
+    R4 = PolynomialRing(["x", "y", "z", "w"])
+    p, q, r, s = R4.variables()
+    pairs = [(a ** 2 + b ** 2, a ** 2 + b ** 3), (a ** 2 + b ** 2, a ** 2 + 2 * b ** 2),
+             (x ** 2 + y ** 2 + z ** 2, x ** 2 + y ** 2 + z ** 3),
+             (p ** 2 * q + q ** 3 + r ** 2 + s ** 2, p ** 2 * q + q ** 3 + r ** 3 + s ** 2)]
+    pairs = [(FunctionGerm(f0), FunctionGerm(f1)) for f0, f1 in pairs]
+    pairs += [(semi_quasi_homogeneous(R3, seed)[0], semi_quasi_homogeneous(R3, seed + 100)[0])
+              for seed in (5, 6, 7)]
+    return pairs
+
+
+def test_teissier_route_matches_the_tangent_ideal_battery(monkeypatch):
+    """For two germs with isolated singularities the battery runs on
+    Teissier's expansion in m, J0 and J1, and gives the chains of every
+    level, both profiles and the mixed table that the general battery
+    gives on the tangent ideals T0 and T1 (a `MixedNumberCache`)."""
+    cfg = GenericityConfig()
+    calls = _battery_spy(monkeypatch)
+    for f0, f1 in _isolated_pairs():
+        calls.clear()
+        report = whitney_battery(f0, f1, cfg)
+        germ = make_germ(f0.ring)
+        general = criteria.MixedNumberCache(germ, contact_tangent_ideal(f0),
+                                            contact_tangent_ideal(f1), cfg)
+        assert [cls for cls, _ in calls] == [equising._TeissierNumbers] * (germ.n - 1)
+        assert [chains for _, chains in calls] == \
+            [criteria._sides(general, k) for k in range(2, germ.n + 1)]
+        assert (report.left_profile, report.right_profile) == \
+            (general.profile(1), general.profile(2))
+        assert report.mixed.entries == general.table(report.mixed.entries).entries
+
+
+def test_non_isolated_germs_keep_the_general_battery(R3, cfg, monkeypatch):
+    """x^2 + y^2 and x^2 + y^3 on C^3 are singular along the z-axis: their
+    Jacobian ideals are not m-primary, so the battery runs on the tangent
+    ideals, with the numbers it gave before Teissier's route."""
+    x, y, z = R3.variables()
+    calls = _battery_spy(monkeypatch)
+    report = whitney_battery(FunctionGerm(x ** 2 + y ** 2), FunctionGerm(x ** 2 + y ** 3), cfg)
+    assert [cls for cls, _ in calls] == [criteria.MixedNumberCache] * 2
+    assert (report.left_profile.e, report.left_profile.m) == ((0, 1, 6), (1, 2, 3))
+    assert (report.right_profile.e, report.right_profile.m) == ((0, 2, 8), (1, 2, 3))
+    assert report.mixed.entries == {(2, 1, 1): 1, (2, 0, 2): 2, (3, 2, 1): 6, (3, 1, 2): 7}
+    assert not any(v.holds for v in report.verdicts)

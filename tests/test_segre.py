@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from segrenum import (
     generic_tuple,
     ideal,
     ideal_power,
+    ideal_product,
     make_germ,
     mixed_multiplicity_primary,
     mixed_segre,
@@ -37,7 +39,7 @@ from segrenum.parser import parse_input
 from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
-from conftest import GOLDEN, certified_spy, replay_corpus, saturate_spy
+from conftest import GOLDEN, certified_spy, replay_corpus, saturate_spy, semi_quasi_homogeneous
 from oracles import macaulay_colength_stable, milnor_sequence
 
 
@@ -790,13 +792,89 @@ def test_one_degree_mixed_numbers_match_colength_rounds(monkeypatch):
     for germ, I1, I2, d1, d2 in _one_degree_pairs():
         n = germ.n
         for i in range(n + 1):
-            run = partial(segre._colength_round, i=i, j=n - i)
+            run = partial(segre._colength_round, counts=(i, n - i))
             assert segre._certified(cfg, run, germ, I1, I2)[0] == d1 ** i * d2 ** (n - i)
             rounds.clear()
             assert mixed_multiplicity_primary(germ, I1, I2, i, cfg) == d1 ** i * d2 ** (n - i)
             if 0 < i < n:
                 assert mixed_segre(germ, I1, I2, n, i, n - i, cfg) == d1 ** i * d2 ** (n - i)
             assert rounds == []
+
+
+def _compositions(n, parts):
+    """Every tuple of `parts` nonnegative counts summing to n."""
+    return [c for c in itertools.product(range(n + 1), repeat=parts) if sum(c) == n]
+
+
+def test_colength_rounds_take_any_number_of_sides():
+    """A certified colength round on the three sides m, I and J of
+    seeded m-primary ideals on C^3, for every split of the three cuts
+    among them, 0 included, gives one number in every order of its
+    sides; and two sides that draw from one ideal give the number of a
+    single side with both counts."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(["x", "y", "z"])
+    germ = make_germ(R)
+    rng = random.Random(31)
+    m = ideal(R, *R.variables())
+    I, J = _random_m_primary(germ, rng, 1, 2), _random_m_primary(germ, rng, 2, 3)
+    for counts in _compositions(3, 3):
+        sides = tuple(zip((m, I, J), counts))
+        values = {segre._colength(germ, cfg, order) for order in itertools.permutations(sides)}
+        assert len(values) == 1, counts
+        a, b, c = counts
+        assert segre._colength(germ, cfg, ((I, a), (J, b), (J, c))) == \
+            segre._colength(germ, cfg, ((I, a), (J, b + c)))
+
+
+def test_colength_rounds_are_multilinear_in_products():
+    """Teissier's product formula on the Jacobian ideals J0 of D4 and J1
+    of E6 on C^3: e((J0 J1)^[1] | m^[2]) = e(J0^[1] | m^[2]) +
+    e(J1^[1] | m^[2]), and e((J0 J1)^[2] | m^[1]) is e(J0^[2] | m^[1]) +
+    2 e(J0^[1] | J1^[1] | m^[1]) + e(J1^[2] | m^[1]), whose middle term
+    is a three-side round."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(["x", "y", "z"])
+    x, y, z = R.variables()
+    germ = make_germ(R)
+    m = ideal(R, x, y, z)
+    J0 = jacobian_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2))
+    J1 = jacobian_ideal(FunctionGerm(x ** 3 + y ** 4 + z ** 2))
+    product = ideal_product(J0, J1)
+
+    def e(*sides):
+        return segre._colength(germ, cfg, sides)
+
+    assert e((product, 1), (m, 2)) == e((J0, 1), (m, 2)) + e((J1, 1), (m, 2)) == 2
+    mixed = e((J0, 1), (J1, 1), (m, 1))
+    assert e((product, 2), (m, 1)) == e((J0, 2), (m, 1)) + 2 * mixed + e((J1, 2), (m, 1))
+
+
+def test_the_fold_matches_a_three_side_round(monkeypatch):
+    """On C^3 a side generated in one degree d folds into m:
+    e(m^[a] | I^[b] | J^[c]) is d^b times a round without I, equal to the
+    certified three-side round that draws from I, for I = (x^2, y^2, z^2)
+    and m^3 and J the Jacobian ideal of D4 or a seeded m-primary ideal of
+    mixed degrees.  When J folds too, no round runs."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(["x", "y", "z"])
+    x, y, z = R.variables()
+    germ = make_germ(R)
+    m = ideal(R, x, y, z)
+    rounds = certified_spy(monkeypatch)
+    others = [jacobian_ideal(FunctionGerm(x ** 2 * y + y ** 3 + z ** 2)),
+              _random_m_primary(germ, random.Random(32), 1, 2)]
+    for I, d in ((ideal(R, x ** 2, y ** 2, z ** 2), 2), (ideal_power(m, 3), 3)):
+        for J in others:
+            for a, b, c in _compositions(3, 3):
+                sides = ((m, a), (I, b), (J, c))
+                factor, folded = segre._fold(germ, sides, (3, 3, 3))
+                assert factor == d ** b and I not in [side for side, _ in folded]
+                assert factor * segre._colength(germ, cfg, folded) == \
+                    segre._colength(germ, cfg, sides)
+        rounds.clear()
+        assert segre._fold(germ, ((m, 1), (I, 1), (m, 1)), (3, 3, 3)) == (d, ())
+        assert rounds == []
 
 
 def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
@@ -913,7 +991,7 @@ def test_bounded_colengths_match_plain_ones(monkeypatch):
         germ, I1, I2 = germ.over(p), I1.over(p), I2.over(p)
         n = germ.n
         out = [segre._chain_round(seed, cfg, 0, germ, I, codim=n) for I in (I1, I2)]
-        out += [segre._colength_round(seed, cfg, r, germ, I1, I2, i, j)
+        out += [segre._colength_round(seed, cfg, r, germ, I1, I2, counts=(i, j))
                 for r in (0, 1) for i in range(1, n + 1) for j in range(1, n + 1) if i + j >= n]
         clear_caches()
         return out, ENGINE_STATS.spairs_reduced
@@ -1347,27 +1425,12 @@ def test_teissier_formula_for_contact_tangent_ideals(n, f, polar):
     assert [mixed_multiplicity_primary(germ, m, J, n - i, cfg) for i in range(n + 1)] == list(mu)
 
 
-def _semi_quasi_homogeneous(R, seed):
-    """x^a + y^b + z^c with a, b, c drawn from 2..4, plus three seeded
-    terms of weighted degree above 1 (weights 1/a, 1/b, 1/c) and total
-    degree at most 5; returns the germ and (a, b, c)."""
-    rng = random.Random(seed)
-    a, b, c = (rng.randint(2, 4) for _ in range(3))
-    x, y, z = R.variables()
-    above = [(i, j, k) for i in range(6) for j in range(6) for k in range(6 - i - j)
-             if i * b * c + j * a * c + k * a * b > a * b * c]
-    f = x ** a + y ** b + z ** c
-    for i, j, k in rng.sample(above, 3):
-        f = f + rng.choice([-3, -2, -1, 1, 2, 3]) * x ** i * y ** j * z ** k
-    return FunctionGerm(f), (a, b, c)
-
-
 @pytest.mark.parametrize("seed", [3, 5])
 def test_teissier_formula_on_random_semi_quasi_homogeneous_germs(R3, seed):
     """A semi-quasi-homogeneous germ has an isolated singularity with the
     Milnor number of its principal part, (a-1)(b-1)(c-1), and e_3 of its
     contact tangent ideal is Teissier's sum C(3, i) mu^(i)."""
-    f, (a, b, c) = _semi_quasi_homogeneous(R3, seed)
+    f, (a, b, c) = semi_quasi_homogeneous(R3, seed)
     mu = milnor_sequence(f.poly)
     assert mu[3] == (a - 1) * (b - 1) * (c - 1)
     prof = segre_profile(make_germ(R3), contact_tangent_ideal(f), GenericityConfig(seed=7))
