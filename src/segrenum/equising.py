@@ -36,9 +36,11 @@ and nothing runs on the n^2 + 1 generators of a tangent ideal.
 
 Each term is one colength round on the sides m, J0 and J1 after the
 one-degree fold (`segre._fold`); each distinct round runs once per
-battery.  The test of J, its local dimension at the origin, is one
-completion on the n partials, and it reads mu^(n) = e(J): J is
-generated by n parameters, so e(J) is its colength, the Milnor number.
+battery.  mu^(1) = e(m^[n-1] | J^[1]) needs no round: by the order rule
+(see `segre`) it is ord(J) = ord(f) - 1.  The test of J, its local
+dimension at the origin, is one completion on the n partials, and it
+reads mu^(n) = e(J): J is generated by n parameters, so e(J) is its
+colength, the Milnor number.
 A germ whose Jacobian ideal is not m-primary there (a non-isolated
 singularity, or a smooth point) keeps the general battery on T0 and T1,
 as do `segre_profile` and `closure_battery` on a tangent ideal.
@@ -54,7 +56,7 @@ from .errors import PreconditionError, RingMismatchError
 from .groebner import Ideal
 from .multiplicity import multiplicity_at_origin
 from .rings import Polynomial
-from .segre import GenericityConfig, SegreProfile, _colength, _fold, make_germ
+from .segre import GenericityConfig, SegreProfile, _maximal_ideal, _teissier, make_germ
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class _TeissierNumbers(MixedNumberCache):
                  cfg):
         super().__init__(germ, T0, T1, cfg)
         self.J0, self.J1 = J0, J1
-        self.m = Ideal(germ.ring, germ.ring.variables())
+        self.m = _maximal_ideal(germ.ring)
         self._terms = {(germ.n, 0): mu0, (0, germ.n): mu1}
         self._rounds = {}
 
@@ -115,12 +117,9 @@ class _TeissierNumbers(MixedNumberCache):
         to runs once."""
         if (a, b) not in self._terms:
             n = self.germ.n
-            factor, sides = _fold(self.germ, ((self.m, n - a - b), (self.J0, a), (self.J1, b)),
-                                  (n,) * 3)
-            key = tuple((I.generators, count) for I, count in sides)
-            if key not in self._rounds:
-                self._rounds[key] = _colength(self.germ, self.cfg, sides)
-            self._terms[a, b] = factor * self._rounds[key]
+            self._terms[a, b] = _teissier(
+                self.germ, self.cfg, ((self.m, n - a - b), (self.J0, a), (self.J1, b)),
+                (n,) * 3, self._rounds)
         return self._terms[a, b]
 
     def _profile(self, which: int) -> SegreProfile:

@@ -58,7 +58,7 @@ def passes_through_origin(I: Ideal) -> bool:
     I is contained in m exactly when every generator has zero constant
     term, so no basis computation is needed.
     """
-    return all(g.constant_term == 0 for g in I.generators)
+    return not any(g.coeffs.get(0) for g in I.generators)
 
 
 def _homogenize(I: Ideal) -> Ideal:

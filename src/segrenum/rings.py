@@ -312,12 +312,13 @@ class Polynomial:
     """Immutable sparse polynomial: `coeffs` maps packed monomials to
     nonzero coefficients."""
 
-    __slots__ = ("ring", "coeffs", "_hash")
+    __slots__ = ("ring", "coeffs", "_hash", "_degrees")
 
     def __init__(self, ring: PolynomialRing, coeffs: dict):
         self.ring = ring
         self.coeffs = coeffs
         self._hash = None
+        self._degrees = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -336,9 +337,12 @@ class Polynomial:
         return max(self.degrees())
 
     def degrees(self):
-        """The total degree of each term, in `coeffs` order."""
-        unpack = self.ring._key.__self__.unpack
-        return [sum(unpack(e)) for e in self.coeffs]
+        """The total degree of each term, in `coeffs` order; computed once,
+        as a polynomial is immutable."""
+        if self._degrees is None:
+            unpack = self.ring._key.__self__.unpack
+            self._degrees = tuple(sum(unpack(e)) for e in self.coeffs)
+        return self._degrees
 
     @property
     def constant_term(self):

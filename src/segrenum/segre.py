@@ -80,7 +80,7 @@ colength d^n = e(m^d); by Rees's theorem the integral closure of I is
 m^d.  Teissier's mixed multiplicities, and so the polar multiplicities
 and Segre numbers, depend only on the closure: m_k = d^k and
 e = (0, ..., 0, d^n) (`_one_degree`, on the ideal over QQ), which
-`segre_profile` returns before any round.  Mixed multiplicities are
+`segre_profile` reads with no round.  Mixed multiplicities are
 multilinear in products, so in a colength e(I_1^[c_1] | ... | I_r^[c_r])
 with sum c_s = n such a side folds into one side of m, generic linear
 forms, with the factor d^{c_s} (`_fold`); when every side folds, the
@@ -91,6 +91,32 @@ Cohen-Macaulay of dimension i, I1 and m^d still have one closure; if
 not, the cuts are not 0-dimensional, folded or not.  `polar_chain`,
 which needs rational polar ideals, runs its rounds and its rerun as for
 any other ideal.
+
+The order rule.  On C^n, e(m^[n-1] | I^[1]) = ord(I), the least total
+degree of a term of a generator of I, read over QQ.  Its round reads
+l(R/(l_1, ..., l_{n-1}, h)) for n - 1 generic linear forms l_i and a
+generic h in I: the l_i cut out a generic line L through 0, and the
+colength is the order of h on L.  A generic h has the initial form
+sum a_i in(g_i) over the generators g_i of least order, which is
+nonzero for generic a, and a generic line does not lie in the zero set
+of that form, so h vanishes on L to the order ord(I) exactly.  So when
+the sides that fold fill n - 1 slots and one side (I, 1) is left,
+`_fold` returns the factor times ord(I), and no round runs.  I need not
+be m-primary: with I1 generated in one degree d, e_n^{n-1,1}(I1, I2) is
+d^{n-1} ord(I2); and Teissier's mu^(1) of a Jacobian ideal is
+ord(f) - 1 (`equising`).
+
+An m-primary profile is its Teissier sequence.  For I m-primary on C^n
+(c = n, I in m), the lemma gives the chain's cuts locally as
+Q_k = (h_1, ..., h_k) for k < n, so m_k = mult_0(h_1, ..., h_k), e_k = 0
+and e_n = e(I).  R/(h_1, ..., h_k) is Cohen-Macaulay of dimension n - k,
+so n - k generic linear forms read its multiplicity as a colength
+(Matsumura, Thm 17.11; Northcott-Rees): m_k = e(m^[n-k] | I^[k]),
+Teissier's polar multiplicity, one colength round on the sides m and I.
+`segre_profile` reads these n + 1 numbers (`_teissier`) and runs no
+stage chain: m_0 = 1 and m_1 = ord(I) need no round, and an ideal
+generated in one degree none at all.  A special linear form only raises
+a colength, so it shows as rounds that disagree.
 
 Saturation with respect to a source ideal S is saturation by one
 generic element g of S, drawn like the cuts from the round seed: one
@@ -103,9 +129,9 @@ independent round, with its own g, disagrees.
 
 Genericity over the rationals is probabilistic: coefficients are drawn
 from a seeded generator, every number the module does not take from a
-theorem (the zeros below c, the one-degree rule) is recomputed under
-independent seeds and must agree exactly, and the coefficient bound is
-escalated once on disagreement.
+theorem (the zeros below c, the one-degree and order rules) is
+recomputed under independent seeds and must agree exactly, and the
+coefficient bound is escalated once on disagreement.
 
 Each certification round runs over its own prime field GF(p), p a prime
 just below 2^31 drawn from the round seed.  The numbers are read off
@@ -546,6 +572,13 @@ def _check_cosupport(germ: GermContext, I: Ideal) -> int:
     return germ.n - d
 
 
+@lru_cache(maxsize=64)
+def _maximal_ideal(ring: PolynomialRing) -> Ideal:
+    """m = (x_1, ..., x_n): one object per ring, whose generators' degrees
+    are read once."""
+    return Ideal(ring, ring.variables())
+
+
 def _one_degree(germ: GermContext, I: Ideal, codim: int) -> int | None:
     """d when the germ is C^n, I is m-primary there (`codim` == n over
     QQ) and every term of every generator has total degree d >= 1, so
@@ -593,13 +626,18 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
 
 def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegreProfile:
     """The certified Segre numbers and polar multiplicities of I; unlike
-    `polar_chain`, it makes no rerun over QQ.  An ideal that `_one_degree`
-    finds generated in degree d gets m^d's profile, e = (0, ..., 0, d^n)
-    and m_k = d^k, with no round."""
+    `polar_chain`, it makes no rerun over QQ.  An m-primary I on C^n
+    (`codim` == n, I in m) takes its Teissier sequence (module
+    docstring): m_k = e(m^[n-k] | I^[k]), each by `_teissier`, and
+    e = (0, ..., 0, e(I)), with no stage chain; m_0 and m_1 = ord(I) need
+    no round, and an ideal generated in one degree d gets m^d's numbers
+    with none.  Every other ideal runs the chain's number-only rounds."""
     codim = _check_cosupport(germ, I)
-    n, d = germ.n, _one_degree(germ, I, codim)
-    if d:
-        return SegreProfile((0,) * (n - 1) + (d ** n,), tuple(d ** k for k in range(n)))
+    n = germ.n
+    if codim == n and germ.ambient.is_zero and passes_through_origin(I):
+        m = _maximal_ideal(germ.ring)
+        mk = [_teissier(germ, cfg, ((m, n - k), (I, k)), (n, n)) for k in range(n + 1)]
+        return SegreProfile((0,) * (n - 1) + (mk[n],), tuple(mk[:n]))
     numbers, _, _ = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
     return SegreProfile(tuple(e for _, e in numbers[1:]), tuple(m for m, _ in numbers[:-1]))
 
@@ -681,14 +719,21 @@ def _colength_round(seed, cfg, round_idx, germ, *ideals, counts):
     return _contribution(res, 0, "top-level cuts")
 
 
+def _order(I: Ideal) -> int:
+    """ord(I): the least total degree of a term of a generator of I."""
+    return min(min(g.degrees()) for g in I.generators)
+
+
 def _fold(germ: GermContext, sides, codims):
     """(factor, sides') with e(I_1^[c_1] | ... | I_r^[c_r]) equal to factor
     times the number of sides', or to factor when sides' is () (module
-    docstring, the one-degree rule), `codims` the codimensions of the I_s.
-    A side that `_one_degree` finds generated in degree d, or whose count
-    is 0, gives d^count, and its count goes to one side of m, in the place
-    of the first such side.  Sides whose counts do not sum to n are
-    returned as they are."""
+    docstring, the one-degree and order rules), `codims` the
+    codimensions of the I_s.  A side that `_one_degree` finds generated
+    in degree d, or whose count is 0, gives d^count, and its count goes
+    to one side of m, in the place of the first such side.  When the
+    sides that fold fill n - 1 slots of C^n, the one side (I, 1) left
+    gives ord(I) and no side is left.  Sides whose counts do not sum to
+    n are returned as they are."""
     if sum(count for _, count in sides) != germ.n:
         return 1, sides
     factor, linear, at, kept = 1, 0, None, []
@@ -704,8 +749,11 @@ def _fold(germ: GermContext, sides, codims):
             kept.append(None)
     if linear == germ.n:
         return factor, ()
+    if linear == germ.n - 1 and germ.ambient.is_zero:
+        (I, _), = filter(None, kept)
+        return factor * _order(I), ()
     if at is not None:
-        kept[at] = (Ideal(germ.ring, germ.ring.variables()), linear)
+        kept[at] = (_maximal_ideal(germ.ring), linear)
     return factor, tuple(kept)
 
 
@@ -716,6 +764,20 @@ def _colength(germ: GermContext, cfg: GenericityConfig, sides) -> int:
         return 1
     ideals, counts = zip(*sides)
     return _certified(cfg, partial(_colength_round, counts=counts), germ, *ideals)[0]
+
+
+def _teissier(germ: GermContext, cfg: GenericityConfig, sides, codims, rounds=None) -> int:
+    """The number of a top-level round on the sides (I_s, c_s), with
+    codimensions `codims`: `_fold`'s factor times the certified colength
+    of the sides it leaves.  `rounds`, a dict keyed by those sides, keeps
+    each round's number, so that a round that several numbers fold to
+    runs once."""
+    factor, sides = _fold(germ, sides, codims)
+    key = tuple((I.generators, count) for I, count in sides)
+    rounds = {} if rounds is None else rounds
+    if key not in rounds:
+        rounds[key] = _colength(germ, cfg, sides)
+    return factor * rounds[key]
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
@@ -740,7 +802,8 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
     no stages 1 .. n - 1.  At i + j == n an ideal generated in one
     degree d folds into m with the factor d^i or d^j (`_fold`), and two
-    such ideals give d1^i d2^j with no round.  A round whose cuts are
+    such ideals give d1^i d2^j with no round, as does e_n^{n-1,1} with
+    I1 folded, d1^(n-1) ord(I2) by the order rule.  A round whose cuts are
     not 0-dimensional at the origin fails its dimension check and is
     retried, like a chain round whose stage fails one.
     """
@@ -762,8 +825,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         return 0
     if (k == codim == germ.n and germ.ambient.is_zero
             and passes_through_origin(I1) and passes_through_origin(I2)):
-        factor, sides = _fold(germ, ((I1, i), (I2, j)), (c1, c2))
-        return factor * _colength(germ, cfg, sides)
+        return _teissier(germ, cfg, ((I1, i), (I2, j)), (c1, c2))
     return _certified(cfg, partial(_mixed_round, k=k, i=i, j=j, codim=codim),
                       germ, I1, I2)[0]
 
@@ -786,14 +848,14 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i]).  On C^n an ideal
     generated in one degree d folds into m with the factor d^i or
     d^(n-i) (`_fold`): when both do, the number is d1^i d2^(n-i), with
-    no round."""
+    no round, and when the one left has one element, the order rule
+    gives the factor times its order."""
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")
     require_m_primary(germ, I1, "first")
     require_m_primary(germ, I2, "second")
-    factor, sides = _fold(germ, ((I1, i), (I2, n - i)), (n, n))
-    return factor * _colength(germ, cfg, sides)
+    return _teissier(germ, cfg, ((I1, i), (I2, n - i)), (n, n))
 
 
 def chain_condition(germ: GermContext, I: Ideal, cfg: GenericityConfig):

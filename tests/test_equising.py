@@ -133,10 +133,12 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     J1 = (x, y, z^2): no saturation from cold caches, against 20 when
     the stage chains of the tangent ideals saturated stages 1 and 2 and
     28 when stage 3 was too, with the same numbers.  J0 is generated in
-    degree 1, so every term folds it into m, and the terms certify two
-    distinct colengths, e(m^[3-b] | J1^[b]) for b = 1, 2, in two rounds
-    each; the test of J1 reads e(J1) = 2.  The six completions (the two
-    tests and the four rounds) reduce 4 S-pairs, against 48 when the
+    degree 1, so every term folds it into m; e(m^[2] | J1^[1]) is
+    ord(J1) = 1 by the order rule, with no round, and the terms certify
+    one colength, e(m^[1] | J1^[2]), in two rounds; the test of J1 reads
+    e(J1) = 2.  The four completions (the two tests and the two rounds)
+    reduce 3 S-pairs, against 6 completions and 4 S-pairs when
+    e(m^[2] | J1^[1]) ran its two rounds, 48 S-pairs when the
     battery ran on the tangent ideals, whose mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of three elements drawn from T0 and T1,
     54 when the profile of T0 = m^2 ran rounds that completed their
@@ -154,7 +156,7 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 6, 4)
+    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 4, 3)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]

@@ -40,7 +40,7 @@ from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
 from conftest import GOLDEN, certified_spy, replay_corpus, saturate_spy, semi_quasi_homogeneous
-from oracles import macaulay_colength_stable, milnor_sequence
+from oracles import macaulay_colength_stable, milnor_sequence, vanishing_order
 
 
 def test_generic_tuple_basics(R3, cfg):
@@ -597,7 +597,10 @@ def test_top_level_mixed_numbers_of_m_primary_pairs_are_colengths(monkeypatch):
     """On seeded pairs of m-primary ideals on C^2 and C^3, and one on
     C^4, every request (n, i, j) with i + j >= n reads the colength of
     its n cuts, and gives the number of the stage chain on the same
-    seeds; for i + j = n it is Teissier's mixed multiplicity."""
+    seeds; for i + j = n it is Teissier's mixed multiplicity.  Five
+    requests with i + j = n, where one side is generated in one degree
+    and folds into n - 1 linear forms, take the order rule and run no
+    round."""
     cfg = GenericityConfig()
     rng = random.Random(24)
     cases = []
@@ -610,16 +613,20 @@ def test_top_level_mixed_numbers_of_m_primary_pairs_are_colengths(monkeypatch):
     cases.append((make_germ(R4), ideal(R4, x ** 2 + y * z, y ** 2, z ** 2 - x * w, w ** 2),
                   ideal(R4, x + y * w, y + z ** 2, z, w)))
     rounds = certified_spy(monkeypatch)
+    by_rule = 0
     for germ, I1, I2 in cases:
         n = germ.n
         requests = [(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j >= n]
+        folded = [segre._fold(germ, ((I1, i), (I2, j)), (n, n))[1] for _, i, j in requests]
+        by_rule += folded.count(())
         rounds.clear()
         values = [mixed_segre(germ, I1, I2, *r, cfg) for r in requests]
-        assert _colength_rounds(rounds) == [True] * len(requests)
+        assert _colength_rounds(rounds) == [True] * (len(requests) - folded.count(()))
         assert values == [_mixed_rounds(germ, I1, I2, *r, cfg) for r in requests]
         for (_, i, j), v in zip(requests, values):
             if i + j == n:
                 assert v == mixed_multiplicity_primary(germ, I1, I2, i, cfg)
+    assert by_rule == 5
 
 
 def test_top_level_colength_keeps_the_chains_anomaly(germ3, R3, cfg, monkeypatch):
@@ -855,7 +862,9 @@ def test_the_fold_matches_a_three_side_round(monkeypatch):
     e(m^[a] | I^[b] | J^[c]) is d^b times a round without I, equal to the
     certified three-side round that draws from I, for I = (x^2, y^2, z^2)
     and m^3 and J the Jacobian ideal of D4 or a seeded m-primary ideal of
-    mixed degrees.  When J folds too, no round runs."""
+    mixed degrees.  When J folds too, no round runs; when J is left
+    alone with one element, the order rule gives ord(J) = 1 and no round
+    runs either."""
     cfg = GenericityConfig()
     R = PolynomialRing(["x", "y", "z"])
     x, y, z = R.variables()
@@ -869,7 +878,8 @@ def test_the_fold_matches_a_three_side_round(monkeypatch):
             for a, b, c in _compositions(3, 3):
                 sides = ((m, a), (I, b), (J, c))
                 factor, folded = segre._fold(germ, sides, (3, 3, 3))
-                assert factor == d ** b and I not in [side for side, _ in folded]
+                order = segre._order(J) if c == 1 else 1
+                assert factor == d ** b * order and I not in [side for side, _ in folded]
                 assert factor * segre._colength(germ, cfg, folded) == \
                     segre._colength(germ, cfg, sides)
         rounds.clear()
@@ -877,42 +887,184 @@ def test_the_fold_matches_a_three_side_round(monkeypatch):
         assert rounds == []
 
 
+def _random_of_mixed_orders(R, rng):
+    """2 to n + 1 generators inside m on C^n: each one term of a seeded
+    order 1-3 plus 1-2 terms of degree up to two above it, so that the
+    generators' orders differ."""
+    gens = []
+    for _ in range(rng.randint(2, R.nvars + 1)):
+        low = rng.randint(1, 3)
+        g = R.zero()
+        for degree in [low] + [rng.randint(low + 1, low + 2) for _ in range(rng.randint(1, 2))]:
+            term = R.one() * rng.choice([-3, -2, -1, 1, 2, 3])
+            for _ in range(degree):
+                term = term * rng.choice(R.variables())
+            g = g + term
+        if not g.is_zero:
+            gens.append(g)
+    return Ideal(R, gens)
+
+
+@pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]])
+def test_the_order_rule_matches_a_colength_round(names, monkeypatch):
+    """e(m^[n-1] | I^[1]) = ord(I): on seeded ideals with generators of
+    orders 1 to 3 on C^2, C^3 and C^4, m-primary or not, `_fold` answers
+    it with no round, and it equals the certified colength round on the
+    same sides and the least `vanishing_order` of a generator (every
+    other ideal gets the fourth powers of the variables, which makes it
+    m-primary and keeps its order).  A side
+    generated in one degree d that fills the n - 1 slots gives
+    d^(n-1) ord(I): e_n^{n-1,1}(I1, I2) with I1 = (x^2, y^2, ...) and I2
+    not m-primary reads 2^(n-1) ord(I2), as the stage chain does (on C^2
+    and C^3); for an m-primary I, `mixed_multiplicity_primary` and m_1 of
+    the profile (on C^2 and C^3) read ord(I) with no round."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(names)
+    germ, n = make_germ(R), len(names)
+    m, squares = ideal(R, *R.variables()), ideal(R, *(v ** 2 for v in R.variables()))
+    fourth_powers = [v ** 4 for v in R.variables()]
+    rng = random.Random(33 + n)
+    rounds = certified_spy(monkeypatch)
+    seen = set()
+    for case in range(8):
+        I = _random_of_mixed_orders(R, rng)
+        if case % 2:  # m-primary, of the same order
+            I = Ideal(R, I.generators + tuple(fourth_powers))
+        order = min(vanishing_order(g) for g in I.generators)
+        codim = segre._check_cosupport(germ, I)
+        seen.add((order, codim == n))
+        rounds.clear()
+        assert segre._fold(germ, ((m, n - 1), (I, 1)), (n, codim)) == (order, ())
+        assert segre._fold(germ, ((I, 1), (squares, n - 1)), (codim, n)) == \
+            (2 ** (n - 1) * order, ())
+        if codim == n:
+            assert mixed_multiplicity_primary(germ, I, m, 1, cfg) == order
+            assert rounds == []
+            if n < 4:  # e(I) of the fourth powers' ideals on C^4 takes seconds
+                assert segre_profile(germ, I, cfg).m[:2] == (1, order)
+                assert _colength_rounds(rounds) == [True] * (n - 1)
+        else:
+            assert mixed_segre(germ, squares, I, n, n - 1, 1, cfg) == 2 ** (n - 1) * order
+            assert rounds == []
+            if n < 4:
+                assert _mixed_rounds(germ, squares, I, n, n - 1, 1, cfg) == 2 ** (n - 1) * order
+        assert segre._colength(germ, cfg, ((m, n - 1), (I, 1))) == order
+    assert {o for o, _ in seen} != {1} and {p for _, p in seen} == {False, True}
+
+
+def test_the_order_rule_needs_c_n(R2, cfg):
+    """On the cusp y^2 - x^3, a curve germ (n = 1), e(m^[1]) is the
+    curve's multiplicity 2, read by a colength round, not ord(m) = 1: the
+    order rule reads the order on a generic line of C^n, and a germ with
+    an ambient has no such line."""
+    x, y = R2.variables()
+    cusp = make_germ(R2, ideal(R2, y ** 2 - x ** 3))
+    m = ideal(R2, x, y)
+    assert segre._fold(cusp, ((m, 1),), (1,)) == (1, ((m, 1),))
+    assert [mixed_multiplicity_primary(cusp, m, m, i, cfg) for i in (0, 1)] == [2, 2]
+
+
+@pytest.mark.parametrize("names,low", [(["x", "y", "z"], 1), (["x", "y", "z"], 2),
+                                       (["x", "y", "z", "w"], 1), (["x", "y", "z", "w"], 2)])
+def test_m_primary_profiles_match_the_stage_chain(names, low, monkeypatch):
+    """On seeded m-primary ideals with terms of degree `low` to 3, the
+    profile read as
+    the Teissier sequence m_k = e(m^[n-k] | I^[k]), e = (0, ..., 0, e(I)),
+    equals the numbers of the certified number-only stage chain, with
+    every round over GF(p) and again with every round over QQ."""
+    cfg = GenericityConfig()
+    germ = make_germ(PolynomialRing(names))
+    n = germ.n
+    rng = random.Random(34 + n + low)
+    ideals = [_random_m_primary(germ, rng, low) for _ in range(3)]
+    stages = _stages_spy(monkeypatch)
+    for rational in (False, True):
+        if rational:
+            monkeypatch.setattr(segre, "_round_prime", _rational_rounds)
+        for I in ideals:
+            stages.clear()
+            profile = segre_profile(germ, I, cfg)
+            assert stages == []
+            numbers = segre._certified(cfg, partial(segre._chain_round, codim=n), germ, I)[0]
+            assert profile == SegreProfile(tuple(e for _, e in numbers[1:]),
+                                           tuple(m for m, _ in numbers[:-1]))
+            assert profile.e[:-1] == (0,) * (n - 1)
+
+
+def test_a_special_linear_form_raises_its_number(R3, cfg, monkeypatch):
+    """m_2 of I = (x^2, y^2, z^3) on C^3 is e(m^[1] | I^[2]) = 4.  The
+    tangent cone of a cut of two generic elements of I is the z-axis, so
+    the linear form x, which vanishes on it, is special: the colength of
+    (x, h_1, h_2) is that of (y^2, z^3), 6.  Forced into round 0 of m_2's
+    rounds in place of a generic linear form, it raises that round's
+    number, the rounds disagree under both coefficient bounds, and the
+    profile refuses."""
+    x, y, z = R3.variables()
+    I = ideal(R3, x ** 2, y ** 2, z ** 3)
+    germ = make_germ(R3)
+    assert segre_profile(germ, I, cfg) == SegreProfile((0, 0, 12), (1, 2, 4))
+    real = segre._colength_round
+    values = []
+
+    def special_in_round_0(seed, cfg, round_idx, germ, *ideals, counts):
+        if round_idx == 0 and counts[0]:
+            ideals = (Ideal(germ.ring, (germ.ring.variable("x"),)),) + ideals[1:]
+        values.append(real(seed, cfg, round_idx, germ, *ideals, counts=counts))
+        return values[-1]
+
+    monkeypatch.setattr(segre, "_colength_round", special_in_round_0)
+    with pytest.raises(GenericityError, match=r"seed disagreement persists .*\[6, 4\]"):
+        segre_profile(germ, I, cfg)
+    assert values == [6, 4, 6, 4]
+
+
 def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
-    """Rounds still run for a tangent ideal that is not homogeneous, for
-    generators of two degrees, for an ideal of one degree that is not
-    m-primary, on the cone xy - z^2 and for a chain round with codim 0;
-    and, for mixed numbers, when only one side of a top-level pair is
-    m-primary and at k = n with i + j > n.  A draw whose n forms share
-    a zero line, which fails the stage chain, leaves the profile of m^2
-    unchanged, as no round draws."""
+    """Rounds still run for a tangent ideal that is not homogeneous and
+    for generators of two degrees (colength rounds for m_2 .. m_n, as
+    both are m-primary on C^n), for an ideal of one degree that is not
+    m-primary, on the cone xy - z^2 and for a chain round with codim 0
+    (the stage chain); and, for mixed numbers, when only one side of a
+    top-level pair is m-primary and at k = n with i + j > n.  A draw
+    whose n forms share a zero line, which fails the stage chain, leaves
+    the profile of m^2 unchanged, as no round draws."""
     x, y, z = R3.variables()
     a, b = R2.variables()
     m = ideal(R3, x, y, z)
     m2 = ideal_power(m, 2)
     stages = _stages_spy(monkeypatch)
+    rounds = certified_spy(monkeypatch)
     cases = [
-        (make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3))),
-        (make_germ(R2), ideal(R2, a ** 2, b ** 3)),
-        (make_germ(R3), ideal(R3, x * z, y * z)),
-        (make_germ(R3, ideal(R3, x * y - z ** 2)), m),
+        (make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3)), True),
+        (make_germ(R2), ideal(R2, a ** 2, b ** 3), True),
+        (make_germ(R3), ideal(R3, x * z, y * z), False),
+        (make_germ(R3, ideal(R3, x * y - z ** 2)), m, False),
     ]
-    for germ, I in cases:
+    for germ, I, primary in cases:
         stages.clear()
+        rounds.clear()
         segre_profile(germ, I, cfg)
-        assert stages and all(stages)
+        if primary:
+            assert stages == [] and _colength_rounds(rounds) == [True] * (germ.n - 1)
+        else:
+            assert stages and all(stages) and _colength_rounds(rounds) == [False]
     stages.clear()
     assert segre._chain_round(cfg.seed, cfg, 0, make_germ(R3), m2) == \
         ((1, None), (2, 0), (4, 0), (0, 8))
     assert stages == [True]
 
-    rounds = certified_spy(monkeypatch)
-    mixed = [(make_germ(R2), ideal(R2, a ** 2), ideal_power(ideal(R2, a, b), 2), (2, 1, 1)),
-             (make_germ(R3), ideal(R3, *(v ** 2 for v in (x, y, z))), m2, (3, 2, 2))]
-    for germ, I1, I2, request in mixed:
+    # (a^2) is not m-primary: with m^2 folded into one linear form, the
+    # order rule reads e_2^{1,1} = 2 ord(a^2) and only the reference chain
+    # runs; drawing two elements of (x^2, y^2) it takes a round
+    mixed = [(make_germ(R2), ideal(R2, a ** 2), ideal_power(ideal(R2, a, b), 2), (2, 1, 1),
+              [False]),
+             (make_germ(R3), ideal(R3, x ** 2, y ** 2), m2, (3, 2, 1), [True, False]),
+             (make_germ(R3), ideal(R3, *(v ** 2 for v in (x, y, z))), m2, (3, 2, 2),
+              [True, False])]
+    for germ, I1, I2, request, kinds in mixed:
         rounds.clear()
         assert mixed_segre(germ, I1, I2, *request, cfg) == \
             _mixed_rounds(germ, I1, I2, *request, cfg)
-        assert _colength_rounds(rounds) == [True, False]
+        assert _colength_rounds(rounds) == kinds
 
     # the three cuts are drawn from the generators in (x, y) only, so
     # they share the z-axis
@@ -1185,9 +1337,10 @@ def test_exact_rerun_catches_a_prime_bad_for_every_round(R2, monkeypatch):
 def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
     """Over GF(3) the tangent ideal T of x^3 + y^3 + z^3 + z^4 is
     (xz^3, yz^3, z^4, f), of dimension 1 against 0 over QQ.  With every
-    round on GF(3) its stage-3 cut keeps dimension 1 and `segre_profile`
-    refuses, rather than keep the stages below the codimension over QQ
-    that GF(3) does not have; the true profile is e = (0, 0, 27).  The
+    round on GF(3) the three cuts of e(T)'s colength round keep that
+    dimension and `segre_profile` refuses, rather than read the numbers
+    of an m-primary ideal that GF(3) does not have; the true profile is
+    e = (0, 0, 27).  The
     tangent ideal of x^3 + y^3 + z^3, generated in degree 3 over QQ, gets
     its true profile under the same patch, as its degree is read over QQ
     and `segre_profile` runs no round; GF(3) leaves only (f), on which
@@ -1198,7 +1351,7 @@ def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
     germ, cfg = make_germ(R3), GenericityConfig()
     assert segre_profile(germ, T, cfg) == SegreProfile((0, 0, 27), (1, 3, 9))
     monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
-    with pytest.raises(GenericityError, match="stage 3 cut: local dimension 1, expected 0"):
+    with pytest.raises(GenericityError, match="top-level cuts: local dimension 1, expected 0"):
         segre_profile(germ, T, cfg)
     cubes = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
     assert segre_profile(germ, cubes, cfg) == SegreProfile((0, 0, 27), (1, 3, 9))
