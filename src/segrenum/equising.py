@@ -35,12 +35,15 @@ and nothing runs on the n^2 + 1 generators of a tangent ideal.
   (see `segre`), and e_k(T) for the boundary ones.
 
 Each term is one colength round on the sides m, J0 and J1 after the
-one-degree fold (`segre._fold`); each distinct round runs once per
-battery.  mu^(1) = e(m^[n-1] | J^[1]) needs no round: by the order rule
-(see `segre`) it is ord(J) = ord(f) - 1.  The test of J, its local
-dimension at the origin, is one completion on the n partials, and it
-reads mu^(n) = e(J): J is generated by n parameters, so e(J) is its
-colength, the Milnor number.
+fold (`segre._fold`); each distinct round runs once per battery.
+mu^(1) = e(m^[n-1] | J^[1]) needs no round: by the order rule (see
+`segre`) it is ord(J) = ord(f) - 1.  The Jacobian ideal of a
+Brieskorn-Pham germ sum c_i x_i^(a_i) is the simplex ideal of
+b = (a_i - 1), so by the simplex rule its mu^(i) is the product of the
+i smallest b, with no round either.  The test of J, its local
+dimension at the origin, is one completion on the n partials (none for
+monomial partials), and it reads mu^(n) = e(J): J is generated by n
+parameters, so e(J) is its colength, the Milnor number.
 A germ whose Jacobian ideal is not m-primary there (a non-isolated
 singularity, or a smooth point) keeps the general battery on T0 and T1,
 as do `segre_profile` and `closure_battery` on a tangent ideal.
@@ -55,7 +58,7 @@ from .criteria import ComparisonReport, MixedNumberCache, _chain_verdict, _sides
 from .errors import PreconditionError, RingMismatchError
 from .groebner import Ideal
 from .multiplicity import multiplicity_at_origin
-from .rings import Polynomial
+from .rings import W, Polynomial, _overflow
 from .segre import GenericityConfig, SegreProfile, _maximal_ideal, _teissier, make_germ
 
 
@@ -83,10 +86,20 @@ def jacobian_ideal(f: FunctionGerm) -> Ideal:
 
 
 def contact_tangent_ideal(f: FunctionGerm) -> Ideal:
-    """m*J(f) + (f): every variable times every partial, plus f."""
+    """m*J(f) + (f): every variable times every partial, plus f.  Each
+    x_i * d shifts the packed exponents of d by x_i's."""
     ring = f.ring
+    packing = ring._key.__self__
     partials = jacobian_ideal(f).generators
-    gens = [ring.variable(i) * d for i in range(ring.nvars) for d in partials]
+    gens = []
+    for i in range(ring.nvars):
+        unit = 1 << W * i
+        for d in partials:
+            coeffs = {e + unit: c for e, c in d.coeffs.items()}
+            for e in coeffs:
+                if e & packing.guard:
+                    raise _overflow(packing.unpack(e))
+            gens.append(Polynomial(ring, coeffs))
     return Ideal(ring, gens + [f.poly])
 
 

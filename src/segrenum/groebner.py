@@ -27,12 +27,13 @@ reductions share a memo of the first divisor found for each exponent,
 and the pending pairs wait in a heap ordered by their lcm.  Every
 completion, saturations, intersections and multiplicities included, is
 a `buchberger` call, which caches bases by ring, order and the
-generators as given.  An elimination hands the basis elements free of
-the eliminated variables to that cache as the reduced grevlex basis of
-its result, so the multiplicity, dimension or colength of a saturation
-starts no second completion; `_basis_ideal` is that one way to publish
-a reduced grevlex basis as an ideal, which `segre` also takes for a
-stage that saturation leaves unchanged at the origin.
+generators as given; a monomial ideal's basis is its minimal monomials,
+read off with no completion.  An elimination hands the basis elements
+free of the eliminated variables to that cache as the reduced grevlex
+basis of its result, so the multiplicity, dimension or colength of a
+saturation starts no second completion; `_basis_ideal` is that one way
+to publish a reduced grevlex basis as an ideal, which `segre` also
+takes for a stage that saturation leaves unchanged at the origin.
 
 A completion may start from a known reduced basis, which forms no pairs
 within itself: the saturation of a homogeneous ideal starts from its
@@ -559,7 +560,9 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None, *, known: int = 0,
     save work (see `_buchberger_raw`): the first `known` generators of I
     are a reduced Groebner basis for the order, and `bound` is a lower
     bound on the Hilbert series of the quotient, which needs homogeneous
-    generators and an order that compares total degree first.
+    generators and an order that compares total degree first.  An ideal
+    whose every generator is a single term needs neither: its basis is
+    its minimal monomials (`_monomial_basis`), with no kernel run.
     """
     order = order or I.ring.order
     ck = I.ring, order, I.generators
@@ -573,8 +576,12 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None, *, known: int = 0,
 
     key = _memo_key(order, I.ring.nvars)
     m = I.ring.modulus
-    gens = [_normalise(g.coeffs, key, m) for g in I.generators]
-    rows, leads = _buchberger_raw(gens, key, modulus=m, known=known, bound=bound)
+    if all(len(g.coeffs) == 1 for g in I.generators):
+        gens = [dict.fromkeys(g.coeffs, 1) for g in I.generators]
+        rows, leads = _monomial_basis(gens, key)
+    else:
+        gens = [_normalise(g.coeffs, key, m) for g in I.generators]
+        rows, leads = _buchberger_raw(gens, key, modulus=m, known=known, bound=bound)
     divisors = {}
     for d in gens:
         if _reduce_raw(d, rows, leads, key, divisors=divisors, modulus=m):
@@ -584,6 +591,23 @@ def buchberger(I: Ideal, order: MonomialOrder | None = None, *, known: int = 0,
     with _GB_LOCK:
         _GB_CACHE[ck] = gb
     return gb
+
+
+def _monomial_basis(gens, key):
+    """(rows, leads) of the reduced basis of an ideal generated by the
+    monomial rows `gens`, for any field and order: its minimal monomials,
+    monic, in descending order.  A divisor of a monomial precedes it in
+    every monomial order, so one ascending pass keeps each monomial that
+    no kept one divides.  No kernel runs: ENGINE_STATS is not touched.
+    Every monomial kept counts against `MAX_BASIS`."""
+    guard = key.__self__.guard
+    leads = []
+    for e in sorted({e for g in gens for e in g}, key=key):
+        if all((e - f) & guard for f in leads):
+            _budget_check(leads, 0)
+            leads.append(e)
+    leads.reverse()
+    return tuple({e: 1} for e in leads), tuple(leads)
 
 
 def _monic(ring, rows, leads):

@@ -73,24 +73,36 @@ battery's terms in m and two Jacobian ideals (`equising`).  Cuts that
 are not 0-dimensional at the origin are a dimension anomaly of the
 round, retried under its next seed like a failed stage.
 
-The one-degree rule.  An m-primary I on C^n generated by forms of one
-degree d takes the numbers of m^d.  Its forms have no common zero in
-P^{n-1}, so n generic ones are a regular sequence inside m^d of
-colength d^n = e(m^d); by Rees's theorem the integral closure of I is
-m^d.  Teissier's mixed multiplicities, and so the polar multiplicities
-and Segre numbers, depend only on the closure: m_k = d^k and
-e = (0, ..., 0, d^n) (`_one_degree`, on the ideal over QQ), which
-`segre_profile` reads with no round.  Mixed multiplicities are
-multilinear in products, so in a colength e(I_1^[c_1] | ... | I_r^[c_r])
-with sum c_s = n such a side folds into one side of m, generic linear
-forms, with the factor d^{c_s} (`_fold`); when every side folds, the
-number is the product of the factors and no round runs.  In e_n^{i,j}
-the other side I2 need not be m-primary: if V(I2) has codimension at
-least j, its j elements are a regular sequence, and on their quotient,
-Cohen-Macaulay of dimension i, I1 and m^d still have one closure; if
-not, the cuts are not 0-dimensional, folded or not.  `polar_chain`,
-which needs rational polar ideals, runs its rounds and its rerun as for
-any other ideal.
+The simplex rule.  Teissier's mixed multiplicities, and so the polar
+multiplicities and Segre numbers, depend only on integral closures
+(Rees), and they are multilinear in products.  Two kinds of m-primary I
+on C^n have the closure of (x^b) = (x_1^b_1, ..., x_n^b_n), with b read
+over QQ (`_simplex`):
+- forms of one degree d, with b = (d, ..., d): they have no common zero
+  in P^{n-1}, so n generic ones are a regular sequence inside m^d of
+  colength d^n = e(m^d), and by Rees's theorem I has the closure m^d;
+- monomials among which x_i^b_i is the least pure power of each x_i,
+  and every exponent a has sum a_i / b_i >= 1: the closure of a
+  monomial ideal is spanned by the monomials of its Newton polyhedron,
+  and I and (x^b) have the one {a : sum a_i / b_i >= 1}.
+In a colength e(I_1^[c_1] | ... | I_r^[c_r]) with sum c_s = n, a side
+with b = (d, ..., d) folds into one side of m, generic linear forms,
+with the factor d^{c_s} (`_fold`); when every side folds, the number is
+the product of the factors.  When one side (I, k) with b is left beside
+m, the number is the factor times the product of the k smallest b_i.
+The n - k linear forms cut out a generic k-plane L, and the round reads
+e(I O_L).  Closure survives restriction to L, so I O_L has the closure
+of (x^b) O_L.  Parametrise L by the k coordinates of least b: every
+other x_j^b_j restricts to a form of degree b_j, at least their max b,
+whose monomials lie in the Newton polyhedron, so in the closure, of
+those k pure powers.  So I O_L has the closure of k pure powers in k
+variables, whose colength is the product of their exponents.  In
+e_n^{i,j} a side I2 beside a folded I1 need not be m-primary: if V(I2)
+has codimension at least j, its j elements are a regular sequence, and
+on their quotient, Cohen-Macaulay of dimension i, I1 and m^d still have
+one closure; if not, the cuts are not 0-dimensional, folded or not.
+`polar_chain`, which needs rational polar ideals, runs its rounds and
+its rerun as for any other ideal.
 
 The order rule.  On C^n, e(m^[n-1] | I^[1]) = ord(I), the least total
 degree of a term of a generator of I, read over QQ.  Its round reads
@@ -114,8 +126,8 @@ so n - k generic linear forms read its multiplicity as a colength
 (Matsumura, Thm 17.11; Northcott-Rees): m_k = e(m^[n-k] | I^[k]),
 Teissier's polar multiplicity, one colength round on the sides m and I.
 `segre_profile` reads these n + 1 numbers (`_teissier`) and runs no
-stage chain: m_0 = 1 and m_1 = ord(I) need no round, and an ideal
-generated in one degree none at all.  A special linear form only raises
+stage chain: m_0 = 1 and m_1 = ord(I) need no round, and an ideal with
+a simplex b none at all.  A special linear form only raises
 a colength, so it shows as rounds that disagree.
 
 Saturation with respect to a source ideal S is saturation by one
@@ -129,7 +141,7 @@ independent round, with its own g, disagrees.
 
 Genericity over the rationals is probabilistic: coefficients are drawn
 from a seeded generator, every number the module does not take from a
-theorem (the zeros below c, the one-degree and order rules) is
+theorem (the zeros below c, the simplex and order rules) is
 recomputed under independent seeds and must agree exactly, and the
 coefficient bound is escalated once on disagreement.
 
@@ -156,7 +168,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .errors import (
     ConsistencyError,
@@ -579,14 +592,38 @@ def _maximal_ideal(ring: PolynomialRing) -> Ideal:
     return Ideal(ring, ring.variables())
 
 
-def _one_degree(germ: GermContext, I: Ideal, codim: int) -> int | None:
-    """d when the germ is C^n, I is m-primary there (`codim` == n over
-    QQ) and every term of every generator has total degree d >= 1, so
-    that I's integral closure is m^d (module docstring); else None."""
-    degrees = {t for g in I.generators for t in g.degrees()}
-    if codim != germ.n or not germ.ambient.is_zero or len(degrees) != 1:
+def _simplex(germ: GermContext, I: Ideal, codim: int) -> tuple[int, ...] | None:
+    """b with I's integral closure that of (x_1^b_1, ..., x_n^b_n), when
+    the germ is C^n and I is m-primary there (`codim` == n over QQ);
+    else None.  See `_exponents`."""
+    if codim != germ.n or not germ.ambient.is_zero:
         return None
-    return degrees.pop() or None
+    return _exponents(I.generators)
+
+
+@lru_cache(maxsize=256)
+def _exponents(gens) -> tuple[int, ...] | None:
+    """The simplex rule's b, read once per generator tuple, in integers
+    (module docstring): (d, ..., d) when every term has total degree
+    d >= 1; (b_i) for monomial generators among which x_i^b_i is the
+    least pure power of each x_i and every exponent a has
+    sum a_i / b_i >= 1; else None."""
+    ring = gens[0].ring
+    exps = [ring._key.__self__.unpack(e) for g in gens for e in g.coeffs]
+    degrees = {sum(a) for a in exps}
+    if len(degrees) == 1:
+        d = degrees.pop()
+        return (d,) * ring.nvars if d else None
+    if len(exps) != len(gens):  # a generator with two terms
+        return None
+    b = [min((a[i] for a in exps if a[i] == sum(a)), default=0) for i in range(ring.nvars)]
+    if not all(b):
+        return None
+    top = lcm(*b)
+    weights = [top // x for x in b]
+    if all(sum(map(mul, a, weights)) >= top for a in exps):
+        return tuple(b)
+    return None
 
 
 def _polar_stages(germ: GermContext, I: Ideal, cfg: GenericityConfig, seed: int,
@@ -611,7 +648,7 @@ def polar_chain(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> PolarChai
     multiplicities m_k and Segre numbers e_k, and the cut and polar
     ideals over QQ of one rerun of round 0's seed, which must give the
     certified numbers.  The rounds run the stage chain for every ideal,
-    one generated in one degree too, so round 0's seed is one whose draw
+    one with a simplex b too, so round 0's seed is one whose draw
     passed the dimension checks over GF(p)."""
     codim = _check_cosupport(germ, I)
     numbers, seeds, cfg_b = _certified(cfg, partial(_chain_round, codim=codim), germ, I)
@@ -630,8 +667,9 @@ def segre_profile(germ: GermContext, I: Ideal, cfg: GenericityConfig) -> SegrePr
     (`codim` == n, I in m) takes its Teissier sequence (module
     docstring): m_k = e(m^[n-k] | I^[k]), each by `_teissier`, and
     e = (0, ..., 0, e(I)), with no stage chain; m_0 and m_1 = ord(I) need
-    no round, and an ideal generated in one degree d gets m^d's numbers
-    with none.  Every other ideal runs the chain's number-only rounds."""
+    no round, and an ideal with a simplex b none: m_k is the product of
+    the k smallest b_i.  Every other ideal runs the chain's number-only
+    rounds."""
     codim = _check_cosupport(germ, I)
     n = germ.n
     if codim == n and germ.ambient.is_zero and passes_through_origin(I):
@@ -727,31 +765,35 @@ def _order(I: Ideal) -> int:
 def _fold(germ: GermContext, sides, codims):
     """(factor, sides') with e(I_1^[c_1] | ... | I_r^[c_r]) equal to factor
     times the number of sides', or to factor when sides' is () (module
-    docstring, the one-degree and order rules), `codims` the
-    codimensions of the I_s.  A side that `_one_degree` finds generated
-    in degree d, or whose count is 0, gives d^count, and its count goes
-    to one side of m, in the place of the first such side.  When the
-    sides that fold fill n - 1 slots of C^n, the one side (I, 1) left
-    gives ord(I) and no side is left.  Sides whose counts do not sum to
-    n are returned as they are."""
+    docstring, the simplex and order rules), `codims` the codimensions
+    of the I_s.  A side whose `_simplex` b is constant, (d, ..., d), or
+    whose count is 0, gives d^count, and its count goes to one side of
+    m, in the place of the first such side.  When one side (I, k) is
+    left beside m on C^n, it gives the product of the k smallest b_i if
+    I has a b, else ord(I) if k is 1, and no side is left.  Sides whose
+    counts do not sum to n are returned as they are."""
     if sum(count for _, count in sides) != germ.n:
         return 1, sides
-    factor, linear, at, kept = 1, 0, None, []
+    factor, linear, at, kept, left = 1, 0, None, [], None
     for (I, count), codim in zip(sides, codims):
-        d = _one_degree(germ, I, codim) if count else 1
-        if not d:
+        b = _simplex(germ, I, codim) if count else (1,)
+        if not b or min(b) != max(b):
             kept.append((I, count))
+            left = b
             continue
-        factor *= d ** count
+        factor *= b[0] ** count
         linear += count
         if at is None:
             at = len(kept)
             kept.append(None)
     if linear == germ.n:
         return factor, ()
-    if linear == germ.n - 1 and germ.ambient.is_zero:
-        (I, _), = filter(None, kept)
-        return factor * _order(I), ()
+    if len(kept) == 1 + (at is not None) and germ.ambient.is_zero:
+        (I, count), = filter(None, kept)
+        if left:
+            return factor * prod(sorted(left)[:count]), ()
+        if count == 1:
+            return factor * _order(I), ()
     if at is not None:
         kept[at] = (_maximal_ideal(germ.ring), linear)
     return factor, tuple(kept)
@@ -781,7 +823,7 @@ def _teissier(germ: GermContext, cfg: GenericityConfig, sides, codims, rounds=No
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
-                cfg: GenericityConfig) -> int:
+                cfg: GenericityConfig, *, codims=None) -> int:
     """The mixed Segre number e_k^{i,j}(I1, I2).
 
     The stage cuts are generic combinations of i generic elements of I1
@@ -802,10 +844,16 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     (`_colength_round`, the round of `mixed_multiplicity_primary` too):
     no stages 1 .. n - 1.  At i + j == n an ideal generated in one
     degree d folds into m with the factor d^i or d^j (`_fold`), and two
-    such ideals give d1^i d2^j with no round, as does e_n^{n-1,1} with
-    I1 folded, d1^(n-1) ord(I2) by the order rule.  A round whose cuts are
-    not 0-dimensional at the origin fails its dimension check and is
-    retried, like a chain round whose stage fails one.
+    such ideals give d1^i d2^j with no round, as do e_n^{n-1,1} with I1
+    folded, d1^(n-1) ord(I2) by the order rule, and a simplex ideal I2
+    beside a folded I1, d1^i times the product of I2's j smallest b.  A
+    round whose cuts are not 0-dimensional at the origin fails its
+    dimension check and is retried, like a chain round whose stage fails
+    one.
+
+    `codims`, the pair (c1, c2) that `_check_cosupport` returned for I1
+    and I2 on this germ, spares the two checks for a caller that made
+    them once for many numbers (`criteria.MixedNumberCache`).
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -817,7 +865,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         raise PreconditionError("the boundary convention needs j == k when i == 0")
     if i + j < k:
         raise PreconditionError("need i + j >= k combinations to cut k times")
-    c1, c2 = _check_cosupport(germ, I1), _check_cosupport(germ, I2)
+    c1, c2 = codims or (_check_cosupport(germ, I1), _check_cosupport(germ, I2))
     codim = max(c1, c2)
     if i == 0 or j == 0:
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]
@@ -848,8 +896,9 @@ def mixed_multiplicity_primary(germ: GermContext, I1: Ideal, I2: Ideal, i: int,
     e(I1^[i] | I2^[n-i]) = e(I2^[n-i] | I1^[i]).  On C^n an ideal
     generated in one degree d folds into m with the factor d^i or
     d^(n-i) (`_fold`): when both do, the number is d1^i d2^(n-i), with
-    no round, and when the one left has one element, the order rule
-    gives the factor times its order."""
+    no round; the one left gives the factor times the product of its
+    smallest b_i when it has a simplex b, or times its order when it has
+    one element."""
     n = germ.n
     if not 0 <= i <= n:
         raise PreconditionError(f"i must be between 0 and {n}")

@@ -134,11 +134,13 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     the stage chains of the tangent ideals saturated stages 1 and 2 and
     28 when stage 3 was too, with the same numbers.  J0 is generated in
     degree 1, so every term folds it into m; e(m^[2] | J1^[1]) is
-    ord(J1) = 1 by the order rule, with no round, and the terms certify
-    one colength, e(m^[1] | J1^[2]), in two rounds; the test of J1 reads
-    e(J1) = 2.  The four completions (the two tests and the two rounds)
-    reduce 3 S-pairs, against 6 completions and 4 S-pairs when
-    e(m^[2] | J1^[1]) ran its two rounds, 48 S-pairs when the
+    ord(J1) = 1 by the order rule, and e(m^[1] | J1^[2]) is 1 * 1 by the
+    simplex rule, as J1 is monomial with b = (1, 1, 2); the tests of J0
+    and J1 read e(J1) = 2 off their minimal monomials.  So nothing
+    completes: 0 completions and 0 S-pairs, against 4 and 3 when
+    e(m^[1] | J1^[2]) ran its two rounds and the tests of J0 and J1 ran
+    the kernel (the next test keeps such rounds), 6 and 4
+    when e(m^[2] | J1^[1]) ran its two rounds, 48 S-pairs when the
     battery ran on the tangent ideals, whose mixed numbers e_3^{2,1} and
     e_3^{1,2} read the colength of three elements drawn from T0 and T1,
     54 when the profile of T0 = m^2 ran rounds that completed their
@@ -156,7 +158,26 @@ def test_whitney_corank_work(R3, cfg, monkeypatch):
     ENGINE_STATS.reset()
     report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
                              FunctionGerm(x ** 2 + y ** 2 + z ** 3), cfg)
-    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 4, 3)
+    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 0, 0)
+    assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
+    assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
+    assert [v.holds for v in report.verdicts] == [True, True, True, False]
+
+
+def test_whitney_work_of_a_jacobian_ideal_that_is_not_monomial(R3, cfg, monkeypatch):
+    """x^2 + y^2 + z^3 + xz^2 is the A2 singularity of
+    `test_whitney_corank_work` after x -> x + z^2 / 2, but its Jacobian
+    ideal J1 = (2x + z^2, 2y, 3z^2 + 2xz) is not monomial, so no rule
+    answers e(m^[1] | J1^[2]) = 1: it certifies one colength in two
+    rounds, and the test of J1 completes once.  The three completions
+    reduce 5 S-pairs, and the report is that of the monomial pair."""
+    x, y, z = R3.variables()
+    calls = saturate_spy(monkeypatch)
+    clear_caches()
+    ENGINE_STATS.reset()
+    report = whitney_battery(FunctionGerm(x ** 2 + y ** 2 + z ** 2),
+                             FunctionGerm(x ** 2 + y ** 2 + z ** 3 + x * z ** 2), cfg)
+    assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == (0, 3, 5)
     assert (report.left_profile.e, report.right_profile.e) == ((0, 0, 8), (0, 0, 9))
     assert report.mixed.entries == {(2, 1, 1): 0, (2, 0, 2): 0, (3, 2, 1): 8, (3, 1, 2): 8}
     assert [v.holds for v in report.verdicts] == [True, True, True, False]
@@ -168,8 +189,9 @@ def test_closure_battery_work(cfg, monkeypatch):
     to 3, below the codimension 4 of both sources, are 0 without a round.  Both sources
     are generated by forms of degree 2, so by Rees's theorem their
     profiles and the level-4 numbers are those of m^2, also without a
-    round.  The Groebner work is pinned: 2 completions, the sources'
-    dimensions over QQ, reducing no S-pair, against 12 and 60 when each
+    round.  Both sources are monomial, so their dimensions over QQ read
+    their minimal monomials and nothing completes: 0 completions and 0
+    S-pairs, against 2 and 0 when those dimensions ran the kernel, 12 and 60 when each
     profile round and each level-4 round completed its four cuts under
     the complete-intersection bound on their series, 12 and 196 when
     those completions had no Hilbert bound, 28 and 166 when the
@@ -185,7 +207,7 @@ def test_closure_battery_work(cfg, monkeypatch):
     report = closure_battery(make_germ(R4), ideal(R4, *(v ** 2 for v in R4.variables())),
                              ideal_power(m, 2), cfg)
     assert (len(calls), ENGINE_STATS.buchberger_runs, ENGINE_STATS.spairs_reduced) == \
-        (0, 2, 0)
+        (0, 0, 0)
     assert report.holds and report.left_profile.e == report.right_profile.e == (0, 0, 0, 16)
 
 

@@ -407,9 +407,9 @@ def test_cache_key_is_the_generator_tuple(R2):
     assert ENGINE_STATS.buchberger_runs == runs + 1
     buchberger(ideal(R2, x * y - 1, x ** 2 + 2 * y))
     assert ENGINE_STATS.buchberger_runs == runs + 2
-    single = buchberger(ideal(R2, x))
+    single = buchberger(ideal(R2, x + y ** 2))
     assert ENGINE_STATS.buchberger_runs == runs + 3
-    assert buchberger(ideal(R2, x, x)) == single
+    assert buchberger(ideal(R2, x + y ** 2, x + y ** 2)) == single
     assert ENGINE_STATS.buchberger_runs == runs + 4
 
 
@@ -530,9 +530,9 @@ def test_gfp_rings_keep_residues_and_their_field():
     G5 = F.over(5)
     u, v, _ = G5.variables()
     assert buchberger(ideal(G5, u * v - 1, u ** 2 + v)).ring == G5
-    buchberger(ideal(R, R.variable(0)))  # the same generator over QQ, then GF(5)
+    buchberger(ideal(R, R.variable(0) + R.variable(1) ** 2))  # the same over QQ, then GF(5)
     runs = ENGINE_STATS.buchberger_runs
-    assert buchberger(ideal(G5, u)).ring == G5
+    assert buchberger(ideal(G5, u + v ** 2)).ring == G5
     assert ENGINE_STATS.buchberger_runs == runs + 1
 
 
@@ -635,3 +635,64 @@ def test_every_raw_run_lies_inside_a_buchberger_call(R2, R3, germ2, cfg, monkeyp
     for argv in (["segre", "codim1_pair.ideal", "I1"], ["chain", "codim1_pair.ideal", "I2"]):
         assert cli.main([argv[0], str(CORPUS / argv[1]), argv[2]]) == 0
     assert runs and 0 not in runs
+
+
+def _random_monomial_ideal(rng, ring):
+    """Seeded monomial generators, some dividing others or repeated, with
+    coefficients other than 1; at times the constant 1 (the unit ideal),
+    or none at all (the zero ideal)."""
+    n = ring.nvars
+    if rng.random() < 0.1:
+        return ideal(ring)
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.randint(0, 3) for _ in range(n))
+        gens.append(ring.poly({e: rng.choice([1, 2, -3, Fraction(5, 7)])}))
+        if rng.random() < 0.3:
+            gens.append(gens[rng.randrange(len(gens))] * 4)
+    if rng.random() < 0.1:
+        gens.append(ring.constant(3))
+    rng.shuffle(gens)
+    return ideal(ring, *gens)
+
+
+@pytest.mark.parametrize("modulus", [0, P31])
+def test_monomial_bases_match_the_kernel(modulus):
+    """An ideal of single terms takes its minimal monomials, monic, in
+    descending order, with no kernel run: on seeded monomial ideals over
+    QQ and GF(p), under grevlex, lex, a block order and the tangent-cone
+    order, `buchberger` gives the basis, rows and leads of
+    `_buchberger_raw` followed by `_monic`, and leaves ENGINE_STATS as it
+    was, on its first call and on a repeat, which hits the cache."""
+    rng = random.Random(47 + modulus % 97)
+    for names in (["x"], ["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]):
+        for order in (GREVLEX, LEX, block_order(1), TANGENT_CONE):
+            if order == block_order(1) and len(names) < 2:
+                continue
+            R = PolynomialRing(names, order).over(modulus)
+            key = _memo_key(order, R.nvars)
+            for _ in range(6):
+                I = _random_monomial_ideal(rng, R)
+                rows, leads = _buchberger_raw(
+                    [_normalise(g.coeffs, key, modulus) for g in I.generators], key,
+                    modulus=modulus)
+                clear_caches()
+                before = ENGINE_STATS.snapshot()
+                gb = buchberger(I, order)
+                assert ENGINE_STATS.snapshot() == before
+                assert (gb.basis, gb.rows, gb.leads) == \
+                    (groebner._monic(R, rows, leads), rows, leads)
+                assert buchberger(I, order) is gb
+                assert ENGINE_STATS.snapshot() == before
+
+
+def test_monomial_bases_keep_the_size_budget(R2, monkeypatch):
+    """The minimal monomials count against `MAX_BASIS`: (x^3, x^2 y, x y^2,
+    y^3, x^3 y) has four, and a budget of three trips on the fourth."""
+    x, y = R2.variables()
+    clear_caches()
+    monkeypatch.setattr(groebner, "MAX_BASIS", 3)
+    with pytest.raises(ResourceLimitError, match="basis size 4 exceeds budget 3"):
+        buchberger(ideal(R2, x ** 3, x ** 2 * y, x * y ** 2, y ** 3, x ** 3 * y))
+    monkeypatch.setattr(groebner, "MAX_BASIS", 4)
+    assert len(buchberger(ideal(R2, x ** 3, x ** 2 * y, x * y ** 2, y ** 3, x ** 3 * y)).basis) == 4

@@ -5,6 +5,7 @@ construction, and the exponent ceiling."""
 import pytest
 
 from segrenum import buchberger, ideal, normal_form
+from segrenum.equising import FunctionGerm, contact_tangent_ideal
 from segrenum.errors import ResourceLimitError
 from segrenum.groebner import ENGINE_STATS, _lcm, clear_caches
 from segrenum.multiplicity import _homogenize
@@ -139,8 +140,9 @@ def test_steep_generators_pass_the_degree_budget():
 
 
 def test_polynomial_exponents_past_the_limit_are_refused():
-    """Every polynomial obeys the ceiling: construction, a product and
-    the t exponent of a homogenization raise ResourceLimitError."""
+    """Every polynomial obeys the ceiling: construction, a product, the
+    t exponent of a homogenization and a shifted partial of a contact
+    tangent ideal raise ResourceLimitError."""
     assert MAX_EXPONENT == LIMIT
     R = PolynomialRing(["x", "y"])
     x, y = R.variables()
@@ -156,3 +158,6 @@ def test_polynomial_exponents_past_the_limit_are_refused():
         _homogenize(ideal(R, x ** 20000 * y ** 20000 + x))
     assert _homogenize(ideal(R, x ** 20000 * y ** 12768 + x)).generators[0].total_degree \
         == 32768
+    # x * d(x^LIMIT y)/dy = x^(LIMIT + 1)
+    with pytest.raises(ResourceLimitError, match=f"exponent {LIMIT + 1} exceeds"):
+        contact_tangent_ideal(FunctionGerm(x ** LIMIT * y))

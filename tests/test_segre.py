@@ -40,7 +40,7 @@ from segrenum.rings import format_polynomial
 from segrenum.segre import derive_seed
 
 from conftest import GOLDEN, certified_spy, replay_corpus, saturate_spy, semi_quasi_homogeneous
-from oracles import macaulay_colength_stable, milnor_sequence, vanishing_order
+from oracles import macaulay_colength_stable, milnor_sequence, newton_covolume_2d, vanishing_order
 
 
 def test_generic_tuple_basics(R3, cfg):
@@ -745,7 +745,7 @@ def _equigenerated_cases():
 def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
     """On monomial ideals (x^d, y^d, ...), powers m^d, random forms of
     one degree d and the tangent ideal of x^3 + y^3 + z^3, on C^2, C^3
-    and C^4, `_one_degree` reads d over QQ, and the stage chain's rounds
+    and C^4, `_simplex` reads (d, ..., d) over QQ, and the stage chain's rounds
     give the numbers of m^d, m_k = d^k and e = (0, ..., 0, d^n), on each
     seed over GF(p) and certified.  `segre_profile` draws nothing and
     gives that profile; `polar_chain` runs two number-only chain rounds
@@ -754,7 +754,7 @@ def test_equigenerated_m_primary_rounds_are_exact(monkeypatch):
     stages = _stages_spy(monkeypatch)
     for case, (germ, I, d) in enumerate(_equigenerated_cases()):
         n = germ.n
-        assert segre._one_degree(germ, I, n) == d
+        assert segre._simplex(germ, I, n) == (d,) * n
         expected = ((1, None),) + tuple((d ** k, 0) for k in range(1, n)) + ((0, d ** n),)
         for r in range(3):
             seed = derive_seed(cfg.seed, case, r)
@@ -964,6 +964,93 @@ def test_the_order_rule_needs_c_n(R2, cfg):
     assert [mixed_multiplicity_primary(cusp, m, m, i, cfg) for i in (0, 1)] == [2, 2]
 
 
+def _simplex_ideals(R, rng, count):
+    """`count` seeded (I, b): monomial ideals with the closure of
+    (x_1^b_1, ..., x_n^b_n), b_i in 1..4 not all equal, generated by
+    the pure powers, 1-3 mixed monomials a on or just above their
+    simplex, 1 <= sum a_i / b_i <= 3/2, and at times a pure power past
+    a least one, in random order and with coefficients other than 1."""
+    n = R.nvars
+    cases = []
+    while len(cases) < count:
+        b = tuple(rng.randint(1, 4) for _ in range(n))
+        if len(set(b)) == 1:
+            continue
+        gens = [R.poly({tuple(b[i] * (j == i) for j in range(n)): rng.choice([1, 2, -3])})
+                for i in range(n)]
+        extra = rng.randint(1, 3)
+        while len(gens) < n + extra:
+            a = tuple(rng.randint(0, bi) for bi in b)
+            if sum(map(bool, a)) > 1 and 1 <= sum(map(Fraction, a, b)) <= Fraction(3, 2):
+                gens.append(R.poly({a: rng.choice([1, 5])}))
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            gens.append(R.poly({tuple((b[i] + 1) * (j == i) for j in range(n)): 7}))
+        rng.shuffle(gens)
+        cases.append((Ideal(R, gens), b))
+    return cases
+
+
+@pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"]])
+def test_the_simplex_rule_matches_colength_rounds(names, monkeypatch):
+    """e(m^[n-k] | I^[k]) is the product of the k smallest b_i for a
+    monomial I with the closure of (x_1^b_1, ..., x_n^b_n): on seeded
+    such ideals on C^2 and C^3, for k = 1..n, `_fold` answers with no
+    round, and its number equals the certified colength round on the
+    same sides."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(names)
+    germ, n = make_germ(R), len(names)
+    m = ideal(R, *R.variables())
+    rounds = certified_spy(monkeypatch)
+    for I, b in _simplex_ideals(R, random.Random(40 + n), 8):
+        assert segre._simplex(germ, I, n) == b
+        for k in range(1, n + 1):
+            sides = ((m, n - k), (I, k))
+            rounds.clear()
+            number, left = segre._fold(germ, sides, (n, n))
+            assert left == () and rounds == []
+            assert number == math.prod(sorted(b)[:k]) == segre._colength(germ, cfg, sides)
+            assert _colength_rounds(rounds) == [True]
+
+
+def test_brieskorn_pham_jacobians_take_products(monkeypatch):
+    """The Jacobian ideal of a Brieskorn-Pham germ sum x_i^(a_i) on C^4 is
+    the simplex ideal of b = (a_i - 1), so Teissier's mu^(i) is the
+    product of the i smallest b, with no round: (1, 1, 2, 6, 24) for
+    x^2 + y^3 + z^4 + w^5 and (1, 1, 1, 2, 4) for x^3 + y^2 + z^3 + w^2,
+    as `oracles.milnor_sequence` reads them on generic planes.  The
+    profile of J is its Teissier sequence."""
+    cfg = GenericityConfig()
+    R = PolynomialRing(["x", "y", "z", "w"])
+    x, y, z, w = R.variables()
+    germ, m = make_germ(R), ideal(R, x, y, z, w)
+    rounds = certified_spy(monkeypatch)
+    for f, mu in ((x ** 2 + y ** 3 + z ** 4 + w ** 5, (1, 1, 2, 6, 24)),
+                  (x ** 3 + y ** 2 + z ** 3 + w ** 2, (1, 1, 1, 2, 4))):
+        J = jacobian_ideal(FunctionGerm(f))
+        assert tuple(mixed_multiplicity_primary(germ, J, m, i, cfg) for i in range(5)) == \
+            milnor_sequence(f) == mu
+        assert segre_profile(germ, J, cfg) == SegreProfile((0, 0, 0, mu[4]), mu[:4])
+    assert rounds == []
+
+
+def test_the_simplex_rule_declines_below_the_simplex(R2, cfg, monkeypatch):
+    """(x^3, xy, y^3) on C^2 holds the pure powers x^3 and y^3, but xy lies
+    below their simplex, 1/3 + 1/3 < 1, so the rule gives no b and e(I)
+    takes its colength round: 6, twice the area under the Newton polygon,
+    not 3 * 3."""
+    x, y = R2.variables()
+    germ, m = make_germ(R2), ideal(R2, x, y)
+    I = ideal(R2, x ** 3, x * y, y ** 3)
+    assert segre._simplex(germ, I, 2) is None
+    assert segre._fold(germ, ((m, 0), (I, 2)), (2, 2)) == (1, ((m, 0), (I, 2)))
+    rounds = certified_spy(monkeypatch)
+    assert segre_profile(germ, I, cfg) == SegreProfile((0, 6), (1, 2))
+    assert 2 * newton_covolume_2d([(3, 0), (1, 1), (0, 3)]) == 6
+    assert _colength_rounds(rounds) == [True]
+
+
 @pytest.mark.parametrize("names,low", [(["x", "y", "z"], 1), (["x", "y", "z"], 2),
                                        (["x", "y", "z", "w"], 1), (["x", "y", "z", "w"], 2)])
 def test_m_primary_profiles_match_the_stage_chain(names, low, monkeypatch):
@@ -992,15 +1079,16 @@ def test_m_primary_profiles_match_the_stage_chain(names, low, monkeypatch):
 
 
 def test_a_special_linear_form_raises_its_number(R3, cfg, monkeypatch):
-    """m_2 of I = (x^2, y^2, z^3) on C^3 is e(m^[1] | I^[2]) = 4.  The
-    tangent cone of a cut of two generic elements of I is the z-axis, so
-    the linear form x, which vanishes on it, is special: the colength of
-    (x, h_1, h_2) is that of (y^2, z^3), 6.  Forced into round 0 of m_2's
-    rounds in place of a generic linear form, it raises that round's
-    number, the rounds disagree under both coefficient bounds, and the
-    profile refuses."""
+    """m_2 of I = (x^2, y^2, z^3 + xy) on C^3 is e(m^[1] | I^[2]) = 4, that
+    of (x^2, y^2, z^3), as xy lies in the closure of (x^2, y^2); I is not
+    monomial, so its rounds run.  The tangent cone of a cut of two
+    generic elements of I is the z-axis, so the linear form x, which
+    vanishes on it, is special: the colength of (x, h_1, h_2) is that of
+    (y^2, z^3), 6.  Forced into round 0 of m_2's rounds in place of a
+    generic linear form, it raises that round's number, the rounds
+    disagree under both coefficient bounds, and the profile refuses."""
     x, y, z = R3.variables()
-    I = ideal(R3, x ** 2, y ** 2, z ** 3)
+    I = ideal(R3, x ** 2, y ** 2, z ** 3 + x * y)
     germ = make_germ(R3)
     assert segre_profile(germ, I, cfg) == SegreProfile((0, 0, 12), (1, 2, 4))
     real = segre._colength_round
@@ -1035,7 +1123,7 @@ def test_equigenerated_rounds_gate_and_fallback(R2, R3, cfg, monkeypatch):
     rounds = certified_spy(monkeypatch)
     cases = [
         (make_germ(R3), contact_tangent_ideal(FunctionGerm(x ** 2 + y ** 2 + z ** 3)), True),
-        (make_germ(R2), ideal(R2, a ** 2, b ** 3), True),
+        (make_germ(R2), ideal(R2, a ** 2, b ** 3 + a * b ** 2), True),
         (make_germ(R3), ideal(R3, x * z, y * z), False),
         (make_germ(R3, ideal(R3, x * y - z ** 2)), m, False),
     ]
@@ -1321,12 +1409,12 @@ def test_exact_rerun_catches_a_prime_bad_for_every_round(R2, monkeypatch):
     """Every round forced onto GF(3), where (x^3, y^3, 3xy) becomes
     (x^3, y^3) and every cut keeps its dimension: the rounds agree on
     e = (0, 9), and `polar_chain`'s rerun of round 0 over QQ, which gives
-    the true e = (0, 6), refuses them.  The ideal has two degrees over QQ,
-    so its rounds run the stage chain, although GF(3) leaves one."""
+    the true e = (0, 6), refuses them.  Over QQ the ideal has no simplex
+    b, as 1/3 + 1/3 < 1 for xy, although GF(3) leaves b = (3, 3)."""
     x, y = R2.variables()
     I = ideal(R2, x ** 3, y ** 3, 3 * x * y)
     germ = make_germ(R2)
-    assert (segre._one_degree(germ, I, 2), segre._one_degree(germ, I.over(3), 2)) == (None, 3)
+    assert (segre._simplex(germ, I, 2), segre._simplex(germ, I.over(3), 2)) == (None, (3, 3))
     stages = _stages_spy(monkeypatch)
     monkeypatch.setattr(segre, "_round_prime", lambda seed, den=1: 3)
     with pytest.raises(GenericityError, match=r"\(0, 6\)\) over QQ but .*\(0, 9\)\) over GF"):
@@ -1355,7 +1443,7 @@ def test_a_prime_bad_for_every_round_fails_the_profile(R3, monkeypatch):
         segre_profile(germ, T, cfg)
     cubes = contact_tangent_ideal(FunctionGerm(x ** 3 + y ** 3 + z ** 3))
     assert segre_profile(germ, cubes, cfg) == SegreProfile((0, 0, 27), (1, 3, 9))
-    assert segre._one_degree(germ, cubes, 3) == 3
+    assert segre._simplex(germ, cubes, 3) == (3, 3, 3)
     assert len(cubes.over(3).generators) == 1
     with pytest.raises(GenericityError, match="could not draw a full-rank coefficient matrix"):
         segre._certified(cfg, partial(segre._chain_round, codim=3), germ, cubes)
