@@ -20,7 +20,6 @@ from .segre import (
     GermContext,
     MixedSegreTable,
     SegreProfile,
-    _check_cosupport,
     mixed_multiplicity_primary,
     mixed_segre,
     segre_profile,
@@ -81,9 +80,7 @@ class ComparisonReport:
 
 
 class MixedNumberCache:
-    """Memoizes profiles and mixed Segre numbers for one ideal pair, and
-    the pair's co-support codimensions, checked once for every mixed
-    number."""
+    """Memoizes profiles and mixed Segre numbers for one ideal pair."""
 
     def __init__(self, germ: GermContext, I1: Ideal, I2: Ideal, cfg: GenericityConfig):
         self.germ = germ
@@ -92,7 +89,6 @@ class MixedNumberCache:
         self.cfg = cfg
         self._profiles = {}
         self._mixed = {}
-        self._codims = None
 
     def profile(self, which: int) -> SegreProfile:
         if which not in self._profiles:
@@ -118,10 +114,7 @@ class MixedNumberCache:
             return self.e(1, k)
         if i == 0:
             return self.e(2, k)
-        if self._codims is None:
-            self._codims = (_check_cosupport(self.germ, self.I1),
-                            _check_cosupport(self.germ, self.I2))
-        return mixed_segre(self.germ, self.I1, self.I2, k, i, j, self.cfg, codims=self._codims)
+        return mixed_segre(self.germ, self.I1, self.I2, k, i, j, self.cfg)
 
     def table(self, keys=None) -> MixedSegreTable:
         """The mixed numbers asked for so far, or only those in `keys`."""

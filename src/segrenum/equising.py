@@ -58,7 +58,7 @@ from .criteria import ComparisonReport, MixedNumberCache, _chain_verdict, _sides
 from .errors import PreconditionError, RingMismatchError
 from .groebner import Ideal
 from .multiplicity import multiplicity_at_origin
-from .rings import W, Polynomial, _overflow
+from .rings import Polynomial
 from .segre import GenericityConfig, SegreProfile, _maximal_ideal, _teissier, make_germ
 
 
@@ -86,20 +86,10 @@ def jacobian_ideal(f: FunctionGerm) -> Ideal:
 
 
 def contact_tangent_ideal(f: FunctionGerm) -> Ideal:
-    """m*J(f) + (f): every variable times every partial, plus f.  Each
-    x_i * d shifts the packed exponents of d by x_i's."""
+    """m*J(f) + (f): every variable times every partial, plus f."""
     ring = f.ring
-    packing = ring._key.__self__
     partials = jacobian_ideal(f).generators
-    gens = []
-    for i in range(ring.nvars):
-        unit = 1 << W * i
-        for d in partials:
-            coeffs = {e + unit: c for e, c in d.coeffs.items()}
-            for e in coeffs:
-                if e & packing.guard:
-                    raise _overflow(packing.unpack(e))
-            gens.append(Polynomial(ring, coeffs))
+    gens = [d.times_variable(i) for i in range(ring.nvars) for d in partials]
     return Ideal(ring, gens + [f.poly])
 
 

@@ -50,8 +50,9 @@ and the Buchberger algorithm", JSC 22, 1996).  The basis is the same
 unique reduced basis.  The leads' function is counted as the run goes,
 from the set of degree-D monomials the leads divide, so no Hilbert
 series is computed inside a completion.  Hilbert series of monomial
-ideals are memoised by their sorted exponents beside the basis cache;
-`clear_caches` empties both.
+ideals are memoised by their sorted exponents beside the basis cache,
+as are `segre`'s co-support codimensions, read from cached bases;
+`clear_caches` empties all three.
 """
 
 from __future__ import annotations
@@ -540,12 +541,14 @@ def _buchberger_raw(gens, key, *, modulus=0, known=0, bound=None):
 _GB_CACHE: dict = {}
 _GB_LOCK = threading.Lock()
 _SERIES_MEMO: dict = {}  # hilbert_series by (sorted lead exponents, nvars)
+_COSUPPORT_MEMO: dict = {}  # segre._check_cosupport by germ and ideal
 
 
 def clear_caches():
     with _GB_LOCK:
         _GB_CACHE.clear()
         _SERIES_MEMO.clear()
+        _COSUPPORT_MEMO.clear()
     for memo in list(_KEY_MEMO.values()):
         memo.clear()  # live rings hold these memos too
 

@@ -336,12 +336,16 @@ class Polynomial:
             return -1
         return max(self.degrees())
 
+    def exponents(self):
+        """The exponent tuple of each term, in `coeffs` order."""
+        unpack = self.ring._key.__self__.unpack
+        return [unpack(e) for e in self.coeffs]
+
     def degrees(self):
         """The total degree of each term, in `coeffs` order; computed once,
         as a polynomial is immutable."""
         if self._degrees is None:
-            unpack = self.ring._key.__self__.unpack
-            self._degrees = tuple(sum(unpack(e)) for e in self.coeffs)
+            self._degrees = tuple(map(sum, self.exponents()))
         return self._degrees
 
     @property
@@ -466,6 +470,18 @@ class Polynomial:
             c = c * k % m if m else c * k
             if c:
                 out[e - unit] = c
+        return Polynomial(self.ring, out)
+
+    def times_variable(self, var_index):
+        """x_i times the polynomial: each packed exponent plus x_i's."""
+        unit = 1 << W * var_index
+        guard = self.ring._key.__self__.guard
+        out = {}
+        for e, c in self.coeffs.items():
+            e += unit
+            if e & guard:
+                raise _overflow(self.ring._key.__self__.unpack(e))
+            out[e] = c
         return Polynomial(self.ring, out)
 
     # -- equality / hashing / printing ----------------------------------------

@@ -180,6 +180,7 @@ from .errors import (
 from .groebner import (
     GREVLEX,
     Ideal,
+    _COSUPPORT_MEMO,
     _basis_ideal,
     buchberger,
     dimension,
@@ -569,7 +570,17 @@ def _certified(cfg: GenericityConfig, run_once, germ: GermContext, *ideals: Idea
 
 def _check_cosupport(germ: GermContext, I: Ideal) -> int:
     """Refuse an ideal without Segre data on the germ; else return
-    n - dim V(I + X), on C^n the codimension of V(I)."""
+    n - dim V(I + X), on C^n the codimension of V(I).  Memoised by the
+    germ's and I's rings and generators until `clear_caches`, so a
+    battery checks each ideal once."""
+    key = germ.ring, germ.ambient.generators, I.ring, I.generators
+    codim = _COSUPPORT_MEMO.get(key)
+    if codim is None:
+        codim = _COSUPPORT_MEMO[key] = _cosupport(germ, I)
+    return codim
+
+
+def _cosupport(germ: GermContext, I: Ideal) -> int:
     if I.is_zero:
         raise PreconditionError("the zero ideal has dense co-support")
     total = ideal_sum(I, germ.ambient)
@@ -609,7 +620,7 @@ def _exponents(gens) -> tuple[int, ...] | None:
     least pure power of each x_i and every exponent a has
     sum a_i / b_i >= 1; else None."""
     ring = gens[0].ring
-    exps = [ring._key.__self__.unpack(e) for g in gens for e in g.coeffs]
+    exps = [a for g in gens for a in g.exponents()]
     degrees = {sum(a) for a in exps}
     if len(degrees) == 1:
         d = degrees.pop()
@@ -823,7 +834,7 @@ def _teissier(germ: GermContext, cfg: GenericityConfig, sides, codims, rounds=No
 
 
 def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
-                cfg: GenericityConfig, *, codims=None) -> int:
+                cfg: GenericityConfig) -> int:
     """The mixed Segre number e_k^{i,j}(I1, I2).
 
     The stage cuts are generic combinations of i generic elements of I1
@@ -850,10 +861,6 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
     round whose cuts are not 0-dimensional at the origin fails its
     dimension check and is retried, like a chain round whose stage fails
     one.
-
-    `codims`, the pair (c1, c2) that `_check_cosupport` returned for I1
-    and I2 on this germ, spares the two checks for a caller that made
-    them once for many numbers (`criteria.MixedNumberCache`).
     """
     if not 1 <= k <= germ.n:
         raise PreconditionError(f"k must be between 1 and {germ.n}")
@@ -865,7 +872,7 @@ def mixed_segre(germ: GermContext, I1: Ideal, I2: Ideal, k: int, i: int, j: int,
         raise PreconditionError("the boundary convention needs j == k when i == 0")
     if i + j < k:
         raise PreconditionError("need i + j >= k combinations to cut k times")
-    c1, c2 = codims or (_check_cosupport(germ, I1), _check_cosupport(germ, I2))
+    c1, c2 = _check_cosupport(germ, I1), _check_cosupport(germ, I2)
     codim = max(c1, c2)
     if i == 0 or j == 0:
         return segre_profile(germ, I2 if i == 0 else I1, cfg).e[k - 1]

@@ -88,12 +88,13 @@ def _exponents(p):
 def test_polynomials_agree_with_exponent_tuples(vectors, modulus):
     """`poly` packs what `terms` unpacks; a product of monomials is
     `mono_mul` (or raises past the limit); a derivative lowers one
-    exponent and multiplies by it."""
+    exponent and multiplies by it, and x_i times it raises one (or
+    raises past the limit)."""
     a, b = vectors
     n = len(a)
     R = PolynomialRing(list("xyzwv"[:n])).over(modulus)
     f, g = R.poly({a: 3}), R.poly({b: 2}) + 1
-    assert _exponents(f) == {a: 3} and f.total_degree == sum(a)
+    assert _exponents(f) == {a: 3} and f.exponents() == [a] and f.total_degree == sum(a)
     assert _exponents(g) == ({b: 2, (0,) * n: 1} if any(b) else {b: 3})
     if max(mono_mul(a, b)) <= LIMIT:
         assert f * g == R.poly({mono_mul(a, b): 6}) + R.poly({a: 3})
@@ -104,6 +105,12 @@ def test_polynomials_agree_with_exponent_tuples(vectors, modulus):
         lowered = tuple(x - (j == i) for j, x in enumerate(a))
         expected = R.poly({lowered: 3 * a[i]}) if a[i] else R.zero()
         assert f.derivative(i) == expected
+        raised = tuple(x + (j == i) for j, x in enumerate(a))
+        if max(raised) <= LIMIT:
+            assert f.times_variable(i) == R.variable(i) * f == R.poly({raised: 3})
+        else:
+            with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+                f.times_variable(i)
 
 def test_exponent_past_the_limit_is_refused():
     """An input exponent past the limit, an S-polynomial term and a
